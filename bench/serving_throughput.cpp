@@ -4,11 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The perf-tracking harness for the serving layer: drives one SeerServer
-// with a synthetic request stream at a ladder of client counts and
-// cache-hit ratios, in both select-only and execute modes, and writes
-// BENCH_serving.json (throughput, latency percentiles, observed hit
-// ratio, mispredict rate).
+// The perf-tracking harness for the serving layer: drives SeerService
+// sessions with a synthetic request stream at a ladder of client counts
+// and cache-hit ratios, in both select-only and execute modes, and
+// writes BENCH_serving.json (throughput, latency percentiles,
+// registration time, mispredict rate).
 //
 // Every response is checked bit-identical against the one-shot
 // SeerRuntime answer for the same (matrix, iterations): same kernel, same
@@ -17,10 +17,14 @@
 //
 // A churn scenario additionally stresses the byte-budgeted cache: a
 // working set several times larger than the configured budget cycles
-// through the server for multiple passes, so entries are continuously
-// evicted and re-analyzed. The gate extends to the budget invariant —
-// the accounted cache bytes must never exceed the budget — and to
-// bit-identity of every selection despite the eviction/re-analysis churn.
+// through the server for multiple passes, each request registering,
+// serving and releasing its matrix, so entries are continuously evicted
+// and re-analyzed. The gate extends to the budget invariant — sampled
+// after every request while its registration is still live, the
+// accounted cache bytes never exceed the budget by more than the live
+// registrations pin, and with none live they never exceed it at all —
+// and to bit-identity of every selection despite the eviction/re-analysis
+// churn.
 //
 // A chaos scenario arms deterministic fault plans (support/FaultInjector.h)
 // against live services and gates the fault-tolerance contract: every
@@ -49,6 +53,7 @@
 #include "../tools/ToolSupport.h"
 #include "BenchCommon.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -63,11 +68,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-// The v1 grid exists to compare the deprecated pointer-based path
-// against the handle API bit-for-bit; its uses of handle()/handleBatch()
-// are the point, so the deprecation warnings are silenced here.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 using namespace seer;
 using namespace seer::tools;
 
@@ -76,7 +76,7 @@ namespace {
 constexpr const char *Usage =
     "usage: serving_throughput [options]\n"
     "\n"
-    "Times SeerServer request handling vs. client count and cache-hit\n"
+    "Times session-handle serving vs. client count and cache-hit\n"
     "ratio, verifies bit-identity against one-shot SeerRuntime calls, and\n"
     "writes BENCH_serving.json.\n"
     "\n"
@@ -134,9 +134,12 @@ struct RunRecord {
   /// unique matrices — fingerprint + analysis) outside the timed window.
   double RegistrationSeconds = 0.0;
   /// Churn runs only: the configured budget, the largest accounted byte
-  /// count ever observed, and whether it stayed within the budget.
+  /// count ever observed, the largest allowance any sample had for bytes
+  /// pinned by live registrations, and whether every sample stayed
+  /// within the budget plus its allowance.
   size_t BudgetBytes = 0;
   uint64_t MaxBytesCached = 0;
+  uint64_t MaxPinnedSlackBytes = 0;
   bool BudgetRespected = true;
   /// batch-execute runs only: mean per-operand host cost (informational;
   /// noisy on shared hosts) and mean per-operand *charged* modeled cost
@@ -231,60 +234,6 @@ int main(int Argc, char **Argv) {
   };
 
   std::vector<RunRecord> Records;
-  for (const bool Execute : {false, true})
-    for (const double Ratio : HitRatios)
-      for (const unsigned C : Clients) {
-        // A target hit ratio h over R requests needs U = R * (1 - h)
-        // unique matrices: U first-touch misses, R - U hits.
-        const size_t Unique = std::max<size_t>(
-            1, static_cast<size_t>(static_cast<double>(Requests) *
-                                   (1.0 - Ratio)));
-
-        std::vector<ServeRequest> Stream(Requests);
-        for (size_t I = 0; I < Requests; ++I) {
-          Stream[I].Matrix = &Pool[I % Unique];
-          Stream[I].Iterations = IterationPattern[I % 3];
-          Stream[I].Execute = Execute;
-          Stream[I].VerifyOracle = Execute;
-        }
-
-        SeerServer Server(Models);
-        const auto Start = std::chrono::steady_clock::now();
-        const std::vector<ServeResponse> Responses =
-            Server.handleBatch(Stream, C);
-        const double Wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - Start)
-                                .count();
-
-        RunRecord Record;
-        Record.Mode = Execute ? "execute" : "select";
-        Record.Clients = C;
-        Record.Execute = Execute;
-        Record.TargetHitRatio = Ratio;
-        Record.UniqueMatrices = Unique;
-        Record.Requests = Requests;
-        Record.WallSeconds = Wall;
-        Record.Stats = Server.stats();
-        for (size_t I = 0; I < Responses.size(); ++I) {
-          const ExpectedAnswer &E = ExpectedFor(I % Unique, Stream[I].Iterations,
-                                          Execute);
-          const ServeResponse &R = Responses[I];
-          const bool Same =
-              R.Selection.KernelIndex == E.Selection.KernelIndex &&
-              R.Selection.UsedGatheredModel ==
-                  E.Selection.UsedGatheredModel &&
-              (!Execute || R.Y == E.Y);
-          Record.BitIdentical = Record.BitIdentical && Same;
-        }
-        Records.push_back(Record);
-        std::fprintf(stderr,
-                     "  %s clients=%u hit=%.1f  %7.0f req/s  p50 %.1fus  "
-                     "p99 %.1fus  %s\n",
-                     Execute ? "execute" : "select ", C, Ratio,
-                     static_cast<double>(Requests) / Wall,
-                     Record.Stats.P50LatencyUs, Record.Stats.P99LatencyUs,
-                     Record.BitIdentical ? "ok" : "MISMATCH");
-      }
 
   // Registers the first Unique pool matrices with a service (zero-copy:
   // the pool outlives every service) and returns the handles plus the
@@ -305,12 +254,10 @@ int main(int Argc, char **Argv) {
         .count();
   };
 
-  // The same grid through serving API v2: the unique matrices are
-  // registered once per run (outside the timed window — that is the
-  // point of the redesign), then the identical request stream is served
-  // through handles. The gate extends bit-identity to this path, and the
-  // per-request latency shows the amortized fingerprint/lookup cost:
-  // v2-select at a given hit ratio must sit below the v1 select run.
+  // The grid: per run the unique matrices are registered once (outside
+  // the timed window — fingerprint and analysis are paid there), then the
+  // request stream is served through handles. A target hit ratio h over R
+  // requests needs U = R * (1 - h) unique matrices.
   for (const bool Execute : {false, true})
     for (const double Ratio : HitRatios)
       for (const unsigned C : Clients) {
@@ -817,10 +764,24 @@ int main(int Argc, char **Argv) {
   // instead of being a magic constant.
   const size_t ChurnUnique = std::min<size_t>(Requests, 32);
   const size_t ChurnPasses = std::max<size_t>(2, Requests / ChurnUnique);
+  // One churn request: register, serve, release. Releasing at once leaves
+  // the entry unpinned, so the budget (not a handle table) decides what
+  // survives to the next pass. \p WhileLive, if set, receives a snapshot
+  // taken while the registration still pins the entry.
+  const auto ServeOnce = [&](SeerServer &Server, size_t I,
+                             const ServeOptions &Options,
+                             ServerStats *WhileLive) {
+    const RegisteredMatrix Reg = Server.registerMatrix(
+        std::shared_ptr<const CsrMatrix>(std::shared_ptr<void>(), &Pool[I]));
+    Expected<ServeResponse> Response = Server.handleRegistered(Reg, Options);
+    if (WhileLive)
+      *WhileLive = Server.stats();
+    Server.releaseMatrix(Reg);
+    return Response;
+  };
   for (const bool Execute : {false, true}) {
-    std::vector<ServeRequest> Pass(ChurnUnique);
+    std::vector<ServeOptions> Pass(ChurnUnique);
     for (size_t I = 0; I < ChurnUnique; ++I) {
-      Pass[I].Matrix = &Pool[I];
       Pass[I].Iterations = IterationPattern[I % 3];
       Pass[I].Execute = Execute;
       Pass[I].VerifyOracle = Execute;
@@ -831,23 +792,34 @@ int main(int Argc, char **Argv) {
     // A budget below half the lean set guarantees whole-entry evictions
     // even after every recomputable byte has been shed, so the churn run
     // always exercises eviction, re-analysis AND cost-aware shedding.
-    uint64_t FullSetBytes = 0, LeanSetBytes = 0;
-    {
+    // Both passes also record each entry's bytes: a pinned entry can
+    // hold at most its full bytes, and once its own request has policed
+    // an over-budget shard, at most its lean ones.
+    std::vector<uint64_t> FullEntryBytes(ChurnUnique, 0);
+    std::vector<uint64_t> LeanEntryBytes(ChurnUnique, 0);
+    const auto WorkingSetBytes = [&](bool VerifyOracle,
+                                     std::vector<uint64_t> &EntryBytes) {
       SeerServer Unbounded(Models);
-      Unbounded.handleBatch(Pass, 1);
-      FullSetBytes = Unbounded.stats().BytesCached;
-    }
-    if (!Execute) {
-      // Select-only entries hold nothing shed-able: lean == full.
-      LeanSetBytes = FullSetBytes;
-    } else {
-      std::vector<ServeRequest> Lean = Pass;
-      for (ServeRequest &Request : Lean)
-        Request.VerifyOracle = false;
-      SeerServer Unbounded(Models);
-      Unbounded.handleBatch(Lean, 1);
-      LeanSetBytes = Unbounded.stats().BytesCached;
-    }
+      uint64_t Bytes = 0;
+      for (size_t I = 0; I < ChurnUnique; ++I) {
+        ServeOptions Options = Pass[I];
+        Options.VerifyOracle = VerifyOracle;
+        if (const auto Response = ServeOnce(Unbounded, I, Options, nullptr);
+            !Response)
+          fatal(Response.status());
+        EntryBytes[I] = Unbounded.stats().BytesCached - Bytes;
+        Bytes += EntryBytes[I];
+      }
+      return Bytes;
+    };
+    const uint64_t FullSetBytes = WorkingSetBytes(Execute, FullEntryBytes);
+    // Select-only entries hold nothing shed-able: lean == full.
+    const uint64_t LeanSetBytes =
+        Execute ? WorkingSetBytes(false, LeanEntryBytes) : FullSetBytes;
+    if (!Execute)
+      LeanEntryBytes = FullEntryBytes;
+    const uint64_t MaxFullEntryBytes =
+        *std::max_element(FullEntryBytes.begin(), FullEntryBytes.end());
 
     // Warm the one-shot reference memo outside the timed window so the
     // serial run's wall clock measures the server, not the baseline.
@@ -860,6 +832,7 @@ int main(int Argc, char **Argv) {
     Config.CacheShards = 4;
     Config.CacheBudgetBytes = std::max<uint64_t>(
         1, std::min(FullSetBytes / 4, LeanSetBytes / 2));
+    const uint64_t SliceBytes = Config.CacheBudgetBytes / Config.CacheShards;
 
     for (const unsigned C : {1u, 4u}) {
       SeerServer Server(Models, Config);
@@ -871,70 +844,59 @@ int main(int Argc, char **Argv) {
       Record.Requests = ChurnUnique * ChurnPasses;
       Record.BudgetBytes = Config.CacheBudgetBytes;
 
+      // Each pass serves the working set once over C clients, and every
+      // request samples the cache while its registration is live. Pinned
+      // entries are never whole-evicted, so a shard may run over its
+      // slice only while it holds nothing but pinned entries: a sample
+      // may exceed the budget by what the live registrations pin. In the
+      // serial run that is the one live entry, already shed to its lean
+      // bytes by its own request, beyond its slice. In the concurrent run
+      // a pinned entry busy in another request is skipped by shedding, so
+      // each of PinnedMatrices may hold the largest full entry. With no
+      // registration live (every pass boundary) the budget holds exactly.
+      std::vector<char> Identical(Record.Requests, 1);
+      std::vector<char> WithinBudget(Record.Requests, 1);
+      std::vector<uint64_t> LiveBytes(Record.Requests, 0);
+      std::vector<uint64_t> SlackBytes(Record.Requests, 0);
       const auto Start = std::chrono::steady_clock::now();
-      if (C == 1) {
-        // Serial run: sample the accounted bytes after every response so
-        // a budget violation is caught the moment it happens.
-        for (size_t P = 0; P < ChurnPasses; ++P)
-          for (size_t I = 0; I < ChurnUnique; ++I) {
-            const ServeResponse R = Server.handle(Pass[I]);
-            const ExpectedAnswer &E =
-                ExpectedFor(I, Pass[I].Iterations, Execute);
-            const bool Same =
-                R.Selection.KernelIndex == E.Selection.KernelIndex &&
-                R.Selection.UsedGatheredModel ==
-                    E.Selection.UsedGatheredModel &&
-                (!Execute || R.Y == E.Y);
-            Record.BitIdentical = Record.BitIdentical && Same;
-            const uint64_t Bytes = Server.stats().BytesCached;
-            Record.MaxBytesCached = std::max(Record.MaxBytesCached, Bytes);
-          }
-      } else {
-        // Concurrent run: real client threads over disjoint slices of
-        // the stream, each sampling the accounted bytes after every
-        // response so a mid-run budget overshoot cannot hide behind the
-        // end-of-batch state.
-        std::vector<ServeRequest> Stream;
-        Stream.reserve(ChurnUnique * ChurnPasses);
-        for (size_t P = 0; P < ChurnPasses; ++P)
-          Stream.insert(Stream.end(), Pass.begin(), Pass.end());
-        std::vector<ServeResponse> Responses(Stream.size());
-        std::vector<uint64_t> MaxSeen(C, 0);
-        std::vector<std::thread> Threads;
-        Threads.reserve(C);
-        const size_t Chunk = (Stream.size() + C - 1) / C;
-        for (unsigned T = 0; T < C; ++T)
-          Threads.emplace_back([&, T] {
-            const size_t Begin = T * Chunk;
-            const size_t End = std::min(Stream.size(), Begin + Chunk);
-            for (size_t I = Begin; I < End; ++I) {
-              Responses[I] = Server.handle(Stream[I]);
-              MaxSeen[T] =
-                  std::max(MaxSeen[T], Server.stats().BytesCached);
-            }
-          });
-        for (std::thread &T : Threads)
-          T.join();
-        for (size_t I = 0; I < Responses.size(); ++I) {
-          const ExpectedAnswer &E = ExpectedFor(I % ChurnUnique,
-                                          Stream[I].Iterations, Execute);
-          const ServeResponse &R = Responses[I];
-          const bool Same =
-              R.Selection.KernelIndex == E.Selection.KernelIndex &&
-              R.Selection.UsedGatheredModel == E.Selection.UsedGatheredModel &&
-              (!Execute || R.Y == E.Y);
-          Record.BitIdentical = Record.BitIdentical && Same;
-        }
-        for (const uint64_t Max : MaxSeen)
-          Record.MaxBytesCached = std::max(Record.MaxBytesCached, Max);
+      for (size_t P = 0; P < ChurnPasses; ++P) {
+        parallelFor(C, ChurnUnique, [&](size_t I) {
+          ServerStats Live;
+          const auto R = ServeOnce(Server, I, Pass[I], &Live);
+          const ExpectedAnswer &E =
+              ExpectedFor(I, Pass[I].Iterations, Execute);
+          const size_t Slot = P * ChurnUnique + I;
+          Identical[Slot] =
+              R && R->Selection.KernelIndex == E.Selection.KernelIndex &&
+              R->Selection.UsedGatheredModel ==
+                  E.Selection.UsedGatheredModel &&
+              (!Execute || R->Y == E.Y);
+          SlackBytes[Slot] =
+              C == 1 ? (LeanEntryBytes[I] > SliceBytes
+                            ? LeanEntryBytes[I] - SliceBytes
+                            : 0)
+                     : Live.PinnedMatrices * MaxFullEntryBytes;
+          LiveBytes[Slot] = Live.BytesCached;
+          WithinBudget[Slot] =
+              Live.BytesCached <= Record.BudgetBytes + SlackBytes[Slot];
+        });
+        const uint64_t Settled = Server.stats().BytesCached;
+        Record.MaxBytesCached = std::max(Record.MaxBytesCached, Settled);
+        Record.BudgetRespected =
+            Record.BudgetRespected && Settled <= Record.BudgetBytes;
       }
       Record.WallSeconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - Start)
                                .count();
+      for (size_t Slot = 0; Slot < Record.Requests; ++Slot) {
+        Record.BitIdentical = Record.BitIdentical && Identical[Slot];
+        Record.BudgetRespected = Record.BudgetRespected && WithinBudget[Slot];
+        Record.MaxBytesCached =
+            std::max(Record.MaxBytesCached, LiveBytes[Slot]);
+        Record.MaxPinnedSlackBytes =
+            std::max(Record.MaxPinnedSlackBytes, SlackBytes[Slot]);
+      }
       Record.Stats = Server.stats();
-      Record.MaxBytesCached =
-          std::max<uint64_t>(Record.MaxBytesCached, Record.Stats.BytesCached);
-      Record.BudgetRespected = Record.MaxBytesCached <= Record.BudgetBytes;
       // A churn run that never evicts and re-analyzes is not stressing
       // the budget at all; flag it the same way as a violation so the
       // baseline stays honest.
@@ -943,9 +905,11 @@ int main(int Argc, char **Argv) {
       Records.push_back(Record);
       std::fprintf(stderr,
                    "  %s clients=%u  budget=%zu  max_bytes=%llu  "
-                   "evictions=%llu  reanalyses=%llu  %s%s\n",
+                   "pinned_slack=%llu  evictions=%llu  reanalyses=%llu  "
+                   "%s%s\n",
                    Record.Mode.c_str(), C, Record.BudgetBytes,
                    static_cast<unsigned long long>(Record.MaxBytesCached),
+                   static_cast<unsigned long long>(Record.MaxPinnedSlackBytes),
                    static_cast<unsigned long long>(Record.Stats.Evictions),
                    static_cast<unsigned long long>(Record.Stats.Reanalyses),
                    Record.BitIdentical ? "ok" : "MISMATCH",
@@ -1564,21 +1528,15 @@ int main(int Argc, char **Argv) {
                    R.BatchMeanUs);
       break;
     }
-  // The redesign's headline number: mean per-request select cost on a
-  // repeat-heavy stream (highest hit ratio, single client) with the
-  // per-request fingerprint+lookup (v1) vs registered handles (v2).
-  {
-    double V1MeanUs = 0.0, V2MeanUs = 0.0;
-    for (const RunRecord &R : Records)
-      if (R.Clients == 1 && R.TargetHitRatio == HitRatios.back()) {
-        if (R.Mode == "select")
-          V1MeanUs = R.Stats.MeanLatencyUs;
-        else if (R.Mode == "v2-select")
-          V2MeanUs = R.Stats.MeanLatencyUs;
-      }
-    std::fprintf(Out, "  \"select_mean_us_pointer_api\": %.3f,\n", V1MeanUs);
-    std::fprintf(Out, "  \"select_mean_us_handle_api\": %.3f,\n", V2MeanUs);
-  }
+  // Mean per-request handle-select cost on a repeat-heavy stream
+  // (highest hit ratio, single client).
+  for (const RunRecord &R : Records)
+    if (R.Mode == "v2-select" && R.Clients == 1 &&
+        R.TargetHitRatio == HitRatios.back()) {
+      std::fprintf(Out, "  \"select_mean_us_handle_api\": %.3f,\n",
+                   R.Stats.MeanLatencyUs);
+      break;
+    }
   // The compiled-hot-path gate pair (select-micro section above).
   std::fprintf(Out, "  \"select_micro_compiled_mean_us\": %.3f,\n",
                SelectMicroCompiledMeanUs);
@@ -1606,7 +1564,8 @@ int main(int Argc, char **Argv) {
         "\"registration_s\": %.6f, "
         "\"async_accepted\": %llu, \"async_rejected\": %llu, "
         "\"budget_bytes\": %zu, \"max_bytes_cached\": %llu, "
-        "\"bytes_evicted\": %llu, \"evictions\": %llu, "
+        "\"pinned_slack_bytes\": %llu, \"bytes_evicted\": %llu, "
+        "\"evictions\": %llu, "
         "\"partial_evictions\": %llu, \"reanalyses\": %llu, "
         "\"plans_built\": %llu, \"plans_reused\": %llu, "
         "\"batch_requests\": %llu, \"batched_operands\": %llu, "
@@ -1626,6 +1585,7 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(R.Stats.AsyncRejected),
         R.BudgetBytes,
         static_cast<unsigned long long>(R.MaxBytesCached),
+        static_cast<unsigned long long>(R.MaxPinnedSlackBytes),
         static_cast<unsigned long long>(R.Stats.BytesEvicted),
         static_cast<unsigned long long>(R.Stats.Evictions),
         static_cast<unsigned long long>(R.Stats.PartialEvictions),

@@ -334,3 +334,8 @@ std::string SeerService::metricsJson() {
   (void)stats();
   return Server.metrics().jsonSnapshot();
 }
+
+std::string SeerService::metricsStatLines() {
+  (void)stats();
+  return Server.metrics().statLines();
+}

@@ -5,10 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public facade of the Seer serving layer (serving API v2). Where
-/// the PR 2 prototype made every request carry a raw `const CsrMatrix *`
-/// that had to outlive the call — and re-fingerprinted the full CSR
-/// arrays each time — a `SeerService` session works in three steps:
+/// The public facade of the Seer serving layer. A `SeerService` session
+/// works in three steps:
 ///
 ///   1. `registerMatrix(MatrixInput) -> Expected<MatrixHandle>`
 ///      Ingests the matrix in whatever form the client holds it (CSR,
@@ -96,9 +94,10 @@ struct ServiceConfig {
   RetryPolicy Retry;
 };
 
-/// One handle-based request. Owns its operand (unlike the deprecated
-/// pointer API), so an async submission has no lifetime strings attached:
-/// once admitted, the request is self-contained.
+/// One handle-based request. Owns its operand (unlike ServeOptions, which
+/// borrows it for one server call), so an async submission has no
+/// lifetime strings attached: once admitted, the request is
+/// self-contained.
 struct Request {
   MatrixHandle Handle;
   /// Expected SpMV iteration count (Sec. IV-E break-even axis).
@@ -232,11 +231,16 @@ public:
   /// metricsPrometheus().
   std::string metricsJson();
 
+  /// The `stat NAME VALUE` lines of the full registry (see
+  /// MetricsRegistry::statLines()), gauge-refreshed like
+  /// metricsPrometheus(): the answer to the line protocol's and the
+  /// wire's `stats`.
+  std::string metricsStatLines();
+
   const KernelRegistry &registry() const { return Server.registry(); }
 
-  /// The wrapped server. Exposed for the deprecated pointer-based path
-  /// (bit-identity gates replay old traces through it) and for tests;
-  /// new clients should not need it.
+  /// The wrapped server, for tests and benches that need its
+  /// baselineKernel(); clients should not need it.
   SeerServer &server() { return Server; }
 
 private:

@@ -95,18 +95,6 @@ seer::loadModelBundle(const std::string &Directory,
   return Models;
 }
 
-std::optional<SeerModels>
-seer::loadModelBundle(const std::string &Directory,
-                      std::vector<std::string> KernelNames,
-                      std::string *ErrorMessage) {
-  auto Models = loadModelBundle(Directory, std::move(KernelNames));
-  if (Models)
-    return std::move(*Models);
-  if (ErrorMessage)
-    *ErrorMessage = Models.status().message();
-  return std::nullopt;
-}
-
 Status seer::storeModelBundle(const SeerModels &Models,
                               const std::string &Directory) {
   if (Status F = FaultInjector::instance().check(faultsite::BundleStore);
@@ -125,15 +113,4 @@ Status seer::storeModelBundle(const SeerModels &Models,
                                  "': " + S.message());
   }
   return Status::okStatus();
-}
-
-bool seer::storeModelBundle(const SeerModels &Models,
-                            const std::string &Directory,
-                            std::string *ErrorMessage) {
-  const Status S = storeModelBundle(Models, Directory);
-  if (S.ok())
-    return true;
-  if (ErrorMessage)
-    *ErrorMessage = S.message();
-  return false;
 }

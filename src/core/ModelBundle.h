@@ -20,7 +20,6 @@
 #include "api/Status.h"
 #include "core/SeerTrainer.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,19 +39,6 @@ Expected<SeerModels> loadModelBundle(const std::string &Directory,
 /// UNAVAILABLE on I/O failure.
 Status storeModelBundle(const SeerModels &Models,
                         const std::string &Directory);
-
-/// \deprecated Pre-Status form of loadModelBundle: \returns std::nullopt
-/// and fills \p ErrorMessage on failure. Prefer the Expected overload.
-[[deprecated("use the Expected-returning loadModelBundle overload")]]
-std::optional<SeerModels> loadModelBundle(const std::string &Directory,
-                                          std::vector<std::string> KernelNames,
-                                          std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of storeModelBundle: \returns false and
-/// fills \p ErrorMessage on I/O failure. Prefer the Status overload.
-[[deprecated("use the Status-returning storeModelBundle overload")]]
-bool storeModelBundle(const SeerModels &Models, const std::string &Directory,
-                      std::string *ErrorMessage);
 
 } // namespace seer
 

@@ -84,7 +84,7 @@ public:
   const SeerModels &models() const { return Pipeline.models(); }
 
   /// The underlying pipeline, for callers that drive the stages
-  /// explicitly (the serving layer).
+  /// explicitly.
   const Planner &planner() const { return Pipeline; }
 
 private:

@@ -15,7 +15,6 @@
 #include <cstring>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -34,7 +33,7 @@ constexpr uint32_t MaxBatchOperands = 4096;
 
 // -- Connection state ------------------------------------------------------
 
-/// One epoll-mode connection. Loop-thread-only except State, which rides
+/// One connection. Loop-thread-only except State, which rides
 /// (as a shared_ptr copy) with the frame a worker is executing.
 struct NetServer::EpollConn {
   Socket Sock;
@@ -46,13 +45,6 @@ struct NetServer::EpollConn {
   bool PeerClosed = false;     ///< read side saw EOF
   bool CloseAfterFlush = false; ///< fatal protocol error queued a reply
   bool Dead = false;           ///< destroy when the completion arrives
-};
-
-/// One threads-mode connection: the socket shared between its serving
-/// thread and the accept thread (which calls shutdownBoth on stop).
-struct NetServer::ConnSlot {
-  uint64_t Id = 0;
-  Socket Sock;
 };
 
 // -- Lifecycle -------------------------------------------------------------
@@ -90,18 +82,13 @@ Expected<std::unique_ptr<NetServer>> NetServer::start(FrameHandler &Handler,
   Server->WakeRead = Fds[0];
   Server->WakeWrite = Fds[1];
 
-  if (Server->Config.Mode == NetServerConfig::ServeMode::Epoll) {
-    if (Status S = Server->Listener.setNonBlocking(true); !S.ok())
-      return S;
-    const size_t WorkerCount = std::max<size_t>(1, Server->Config.Workers);
-    NetServer *Raw = Server.get();
-    for (size_t I = 0; I < WorkerCount; ++I)
-      Raw->Workers.emplace_back([Raw] { Raw->workerLoop(); });
-    Raw->LoopThread = std::thread([Raw] { Raw->epollLoop(); });
-  } else {
-    NetServer *Raw = Server.get();
-    Raw->LoopThread = std::thread([Raw] { Raw->acceptLoop(); });
-  }
+  if (Status S = Server->Listener.setNonBlocking(true); !S.ok())
+    return S;
+  const size_t WorkerCount = std::max<size_t>(1, Server->Config.Workers);
+  NetServer *Raw = Server.get();
+  for (size_t I = 0; I < WorkerCount; ++I)
+    Raw->Workers.emplace_back([Raw] { Raw->workerLoop(); });
+  Raw->LoopThread = std::thread([Raw] { Raw->epollLoop(); });
   return Server;
 }
 
@@ -141,14 +128,6 @@ void NetServer::join() {
   for (std::thread &W : Workers)
     if (W.joinable())
       W.join();
-  std::vector<std::thread> ToJoin;
-  {
-    MutexLock L(ConnMutex);
-    ToJoin.swap(ConnThreads);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
 }
 
 // -- Shared dispatch -------------------------------------------------------
@@ -198,7 +177,7 @@ std::string NetServer::dispatch(const std::shared_ptr<void> &State,
   return Reply;
 }
 
-// -- Epoll mode ------------------------------------------------------------
+// -- Event loop ------------------------------------------------------------
 
 void NetServer::workerLoop() {
   while (true) {
@@ -521,84 +500,6 @@ void NetServer::processCompletions(int Ep) {
   }
 }
 
-// -- Threads mode ----------------------------------------------------------
-
-void NetServer::acceptLoop() {
-  while (!StopFlag.load(std::memory_order_acquire)) {
-    pollfd Polled[2] = {{Listener.fd(), POLLIN, 0}, {WakeRead, POLLIN, 0}};
-    const int N = ::poll(Polled, 2, -1);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Polled[1].revents != 0) {
-      char Buf[256];
-      while (::read(WakeRead, Buf, sizeof(Buf)) > 0) {
-      }
-    }
-    if (StopFlag.load(std::memory_order_acquire))
-      break;
-    if ((Polled[0].revents & POLLIN) == 0)
-      continue;
-    auto AcceptedOr = Listener.accept();
-    if (!AcceptedOr.ok())
-      continue; // injected net.accept fault or transient error
-    if (ActiveConns.load(std::memory_order_relaxed) >= Config.MaxConnections)
-      continue; // RAII-drop the accepted socket
-    auto Slot = std::make_shared<ConnSlot>();
-    Slot->Sock = std::move(*AcceptedOr);
-    ConnectionsTotal.add();
-    OpenConnections.set(
-        double(ActiveConns.fetch_add(1, std::memory_order_relaxed) + 1));
-    {
-      MutexLock L(ConnMutex);
-      Slot->Id = NextConnId++;
-      Slots.emplace(Slot->Id, Slot);
-      ConnThreads.emplace_back(
-          [this, Slot] { connectionLoop(std::move(Slot)); });
-    }
-  }
-  // Interrupt every blocked per-connection read; the threads observe EOF
-  // (or the stop flag) and unwind through connectionClosed.
-  MutexLock L(ConnMutex);
-  for (const auto &KV : Slots)
-    KV.second->Sock.shutdownBoth();
-}
-
-void NetServer::connectionLoop(std::shared_ptr<ConnSlot> Slot) {
-  std::shared_ptr<void> State = Handler.connectionOpened();
-  std::string Payload;
-  while (!StopFlag.load(std::memory_order_acquire)) {
-    bool CleanClose = false;
-    const Status S =
-        readFrame(Slot->Sock, Config.MaxFrameBytes, Payload, &CleanClose);
-    if (!S.ok()) {
-      if (S.code() == StatusCode::InvalidArgument) {
-        // A bad length prefix (or injected net.frame fault): framing is
-        // unrecoverable — answer with the typed error, then hang up.
-        ProtocolErrors.add();
-        (void)writeFrame(Slot->Sock, encodeStatusReply(S));
-      }
-      break; // UNAVAILABLE = torn connection; nothing to answer
-    }
-    if (CleanClose)
-      break;
-    BytesReadTotal.add(4 + Payload.size());
-    const std::string Reply = dispatch(State, Payload);
-    BytesWrittenTotal.add(4 + Reply.size());
-    if (!writeFrame(Slot->Sock, Reply).ok())
-      break;
-  }
-  Handler.connectionClosed(State);
-  {
-    MutexLock L(ConnMutex);
-    Slots.erase(Slot->Id);
-  }
-  OpenConnections.set(
-      double(ActiveConns.fetch_sub(1, std::memory_order_relaxed) - 1));
-}
-
 // -- ServiceFrameHandler ---------------------------------------------------
 
 /// Per-connection session: the handles this connection opened, released
@@ -720,7 +621,7 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
     return encodeStatusReply(applyFaultSpec(*Spec));
   }
   case Op::Stats:
-    return encodeTextReply(Op::RText, formatStatsLines(Service.stats()));
+    return encodeTextReply(Op::RText, Service.metricsStatLines());
   case Op::Metrics:
     return encodeTextReply(Op::RText, Service.metricsPrometheus());
   default:

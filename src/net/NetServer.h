@@ -8,21 +8,15 @@
 /// The serving side of the binary transport: a TCP server that assembles
 /// net/Wire.h frames and dispatches each to a `FrameHandler`, one
 /// in-flight frame per connection (the protocol is strictly
-/// request-reply). Two interchangeable serve modes:
+/// request-reply). One epoll event-loop thread owns the listener and
+/// every connection (non-blocking, level-triggered). Complete frames are
+/// handed to a small worker pool; while a connection's frame is in
+/// flight its readable interest is dropped, so a pipelining client
+/// cannot queue unbounded work. Workers return replies through a
+/// completion queue and a self-pipe wakeup.
 ///
-///   - **Epoll** (default): one event-loop thread owns the listener and
-///     every connection (non-blocking, level-triggered). Complete frames
-///     are handed to a small worker pool; while a connection's frame is
-///     in flight its readable interest is dropped, so a pipelining
-///     client cannot queue unbounded work. Workers return replies
-///     through a completion queue and a self-pipe wakeup.
-///   - **Threads**: one blocking thread per connection — the portable
-///     fallback and the simplest possible reference implementation;
-///     shutdown interrupts blocked reads via `Socket::shutdownBoth`.
-///
-/// Both modes share `dispatch()`: Hello (version handshake) and Shutdown
-/// are answered by the transport itself; every other opcode goes to the
-/// handler. `requestStop()` is async-signal-safe (an atomic store plus a
+/// `dispatch()` answers Hello (version handshake) and Shutdown in the
+/// transport itself; every other opcode goes to the handler. `requestStop()` is async-signal-safe (an atomic store plus a
 /// self-pipe write), so a SIGTERM handler can stop the server directly;
 /// `join()` then waits for the drain: in-flight frames finish, replies
 /// flush, connections close, workers exit.
@@ -68,10 +62,9 @@ namespace seer::net {
 /// Application-level frame processing plugged into a NetServer. One
 /// handler instance serves every connection; per-connection state lives
 /// in the opaque pointer the server threads through the callbacks.
-/// handleFrame() runs on server worker threads (epoll mode) or
-/// connection threads (threads mode) — at most one call per connection
-/// at a time, but calls for *different* connections are concurrent, so
-/// shared handler state needs its own synchronization.
+/// handleFrame() runs on server worker threads — at most one call per
+/// connection at a time, but calls for *different* connections are
+/// concurrent, so shared handler state needs its own synchronization.
 class FrameHandler {
 public:
   virtual ~FrameHandler() = default;
@@ -99,10 +92,7 @@ struct NetServerConfig {
   std::string Host = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with NetServer::port().
   uint16_t Port = 0;
-  enum class ServeMode { Epoll, Threads };
-  ServeMode Mode = ServeMode::Epoll;
-  /// Worker pool size (epoll mode only; threads mode is one thread per
-  /// connection by construction).
+  /// Worker pool size.
   size_t Workers = 2;
   /// Connections beyond this are accepted and immediately closed.
   size_t MaxConnections = 256;
@@ -144,7 +134,6 @@ public:
 
 private:
   struct EpollConn;
-  struct ConnSlot;
   struct WorkItem {
     int Fd = -1;
     std::shared_ptr<void> State;
@@ -158,16 +147,16 @@ private:
   NetServer(FrameHandler &Handler, NetServerConfig Config, Socket Listener,
             uint16_t BoundPort);
 
-  /// Transport-level dispatch shared by both modes: answers Hello and
-  /// Shutdown, forwards everything else to the handler; wraps the call
-  /// in the net.request span + request metrics.
+  /// Transport-level dispatch: answers Hello and Shutdown, forwards
+  /// everything else to the handler; wraps the call in the net.request
+  /// span + request metrics.
   std::string dispatch(const std::shared_ptr<void> &State,
                        const std::string &Payload);
 
   void wake();
 
-  // Epoll mode. All of these run on the loop thread only (workers touch
-  // nothing but the two queues), so the connection table needs no lock.
+  // All of these run on the loop thread only (workers touch nothing but
+  // the two queues), so the connection table needs no lock.
   void epollLoop();
   void workerLoop();
   void epollAccept(int Ep);
@@ -180,10 +169,6 @@ private:
   void updateInterest(int Ep, EpollConn &Conn);
   void destroyConn(int Ep, int Fd);
   void processCompletions(int Ep);
-
-  // Threads mode.
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<ConnSlot> Slot);
 
   FrameHandler &Handler;
   NetServerConfig Config;
@@ -205,13 +190,12 @@ private:
 
   std::thread LoopThread;
 
-  /// Epoll mode: the connection table. Owned exclusively by the loop
-  /// thread — workers reach connections only through the fd keys in the
-  /// queues below, never through this map.
+  /// The connection table. Owned exclusively by the loop thread —
+  /// workers reach connections only through the fd keys in the queues
+  /// below, never through this map.
   std::unordered_map<int, std::unique_ptr<EpollConn>> Conns;
 
-  // Epoll mode: work/completion queues between the loop thread and the
-  // worker pool.
+  // Work/completion queues between the loop thread and the worker pool.
   std::vector<std::thread> Workers;
   seer::Mutex WorkMutex;
   seer::CondVar WorkCv;
@@ -219,14 +203,6 @@ private:
   bool WorkersStop SEER_GUARDED_BY(WorkMutex) = false;
   seer::Mutex DoneMutex;
   std::deque<DoneItem> DoneQueue SEER_GUARDED_BY(DoneMutex);
-
-  // Threads mode: live connection registry (for shutdown interrupt) and
-  // the per-connection threads to join.
-  seer::Mutex ConnMutex;
-  uint64_t NextConnId SEER_GUARDED_BY(ConnMutex) = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<ConnSlot>>
-      Slots SEER_GUARDED_BY(ConnMutex);
-  std::vector<std::thread> ConnThreads SEER_GUARDED_BY(ConnMutex);
 };
 
 /// The production FrameHandler: binds the wire vocabulary to a

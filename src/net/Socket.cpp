@@ -49,11 +49,6 @@ void Socket::close() {
   }
 }
 
-void Socket::shutdownBoth() {
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-}
-
 Status Socket::sendAll(const void *Data, size_t Size) {
   if (Status F = FaultInjector::instance().check(faultsite::NetWrite);
       !F.ok())

@@ -64,11 +64,6 @@ public:
   /// Closes the descriptor now (idempotent).
   void close();
 
-  /// Half-closes both directions without releasing the descriptor: a
-  /// thread blocked in recv() on this socket wakes with EOF. How the
-  /// server interrupts per-connection threads on shutdown.
-  void shutdownBoth();
-
   /// Writes all \p Size bytes (EINTR/short-write loop, SIGPIPE
   /// suppressed). Checks the `net.write` fault site once per call;
   /// UNAVAILABLE when the peer is gone.

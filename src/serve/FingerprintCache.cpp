@@ -87,15 +87,14 @@ void pinLocked(FingerprintCache::Entry &E, size_t &PinnedCount) {
 
 std::pair<std::shared_ptr<FingerprintCache::Entry>, bool>
 FingerprintCache::lookupOrAnalyze(uint64_t Fingerprint, const CsrMatrix &M,
-                                  size_t NumKernels, bool Pin) {
+                                  size_t NumKernels) {
   Shard &S = shardFor(Fingerprint);
   {
     MutexLock Lock(S.Mutex);
     const auto It = S.Index.find(Fingerprint);
     if (It != S.Index.end()) {
       touch(S, It->second);
-      if (Pin)
-        pinLocked(*It->second->E, S.PinnedCount);
+      pinLocked(*It->second->E, S.PinnedCount);
       return {It->second->E, true};
     }
   }
@@ -122,8 +121,7 @@ FingerprintCache::lookupOrAnalyze(uint64_t Fingerprint, const CsrMatrix &M,
   // tolerates entries that are not resident.
   if (Status F = FaultInjector::instance().check(faultsite::CacheInsert);
       !F.ok()) {
-    if (Pin)
-      Fresh->Pins.fetch_add(1, std::memory_order_relaxed);
+    Fresh->Pins.fetch_add(1, std::memory_order_relaxed);
     return {std::move(Fresh), false};
   }
 
@@ -134,15 +132,13 @@ FingerprintCache::lookupOrAnalyze(uint64_t Fingerprint, const CsrMatrix &M,
     // analysis is deterministic), so adopt it. This request still did the
     // work itself: report a miss.
     touch(S, It->second);
-    if (Pin)
-      pinLocked(*It->second->E, S.PinnedCount);
+    pinLocked(*It->second->E, S.PinnedCount);
     return {It->second->E, false};
   }
   if (!S.EvictedFingerprints.empty() &&
       S.EvictedFingerprints[evictedSlot(Fingerprint)] == Fingerprint)
     ++S.Reanalyses;
-  if (Pin)
-    pinLocked(*Fresh, S.PinnedCount); // before policing, so it survives it
+  pinLocked(*Fresh, S.PinnedCount); // before policing, so it survives it
   S.Probation.push_front(Node{Fresh, FreshBytes, /*InProtected=*/false});
   S.Index.emplace(Fingerprint, S.Probation.begin());
   S.UsedBytes += FreshBytes;

@@ -29,8 +29,9 @@
 /// oracle sweeps grow without bound. The cache therefore accounts every
 /// entry's resident bytes (computed from the actual vectors it holds) and
 /// enforces a configurable budget with *segmented LRU* eviction, sharded
-/// like the map itself: each shard polices an equal slice of the budget,
-/// so the global accounted total can never exceed it.
+/// like the map itself: each shard polices its unpinned bytes to an equal
+/// slice of the budget. Pinned entries (below) can hold a shard over its
+/// slice until they are released.
 ///
 /// Entries enter a shard's probation segment; a repeat hit promotes them
 /// to the protected segment (capped at a fraction of the shard slice, the
@@ -148,24 +149,21 @@ public:
   explicit FingerprintCache(size_t NumShards = 16, size_t BudgetBytes = 0);
 
   /// Looks up \p Fingerprint; on a miss, analyzes \p M (outside any lock)
-  /// and inserts the entry, sizing the ledger for \p NumKernels. \returns
-  /// the entry and whether this was a hit. When two threads miss on the
-  /// same fingerprint simultaneously, both report a miss (both did the
-  /// analysis work) and share the first-inserted entry afterwards. Under
-  /// a budget the returned entry may already have been evicted again (it
-  /// is larger than the shard slice, or the shard is churning); the
-  /// caller's shared_ptr keeps it alive for the request either way.
-  /// With \p Pin, the returned entry is additionally pinned (see unpin()):
-  /// the session layer registers a matrix handle this way, and a pinned
-  /// entry is never whole-entry evicted, so the analysis a live handle
-  /// relies on survives budget pressure. Pinned bytes still count against
-  /// the budget — a working set of pinned entries larger than the budget
-  /// keeps the shard over it until handles are released; only the
-  /// recomputable bytes (oracle sweeps, unpaid kernel states) of pinned
-  /// entries can be shed meanwhile.
+  /// and inserts the entry, sizing the ledger for \p NumKernels. Either
+  /// way the returned entry is pinned (see unpin()): the server registers
+  /// a matrix this way, and a pinned entry is never whole-entry evicted,
+  /// so the analysis a live registration relies on survives budget
+  /// pressure. Pinned bytes still count against the budget — a working
+  /// set of pinned entries larger than the budget keeps the shard over it
+  /// until registrations are released; only the recomputable bytes
+  /// (oracle sweeps, unpaid kernel states) of pinned entries can be shed
+  /// meanwhile. \returns the entry and whether this was a hit. When two
+  /// threads miss on the same fingerprint simultaneously, both report a
+  /// miss (both did the analysis work) and share the first-inserted entry
+  /// afterwards.
   std::pair<std::shared_ptr<Entry>, bool>
-  lookupOrAnalyze(uint64_t Fingerprint, const CsrMatrix &M, size_t NumKernels,
-                  bool Pin = false);
+  lookupOrAnalyze(uint64_t Fingerprint, const CsrMatrix &M,
+                  size_t NumKernels);
 
   /// Releases one pin on \p E (registration handle closed). When the last
   /// pin drops, the entry becomes an ordinary eviction candidate again and

@@ -111,7 +111,6 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
     if (Tokens.size() != 2 || Tokens[1] != "v2")
       return Fail("unsupported trace version (only 'seer-trace v2')");
     Out.Command = TraceCommand::Kind::Version;
-    Out.Version = 2;
     return Status::okStatus();
   }
 
@@ -259,16 +258,14 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
     case TraceCommand::Kind::Blank:
       continue;
     case TraceCommand::Kind::Version:
+      // Every trace parses under one grammar; the header is a no-op.
       if (SawCommand)
         return Fail(LineNo, "'seer-trace v2' must be the first command");
-      Script.Version = Command.Version;
       break;
     case TraceCommand::Kind::Stats:
     case TraceCommand::Kind::Quit:
       return Fail(LineNo, "control commands are not allowed in traces");
     case TraceCommand::Kind::Fault: {
-      if (Script.Version < 2)
-        return Fail(LineNo, "'fault' requires a 'seer-trace v2' header");
       TraceScript::Op Op;
       Op.Command = TraceScript::Op::Kind::Fault;
       Op.FaultSpec = Command.FaultSpec;
@@ -277,13 +274,10 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
     }
     case TraceCommand::Kind::Metrics:
     case TraceCommand::Kind::Spans: {
-      const bool IsMetrics = Command.Command == TraceCommand::Kind::Metrics;
-      if (Script.Version < 2)
-        return Fail(LineNo, std::string("'") + (IsMetrics ? "metrics" : "spans") +
-                                "' requires a 'seer-trace v2' header");
       TraceScript::Op Op;
-      Op.Command = IsMetrics ? TraceScript::Op::Kind::Metrics
-                             : TraceScript::Op::Kind::Spans;
+      Op.Command = Command.Command == TraceCommand::Kind::Metrics
+                       ? TraceScript::Op::Kind::Metrics
+                       : TraceScript::Op::Kind::Spans;
       Op.SpanCount = Command.SpanCount;
       Script.Ops.push_back(Op);
       break;
@@ -309,14 +303,6 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
     case TraceCommand::Kind::Open:
     case TraceCommand::Kind::Close:
     case TraceCommand::Kind::Batch: {
-      const char *Verb = Command.Command == TraceCommand::Kind::Open
-                             ? "open"
-                             : Command.Command == TraceCommand::Kind::Close
-                                   ? "close"
-                                   : "batch";
-      if (Script.Version < 2)
-        return Fail(LineNo, "'" + std::string(Verb) +
-                                "' requires a 'seer-trace v2' header");
       const size_t Index = RequireDefined();
       if (Index == TraceScript::npos)
         return Fail(LineNo, "unknown matrix '" + Command.Name + "'");
@@ -360,50 +346,6 @@ Expected<TraceScript> seer::readTraceFile(const std::string &Path) {
   std::ostringstream Buffer;
   Buffer << Stream.rdbuf();
   return parseTrace(Buffer.str());
-}
-
-//===----------------------------------------------------------------------===//
-// Deprecated pre-Status wrappers
-//===----------------------------------------------------------------------===//
-
-bool seer::parseTraceLine(const std::string &Line, TraceCommand &Out,
-                          std::string *ErrorMessage) {
-  const Status S = parseTraceLine(Line, Out);
-  if (S.ok())
-    return true;
-  if (ErrorMessage)
-    *ErrorMessage = S.message();
-  return false;
-}
-
-std::optional<CsrMatrix> seer::buildTraceMatrix(const TraceCommand &Command,
-                                                std::string *ErrorMessage) {
-  auto M = buildTraceMatrix(Command);
-  if (M)
-    return std::move(*M);
-  if (ErrorMessage)
-    *ErrorMessage = M.status().message();
-  return std::nullopt;
-}
-
-std::optional<TraceScript> seer::parseTrace(const std::string &Text,
-                                            std::string *ErrorMessage) {
-  auto Script = parseTrace(Text);
-  if (Script)
-    return std::move(*Script);
-  if (ErrorMessage)
-    *ErrorMessage = Script.status().message();
-  return std::nullopt;
-}
-
-std::optional<TraceScript> seer::readTraceFile(const std::string &Path,
-                                               std::string *ErrorMessage) {
-  auto Script = readTraceFile(Path);
-  if (Script)
-    return std::move(*Script);
-  if (ErrorMessage)
-    *ErrorMessage = Script.status().message();
-  return std::nullopt;
 }
 
 //===----------------------------------------------------------------------===//
@@ -487,71 +429,6 @@ std::string seer::formatResponseLine(const std::string &Name,
   if (Response.Degraded)
     Line += " degraded=1";
   return Line;
-}
-
-std::string seer::formatStatsLines(const ServerStats &Stats) {
-  char Buffer[3584];
-  const int Written = std::snprintf(
-      Buffer, sizeof(Buffer),
-      "stat requests %" PRIu64 "\n"
-      "stat registrations %" PRIu64 "\n"
-      "stat active_handles %" PRIu64 "\n"
-      "stat cache_hits %" PRIu64 "\n"
-      "stat cache_misses %" PRIu64 "\n"
-      "stat hit_rate %.4f\n"
-      "stat known_routes %" PRIu64 "\n"
-      "stat gathered_routes %" PRIu64 "\n"
-      "stat executions %" PRIu64 "\n"
-      "stat paid_preprocesses %" PRIu64 "\n"
-      "stat amortized_preprocesses %" PRIu64 "\n"
-      "stat plans_built %" PRIu64 "\n"
-      "stat plans_reused %" PRIu64 "\n"
-      "stat batch_requests %" PRIu64 "\n"
-      "stat batched_operands %" PRIu64 "\n"
-      "stat oracle_checks %" PRIu64 "\n"
-      "stat mispredictions %" PRIu64 "\n"
-      "stat mispredict_rate %.4f\n"
-      "stat saved_collection_ms %.6f\n"
-      "stat saved_preprocess_ms %.6f\n"
-      "stat cached_matrices %" PRIu64 "\n"
-      "stat pinned_matrices %" PRIu64 "\n"
-      "stat cache_budget_bytes %" PRIu64 "\n"
-      "stat bytes_cached %" PRIu64 "\n"
-      "stat bytes_evicted %" PRIu64 "\n"
-      "stat evictions %" PRIu64 "\n"
-      "stat partial_evictions %" PRIu64 "\n"
-      "stat reanalyses %" PRIu64 "\n"
-      "stat async_accepted %" PRIu64 "\n"
-      "stat async_rejected %" PRIu64 "\n"
-      "stat deadline_exceeded %" PRIu64 "\n"
-      "stat retries %" PRIu64 "\n"
-      "stat retries_exhausted %" PRIu64 "\n"
-      "stat degraded_serves %" PRIu64 "\n"
-      "stat faults_injected %" PRIu64 "\n"
-      "stat breaker_opens %" PRIu64 "\n"
-      "stat latency_samples %" PRIu64 "\n"
-      "stat latency_mean_us %.3f\n"
-      "stat latency_p50_us %.3f\n"
-      "stat latency_p99_us %.3f\n"
-      "stat net_connections %" PRIu64 "\n"
-      "stat net_requests %" PRIu64 "\n"
-      "stat net_protocol_errors %" PRIu64 "\n",
-      Stats.Requests, Stats.Registrations, Stats.ActiveHandles,
-      Stats.CacheHits, Stats.CacheMisses, Stats.hitRate(), Stats.KnownRoutes,
-      Stats.GatheredRoutes, Stats.Executions, Stats.PaidPreprocesses,
-      Stats.AmortizedPreprocesses, Stats.PlansBuilt, Stats.PlansReused,
-      Stats.BatchRequests, Stats.BatchedOperands, Stats.OracleChecks,
-      Stats.Mispredictions,
-      Stats.mispredictRate(), Stats.SavedCollectionMs,
-      Stats.SavedPreprocessMs, Stats.CachedMatrices, Stats.PinnedMatrices,
-      Stats.CacheBudgetBytes, Stats.BytesCached, Stats.BytesEvicted,
-      Stats.Evictions, Stats.PartialEvictions, Stats.Reanalyses,
-      Stats.AsyncAccepted, Stats.AsyncRejected, Stats.DeadlineExceeded,
-      Stats.Retries, Stats.RetriesExhausted, Stats.DegradedServes,
-      Stats.FaultsInjected, Stats.BreakerOpens, Stats.LatencySamples,
-      Stats.MeanLatencyUs, Stats.P50LatencyUs, Stats.P99LatencyUs,
-      Stats.NetConnections, Stats.NetRequests, Stats.NetProtocolErrors);
-  return std::string(Buffer, Written > 0 ? static_cast<size_t>(Written) : 0);
 }
 
 std::string seer::formatSpanLines(const std::vector<TraceSpan> &Spans,

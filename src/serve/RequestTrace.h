@@ -11,26 +11,23 @@
 ///
 /// ## Protocol v2
 ///
-/// A trace (or interactive session) may declare protocol v2 with a
-/// versioned header as its first command line:
-///
-///   seer-trace v2
-///
-/// v2 maps onto the session-based serving API (api/SeerService.h):
-/// defining a matrix registers it (a handle is opened for it), and the
-/// handle lifecycle is scriptable:
+/// The protocol maps onto the session-based serving API
+/// (api/SeerService.h): defining a matrix registers it (a handle is
+/// opened for it), and the handle lifecycle is scriptable:
 ///
 ///   open NAME                        re-register NAME after a close
 ///   close NAME                       release NAME's handle
 ///
 /// Requests against a closed name are answered with a typed error line
-/// (see below) instead of a response line; the replay continues. Traces
-/// without the header parse as v1, which has no open/close and is served
-/// through the deprecated pointer-based path — bit-identity between the
-/// two replays of the same trace is asserted in serve_test and gated in
-/// BENCH_serving.json.
+/// (see below) instead of a response line; the replay continues. A trace
+/// may open with the versioned header
 ///
-/// Setup commands (define a named matrix; in v2 this also opens it):
+///   seer-trace v2
+///
+/// which is accepted as a no-op (it must be the first command); traces
+/// with and without it parse and replay identically.
+///
+/// Setup commands (define a named matrix; this also opens it):
 ///   load NAME PATH                   Matrix Market file
 ///   gen NAME banded ROWS HALFBAND FILL SEED
 ///   gen NAME powerlaw ROWS EXPONENT MINROW MAXROW SEED
@@ -42,7 +39,7 @@
 ///   execute NAME [ITERATIONS] [verify]
 ///                                    also run the kernel; `verify` turns
 ///                                    on the oracle comparison
-///   batch NAME COUNT [ITERATIONS]    v2 only: one ExecutionPlan (routing,
+///   batch NAME COUNT [ITERATIONS]    one ExecutionPlan (routing,
 ///                                    selection and preprocessing charged
 ///                                    once) executed over COUNT operands;
 ///                                    operand k is the deterministic
@@ -50,7 +47,7 @@
 ///                                    (buildBatchOperands), so replays are
 ///                                    reproducible
 ///
-/// Fault command (v2 only; drives support/FaultInjector.h):
+/// Fault command (drives support/FaultInjector.h):
 ///   fault SITE nth=N|every=K ACTION  add one fault rule (FaultPlan rule
 ///                                    grammar: ACTION is `status=CODE
 ///                                    [message...]`, `latency-ms=X`, or
@@ -59,7 +56,7 @@
 ///   fault seed N                     reseed the injector's every-K phases
 ///   fault clear                      disarm all fault rules
 ///
-/// Observability commands (v2 traces and interactive mode):
+/// Observability commands:
 ///   metrics                          print the Prometheus exposition of
 ///                                    the unified metrics registry
 ///   spans N                          drain the span recorder and print
@@ -70,7 +67,9 @@
 ///                                    when disarmed)
 ///
 /// Control commands (interactive mode only):
-///   stats                            print the telemetry snapshot
+///   stats                            print the telemetry snapshot: one
+///                                    `stat NAME VALUE` line per registry
+///                                    metric (MetricsRegistry::statLines)
 ///   quit                             exit
 ///
 /// Output lines are `NAME key=value...` response lines (with a
@@ -92,7 +91,6 @@
 #include "sparse/CsrMatrix.h"
 #include "support/Tracing.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,7 +102,7 @@ class KernelRegistry;
 struct TraceCommand {
   enum class Kind {
     Blank,
-    Version, // the `seer-trace vN` header (v2 trace declaration)
+    Version, // the `seer-trace v2` header (accepted as a no-op)
     Load,
     Gen,
     Open,
@@ -119,8 +117,6 @@ struct TraceCommand {
     Quit
   };
   Kind Command = Kind::Blank;
-  /// Declared protocol version (Version).
-  int Version = 1;
   /// Matrix name (Load/Gen/Open/Close/Select/Execute/Batch).
   std::string Name;
   /// File path (Load).
@@ -148,11 +144,10 @@ Status parseTraceLine(const std::string &Line, TraceCommand &Out);
 /// unknown family or bad arguments.
 Expected<CsrMatrix> buildTraceMatrix(const TraceCommand &Command);
 
-/// A fully parsed trace: the declared protocol version, the named
-/// matrices (in definition order) and the operation sequence.
+/// A fully parsed trace: the named matrices (in definition order) and
+/// the operation sequence.
 struct TraceScript {
-  /// One replayable operation. v1 traces only contain Select/Execute;
-  /// Open/Close/Batch/Fault/Metrics/Spans appear in v2 traces.
+  /// One replayable operation.
   struct Op {
     enum class Kind {
       Open,
@@ -178,8 +173,6 @@ struct TraceScript {
     std::string FaultSpec;
   };
 
-  /// Declared protocol version (1 without a header line).
-  int Version = 1;
   std::vector<std::pair<std::string, CsrMatrix>> Matrices;
   std::vector<Op> Ops;
 
@@ -188,10 +181,10 @@ struct TraceScript {
   size_t matrixIndex(const std::string &Name) const;
 };
 
-/// Parses a whole trace (header + setup + operations). Control commands
-/// are rejected in traces, open/close require a v2 header, and every
-/// referenced name must be defined. INVALID_ARGUMENT with a 1-based line
-/// number on the first bad line.
+/// Parses a whole trace (optional header + setup + operations). Control
+/// commands are rejected in traces and every referenced name must be
+/// defined. INVALID_ARGUMENT with a 1-based line number on the first bad
+/// line.
 Expected<TraceScript> parseTrace(const std::string &Text);
 
 /// Reads and parses a trace file (NOT_FOUND / INVALID_ARGUMENT).
@@ -219,12 +212,9 @@ std::string formatBatchResponseLine(const std::string &Name,
 
 /// Applies one validated `fault` directive (`clear`, `seed N`, or a
 /// FaultPlan rule line) to the process-wide FaultInjector. The shared
-/// executor of the trace-v2 `fault` command (replay and interactive
-/// mode). INVALID_ARGUMENT on a malformed spec, without arming anything.
+/// executor of the `fault` command (replay, interactive mode and the
+/// wire). INVALID_ARGUMENT on a malformed spec, without arming anything.
 Status applyFaultSpec(const std::string &Spec);
-
-/// Formats a stats snapshot as `stat NAME VALUE` lines.
-std::string formatStatsLines(const ServerStats &Stats);
 
 /// Formats the newest \p MaxCount entries of \p Spans (already sorted by
 /// start time, as SpanRecorder::drain() returns them) as protocol lines:
@@ -236,30 +226,6 @@ std::string formatSpanLines(const std::vector<TraceSpan> &Spans,
 /// Formats a failure as a protocol error line: `error CODE message`.
 /// \p Error must not be OK.
 std::string formatErrorLine(const Status &Error);
-
-/// \deprecated Pre-Status form of parseTraceLine: \returns false and
-/// fills \p ErrorMessage on a malformed line. Prefer the Status overload.
-[[deprecated("use the Status-returning parseTraceLine overload")]]
-bool parseTraceLine(const std::string &Line, TraceCommand &Out,
-                    std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of buildTraceMatrix. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning buildTraceMatrix overload")]]
-std::optional<CsrMatrix> buildTraceMatrix(const TraceCommand &Command,
-                                          std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of parseTrace. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning parseTrace overload")]]
-std::optional<TraceScript> parseTrace(const std::string &Text,
-                                      std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of readTraceFile. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning readTraceFile overload")]]
-std::optional<TraceScript> readTraceFile(const std::string &Path,
-                                         std::string *ErrorMessage);
 
 } // namespace seer
 

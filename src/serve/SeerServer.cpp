@@ -7,9 +7,9 @@
 #include "serve/SeerServer.h"
 
 #include "support/FaultInjector.h"
-#include "support/ThreadPool.h"
 #include "support/Tracing.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -17,7 +17,7 @@ using namespace seer;
 
 SeerServer::SeerServer(SeerModels Models, ServerConfig Config)
     : Models(std::move(Models)), Registry(), Sim(Config.Device),
-      Runtime(this->Models, Registry, Sim),
+      Pipeline(this->Models, Registry, Sim),
       Cache(Config.CacheShards, Config.CacheBudgetBytes),
       Baseline(Registry.indexOf("CSR,TM")),
       SelectBreaker(Config.BreakerThreshold, Config.BreakerCooldown),
@@ -78,8 +78,8 @@ RegisteredMatrix SeerServer::registerMatrix(
   R.Fingerprint = matrixFingerprint(*Matrix);
   const StageClock Probe(SpanRecorder::instance().armed());
   ScopedSpan ProbeSpan(spanname::CacheProbe);
-  auto [Entry, Hit] = Cache.lookupOrAnalyze(R.Fingerprint, *Matrix,
-                                            Registry.size(), /*Pin=*/true);
+  auto [Entry, Hit] =
+      Cache.lookupOrAnalyze(R.Fingerprint, *Matrix, Registry.size());
   ProbeSpan.tag("hit", Hit ? 1.0 : 0.0);
   recordStage(Probe, CacheProbeUs, nullptr, 0.0);
   R.Matrix = std::move(Matrix);
@@ -95,88 +95,9 @@ void SeerServer::releaseMatrix(const RegisteredMatrix &Registered) {
   Releases.add();
 }
 
-Expected<ServeResponse>
-SeerServer::handleRegistered(const RegisteredMatrix &Registered,
-                             const ServeOptions &Options) {
-  assert(Registered.valid() && "request against an empty registration");
-  // CacheHit = true: the analysis was paid at registration, so this
-  // request charges zero collection cost — exactly like a repeat-matrix
-  // hit on the deprecated path, and bit-identical to it.
-  return serveEntry(*Registered.Matrix, Registered.Fingerprint,
-                    Registered.Entry, /*CacheHit=*/true, Options,
-                    std::chrono::steady_clock::now(),
-                    /*DegradeOnError=*/false);
-}
-
-ServeResponse SeerServer::handle(const ServeRequest &Request) {
-  assert(Request.Matrix && "request without a matrix");
-  // The clock starts before fingerprinting: the per-request O(nnz) hash
-  // and cache lookup are real service costs of this deprecated path (the
-  // very ones registration amortizes away), so they must show up in its
-  // latency telemetry.
-  const auto Start = std::chrono::steady_clock::now();
-  const CsrMatrix &M = *Request.Matrix;
-  const uint64_t Fingerprint = matrixFingerprint(M);
-  std::pair<std::shared_ptr<FingerprintCache::Entry>, bool> Looked;
-  try {
-    const StageClock Probe(SpanRecorder::instance().armed());
-    ScopedSpan ProbeSpan(spanname::CacheProbe);
-    Looked = Cache.lookupOrAnalyze(Fingerprint, M, Registry.size());
-    ProbeSpan.tag("hit", Looked.second ? 1.0 : 0.0);
-    recordStage(Probe, CacheProbeUs, nullptr, 0.0);
-  } catch (const std::bad_alloc &) {
-    // Allocation failure (injected or real) during analysis: this path
-    // has no error channel, so serve the baseline selection off a
-    // one-shot analysis, fully outside the cache.
-    ServeResponse R;
-    R.Degraded = true;
-    R.Fingerprint = Fingerprint;
-    R.Iterations = Request.Iterations ? Request.Iterations : 1;
-    R.Selection.KernelIndex = Baseline;
-    if (Request.Execute) {
-      const AnalyzedMatrix A =
-          Runtime.planner().analyze(M, /*WithFingerprint=*/false);
-      const std::vector<double> Ones =
-          Request.Operand ? std::vector<double>()
-                          : std::vector<double>(M.numCols(), 1.0);
-      const std::vector<double> &X = Request.Operand ? *Request.Operand : Ones;
-      SpmvRun Run = runBaseline(M, A.Stats, X);
-      R.Executed = true;
-      R.IterationMs = Run.Timing.TotalMs;
-      R.Y = std::move(Run.Y);
-      Executions.add();
-    }
-    R.ServiceMicros = microsSince(Start);
-    Requests.add();
-    DegradedServes.add();
-    Latency.record(R.ServiceMicros);
-    return R;
-  }
-  const auto &[Entry, Hit] = Looked;
-  // This path has no error channel and no deadline field, so every stage
-  // failure degrades (DegradeOnError) and the result is always a
-  // response.
-  Expected<ServeResponse> R = serveEntry(M, Fingerprint, Entry, Hit,
-                                         Request.options(), Start,
-                                         /*DegradeOnError=*/true);
-  assert(R.ok() && "v1 requests carry no deadline and degrade all failures");
-  if (!R) {
-    // Unreachable by construction; answer a degraded selection rather
-    // than crash if it ever is reached in a release build.
-    ServeResponse Fallback;
-    Fallback.Degraded = true;
-    Fallback.Selection.KernelIndex = Baseline;
-    Fallback.Fingerprint = Fingerprint;
-    return Fallback;
-  }
-  return std::move(*R);
-}
-
 bool SeerServer::preparePlan(
     ExecutionPlan &Plan, const AnalyzedMatrix &A,
     const std::shared_ptr<FingerprintCache::Entry> &Entry) {
-  const Planner &Pipeline = Runtime.planner();
-
   // Plan reuse: rebuild the plan around the cached prepared fragment if
   // one exists. Check under the entry lock, do fresh work outside it,
   // and let the first finisher publish. Charge-once-per-residency:
@@ -242,13 +163,14 @@ Status SeerServer::finishError(Status Error,
 }
 
 Expected<ServeResponse>
-SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
-                       const std::shared_ptr<FingerprintCache::Entry> &Entry,
-                       bool CacheHit, const ServeOptions &Request,
-                       std::chrono::steady_clock::time_point Start,
-                       bool DegradeOnError) {
-  const Planner &Pipeline = Runtime.planner();
-  const AnalyzedMatrix A = Planner::adopt(M, Entry->Stats, Fingerprint);
+SeerServer::handleRegistered(const RegisteredMatrix &Registered,
+                             const ServeOptions &Request) {
+  assert(Registered.valid() && "request against an empty registration");
+  const auto Start = std::chrono::steady_clock::now();
+  const CsrMatrix &M = *Registered.Matrix;
+  const std::shared_ptr<FingerprintCache::Entry> &Entry = Registered.Entry;
+  const AnalyzedMatrix A =
+      Planner::adopt(M, Entry->Stats, Registered.Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
 
   // Per-entry reset of this thread's plan-scratch arena: every stage
@@ -276,14 +198,15 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
 
   ServeResponse R;
   R.Iterations = Request.Iterations ? Request.Iterations : 1;
-  R.Fingerprint = Fingerprint;
-  R.CacheHit = CacheHit;
+  R.Fingerprint = Registered.Fingerprint;
+  R.CacheHit = true; // registration paid the analysis
 
-  // Stage: route + collect + select, with the collection charged only on
-  // a miss — on a hit the features come from the cache and the chosen
-  // kernel is bit-identical to the uncached path. A retryable failure
-  // propagates typed (the session layer's RetryPolicy re-issues); a
-  // terminal failure or an open breaker degrades to the baseline kernel.
+  // Stage: route + collect + select. Registration paid the analysis, so
+  // the collection is never charged: the features come from the cache
+  // and the chosen kernel is bit-identical to the uncached path. A
+  // retryable failure propagates typed (the session layer's RetryPolicy
+  // re-issues); a terminal failure or an open breaker degrades to the
+  // baseline kernel.
   bool Degraded = false;
   Status SelectFailure = Status::okStatus();
   // Direct-initialized from the lambda so the hot path constructs the
@@ -299,16 +222,15 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
     try {
       if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
         throw InjectedFaultError(std::move(F));
-      ExecutionPlan P = Pipeline.plan(A, R.Iterations,
-                                      CacheHit ? CollectionCharging::Precollected
-                                               : CollectionCharging::Charged);
+      ExecutionPlan P =
+          Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
       SelectBreaker.recordSuccess();
       recordStage(Select, StageSelectUs, &CostErrorSelect,
                   P.Selection.overheadMs());
       return P;
     } catch (const InjectedFaultError &E) {
       SelectBreaker.recordFailure();
-      if (!DegradeOnError && E.status().isRetryable())
+      if (E.status().isRetryable())
         SelectFailure = E.status();
       else
         Degraded = true;
@@ -325,8 +247,8 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   if (!Degraded) {
     R.Selection = Plan.Selection;
     R.ModeledCollectionMs = Plan.ModeledCollectionMs;
-    if (CacheHit && Plan.Selection.UsedGatheredModel) {
-      // Telemetry: the modeled collection cost this hit skipped (the
+    if (Plan.Selection.UsedGatheredModel) {
+      // Telemetry: the modeled collection cost this request skipped (the
       // plan's collect stage evaluated only the cost formula — no matrix
       // walk happens on the precollected path).
       SavedCollectionNs.add(msToNanos(Plan.ModeledCollectionMs));
@@ -369,7 +291,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
                     Plan.ModeledPreprocessMs);
       } catch (const InjectedFaultError &E) {
         PrepareBreaker.recordFailure();
-        if (!DegradeOnError && E.status().isRetryable())
+        if (E.status().isRetryable())
           return finishError(E.status(), Start);
         Degraded = true;
       } catch (const std::bad_alloc &) {
@@ -398,7 +320,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
           recordStage(RunClock, StageRunUs, &CostErrorRun, R.IterationMs);
         } catch (const InjectedFaultError &E) {
           RunBreaker.recordFailure();
-          if (!DegradeOnError && E.status().isRetryable())
+          if (E.status().isRetryable())
             return finishError(E.status(), Start);
           Degraded = true;
         } catch (const std::bad_alloc &) {
@@ -509,8 +431,7 @@ SeerServer::serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
   // Commit telemetry before returning so stats() is consistent once the
   // caller has its response.
   Requests.add();
-  if (R.CacheHit)
-    CacheHits.add();
+  CacheHits.add();
   if (R.Selection.UsedGatheredModel)
     GatheredRoutes.add();
   if (R.Executed)
@@ -540,15 +461,14 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
   assert(!Operands.empty() && "empty batch");
   const auto Start = std::chrono::steady_clock::now();
   const CsrMatrix &M = *Registered.Matrix;
-  const Planner &Pipeline = Runtime.planner();
   const AnalyzedMatrix A = Planner::adopt(M, Registered.Entry->Stats,
                                           Registered.Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
 
-  // Per-entry arena reset, as in serveEntry.
+  // Per-entry arena reset, as in handleRegistered.
   Planner::scratchArena().reset();
 
-  // Observability (see serveEntry): one request id for the batch, one
+  // Observability (see handleRegistered): one request id for the batch, one
   // serve.batch span enclosing every stage span it spawns.
   const bool Obs = SpanRecorder::instance().armed();
   const uint64_t RequestId =
@@ -740,26 +660,15 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
   return B;
 }
 
-// The deprecated batch shim is defined in terms of the deprecated
-// single-request shim on purpose; silence the self-referential warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::vector<ServeResponse>
-SeerServer::handleBatch(const std::vector<ServeRequest> &Batch,
-                        unsigned Parallelism) {
-  std::vector<ServeResponse> Responses(Batch.size());
-  parallelFor(Parallelism, Batch.size(),
-              [&](size_t I) { Responses[I] = handle(Batch[I]); });
-  return Responses;
-}
-#pragma GCC diagnostic pop
-
 ServerStats SeerServer::stats() const {
   ServerStats S;
+  // Each request commits Requests before CacheHits and GatheredRoutes, so
+  // one finishing between these loads can make the later loads run ahead
+  // of Requests: clamp them, so the derived differences never wrap.
   S.Requests = Requests.value();
-  S.CacheHits = CacheHits.value();
+  S.CacheHits = std::min(CacheHits.value(), S.Requests);
   S.CacheMisses = S.Requests - S.CacheHits;
-  S.GatheredRoutes = GatheredRoutes.value();
+  S.GatheredRoutes = std::min(GatheredRoutes.value(), S.Requests);
   S.KnownRoutes = S.Requests - S.GatheredRoutes;
   S.Executions = Executions.value();
   S.PaidPreprocesses = PaidPreprocesses.value();
@@ -776,9 +685,6 @@ ServerStats SeerServer::stats() const {
   S.DegradedServes = DegradedServes.value();
   S.BreakerOpens =
       SelectBreaker.opens() + PrepareBreaker.opens() + RunBreaker.opens();
-  // Process-wide cumulative snapshot (the injector predates and outlives
-  // any one server); resetStats() leaves it alone.
-  S.FaultsInjected = FaultInjector::instance().injectedCount();
   const FingerprintCache::Stats Residency = Cache.stats();
   S.CachedMatrices = Residency.Entries;
   S.CacheBudgetBytes = Cache.budgetBytes();
@@ -801,9 +707,6 @@ ServerStats SeerServer::stats() const {
   S.MeanLatencyUs = Latency.mean();
   S.P50LatencyUs = Latency.percentile(0.50);
   S.P99LatencyUs = Latency.percentile(0.99);
-  S.NetConnections = NetConnections.value();
-  S.NetRequests = NetRequests.value();
-  S.NetProtocolErrors = NetProtocolErrors.value();
 
   // Publish the snapshot's derived ratios and externally-owned levels
   // (cache residency, breakers, fault injector) into the registry's
@@ -822,7 +725,10 @@ ServerStats SeerServer::stats() const {
   ReanalysesGauge.set(static_cast<double>(S.Reanalyses));
   PinnedMatricesGauge.set(static_cast<double>(S.PinnedMatrices));
   ActiveHandlesGauge.set(static_cast<double>(S.ActiveHandles));
-  FaultsInjectedGauge.set(static_cast<double>(S.FaultsInjected));
+  // Process-wide cumulative count (the injector predates and outlives any
+  // one server); resetStats() leaves it alone.
+  FaultsInjectedGauge.set(
+      static_cast<double>(FaultInjector::instance().injectedCount()));
   BreakerOpensGauge.set(static_cast<double>(S.BreakerOpens));
   return S;
 }

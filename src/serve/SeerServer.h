@@ -24,13 +24,11 @@
 ///    oracle on demand and aggregates mispredictions, hit rates and
 ///    latency percentiles into a `ServerStats` snapshot.
 ///
-/// Serving API v2 moves clients from per-request matrix pointers to
-/// *registered matrices*: registerMatrix() pays fingerprinting and
-/// analysis once and pins the cache entry for the registration's
-/// lifetime; handleRegistered() then serves selection/execution with no
-/// per-request hashing or cache lookup at all. The PR 2 pointer-based
-/// handle() remains as a deprecated shim so old traces can be replayed
-/// and compared bit-for-bit against the new path. The ergonomic,
+/// Clients serve *registered matrices*: registerMatrix() pays
+/// fingerprinting and analysis once and pins the cache entry for the
+/// registration's lifetime; handleRegistered() and
+/// executeBatchRegistered() then serve selection/execution with no
+/// per-request hashing or cache lookup at all. The ergonomic,
 /// Status-typed client surface over this (sessions, opaque handles,
 /// async submission) lives in api/SeerService.h.
 ///
@@ -43,8 +41,6 @@
 /// file mutates (see the MutexLock sections in SeerServer.cpp), and the
 /// counters/gauges here are lock-free atomics checked by TSan, not by
 /// capability analysis.
-/// handleBatch() fans a request vector out over the process-wide
-/// ThreadPool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +48,7 @@
 #define SEER_SERVE_SEERSERVER_H
 
 #include "api/Status.h"
-#include "core/SeerRuntime.h"
+#include "core/ExecutionPlan.h"
 #include "serve/FingerprintCache.h"
 #include "serve/ServeTypes.h"
 #include "sim/GpuSimulator.h"
@@ -131,7 +127,7 @@ public:
   /// no cache lookup — the per-request cost registration amortized away.
   /// Feature collection is never re-charged (the analysis was paid at
   /// registration, so CacheHit is always true in the response).
-  /// Thread-safe, like handle().
+  /// Thread-safe.
   ///
   /// Failure semantics (PR 6): DEADLINE_EXCEEDED when Options.Deadline
   /// expired at admission or between pipeline stages; a *retryable*
@@ -160,35 +156,20 @@ public:
       std::chrono::steady_clock::time_point Deadline =
           std::chrono::steady_clock::time_point::min());
 
-  /// \deprecated Serves one pointer-based request (the PR 2 API): the
-  /// matrix is re-fingerprinted and looked up on every call and must stay
-  /// alive for the duration of handle(). Kept as a shim so the
-  /// bit-identity gates can compare this path against handleRegistered()
-  /// on the same trace; new code should use api/SeerService.h.
-  [[deprecated("use registerMatrix()/handleRegistered() or the session API "
-               "in api/SeerService.h")]] ServeResponse
-  handle(const ServeRequest &Request);
-
-  /// \deprecated Serves a batch of pointer-based requests, fanning out
-  /// over the process-wide pool with the pipeline's parallelism
-  /// convention (0 = hardware threads, 1 = serial). Responses are in
-  /// request order. Same migration note as handle().
-  [[deprecated("use registerMatrix()/executeBatchRegistered() or the "
-               "session API in api/SeerService.h")]] std::vector<ServeResponse>
-  handleBatch(const std::vector<ServeRequest> &Batch, unsigned Parallelism);
-
   /// Telemetry snapshot, assembled from the metrics registry (which is
   /// the single source of truth — ServerStats is a *view*). The counters
   /// are mutually consistent once all in-flight requests have drained
-  /// (each request commits its counters before returning). Snapshotting
+  /// (each request commits its counters before returning); under load
+  /// the derived counts are clamped, so a snapshot taken while requests
+  /// commit never reports more hits or gathered routes than requests,
+  /// and never wraps their differences below zero. Snapshotting
   /// also refreshes the registry's derived and residency gauges, so an
   /// export taken after stats() reflects the same moment.
   ServerStats stats() const;
 
-  /// This server's metrics registry: every ServerStats field lives here
-  /// (see tools/seer_lint.py for the field↔metric map), alongside the
-  /// per-stage wall-time and cost-model-error histograms that have no
-  /// ServerStats slot. The session layer (api/SeerService.h) registers
+  /// This server's metrics registry: every ServerStats field is read
+  /// from here, alongside the per-stage wall-time and cost-model-error
+  /// histograms that have no ServerStats slot. The session layer (api/SeerService.h) registers
   /// its counters here too, so one export covers the whole stack.
   MetricsRegistry &metrics() { return MetricsReg; }
   const MetricsRegistry &metrics() const { return MetricsReg; }
@@ -199,7 +180,6 @@ public:
   void resetStats();
 
   const KernelRegistry &registry() const { return Registry; }
-  const SeerRuntime &runtime() const { return Runtime; }
   const GpuSimulator &simulator() const { return Sim; }
 
   /// Registry index of the degraded-fallback kernel: plain thread-mapped
@@ -208,20 +188,6 @@ public:
   size_t baselineKernel() const { return Baseline; }
 
 private:
-  /// The shared request path: one Planner-built ExecutionPlan (selection,
-  /// optional preparation + execution + oracle verification) against an
-  /// already-resolved cache entry. \p Start is when the request entered
-  /// the server (before fingerprinting on the deprecated path), so
-  /// latency telemetry reflects what each API actually costs per request.
-  /// With \p DegradeOnError (the deprecated no-error-channel v1 path),
-  /// retryable stage failures degrade like terminal ones instead of
-  /// propagating typed.
-  Expected<ServeResponse>
-  serveEntry(const CsrMatrix &M, uint64_t Fingerprint,
-             const std::shared_ptr<FingerprintCache::Entry> &E, bool CacheHit,
-             const ServeOptions &Options,
-             std::chrono::steady_clock::time_point Start, bool DegradeOnError);
-
   /// Runs one baseline-kernel SpMV directly (no Planner stages, no fault
   /// sites, no preprocessing) — the degraded execution path.
   SpmvRun runBaseline(const CsrMatrix &M, const MatrixStats &Stats,
@@ -242,12 +208,12 @@ private:
   bool preparePlan(ExecutionPlan &Plan, const AnalyzedMatrix &A,
                    const std::shared_ptr<FingerprintCache::Entry> &E);
 
-  /// Declaration order is load-bearing: Runtime holds references to
+  /// Declaration order is load-bearing: Pipeline holds references to
   /// Models, Registry and Sim.
   SeerModels Models;
   KernelRegistry Registry;
   GpuSimulator Sim;
-  SeerRuntime Runtime;
+  Planner Pipeline;
   FingerprintCache Cache;
   /// Registry index of the degraded-fallback kernel (see baselineKernel()).
   size_t Baseline = 0;
@@ -291,9 +257,8 @@ private:
       MetricsReg.counter("seer_deadline_exceeded_total");
   Counter &DegradedServes = MetricsReg.counter("seer_degraded_serves_total");
   /// Networked serving (src/net). Registered here — not only in
-  /// NetServer — so every exposition carries them and the stats
-  /// snapshot can read them; a NetServer given this registry increments
-  /// these same cells by name.
+  /// NetServer — so every exposition and stat snapshot carries them; a
+  /// NetServer given this registry increments these same cells by name.
   Counter &NetConnections = MetricsReg.counter("seer_net_connections_total");
   Counter &NetRequests = MetricsReg.counter("seer_net_requests_total");
   Counter &NetProtocolErrors =

@@ -6,18 +6,19 @@
 ///
 /// \file
 /// The request/response structs and telemetry types of the Seer serving
-/// layer. A `ServeRequest` asks the server to select (and optionally
-/// execute) a kernel for one matrix; the `ServeResponse` carries the
-/// selection plus the costs that were actually *charged* for this request
-/// — which is where serving differs from the one-shot runtime: a cache
-/// hit charges zero feature-collection cost, and an amortized kernel
-/// charges zero preprocessing cost, because both were paid by an earlier
-/// request in the session (the paper's multi-iteration amortization of
-/// Sec. IV-E, extended across requests).
+/// layer. `ServeOptions` asks the server to select (and optionally
+/// execute) a kernel for one registered matrix; the `ServeResponse`
+/// carries the selection plus the costs that were actually *charged*
+/// for this request — which is where serving differs from the one-shot
+/// runtime: registration pays the analysis once, so no request is
+/// charged feature collection, and an amortized kernel charges zero
+/// preprocessing cost, because an earlier request in the session paid
+/// it (the paper's multi-iteration amortization of Sec. IV-E, extended
+/// across requests).
 ///
-/// `ServerStats` is the monotone telemetry snapshot: request/hit/route
-/// counters, online-feedback misprediction counts, and service-latency
-/// percentiles from a bounded geometric histogram.
+/// `ServerStats` is the typed telemetry snapshot read from the metrics
+/// registry: request/hit/route counters, online-feedback misprediction
+/// counts, cache residency, and service-latency percentiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@
 #define SEER_SERVE_SERVETYPES_H
 
 #include "core/SeerRuntime.h"
-#include "sparse/CsrMatrix.h"
 #include "support/Metrics.h"
 
 #include <chrono>
@@ -34,9 +34,8 @@
 
 namespace seer {
 
-/// Per-request knobs shared by every serving entry point (the matrix
-/// itself is supplied separately: as a raw pointer by the deprecated
-/// ServeRequest path, or as a registered handle by the v2 session API).
+/// Per-request knobs of SeerServer::handleRegistered (the matrix itself
+/// is the registration the request is served against).
 struct ServeOptions {
   /// Expected SpMV iteration count (Sec. IV-E break-even axis).
   uint32_t Iterations = 1;
@@ -61,32 +60,6 @@ struct ServeOptions {
 
   bool hasDeadline() const {
     return Deadline != std::chrono::steady_clock::time_point::min();
-  }
-};
-
-/// \deprecated One client request against SeerServer::handle(), the PR 2
-/// pointer-based API: the caller keeps \p Matrix alive for the duration of
-/// the call and every request re-fingerprints the full CSR arrays. Kept so
-/// the bit-identity gates can replay old traces against the v2 session
-/// path; new code registers the matrix once (api/SeerService.h) and issues
-/// handle-based requests instead.
-struct ServeRequest {
-  /// The input matrix. Must stay alive for the duration of handle();
-  /// the server never stores the pointer (only a content fingerprint).
-  const CsrMatrix *Matrix = nullptr;
-  /// Expected SpMV iteration count (Sec. IV-E break-even axis).
-  uint32_t Iterations = 1;
-  /// Also execute the chosen kernel (preprocess + run) and return Y.
-  bool Execute = false;
-  /// With Execute: verify the selection against the cached oracle.
-  bool VerifyOracle = false;
-  /// SpMV operand; when null the server uses an all-ones vector of the
-  /// matrix's column count.
-  const std::vector<double> *Operand = nullptr;
-
-  /// The per-request knobs in ServeOptions form.
-  ServeOptions options() const {
-    return ServeOptions{Iterations, Execute, VerifyOracle, Operand};
   }
 };
 
@@ -133,7 +106,7 @@ struct ServeResponse {
   /// Modeled regret: chosen total minus oracle total, ms (>= 0).
   double RegretMs = 0.0;
 
-  /// Host wall-clock time spent inside handle(), microseconds.
+  /// Host wall-clock time spent serving the request, microseconds.
   double ServiceMicros = 0.0;
 
   /// True when a pipeline-stage failure (or an open circuit breaker) was
@@ -264,9 +237,9 @@ struct ServerStats {
   /// Entries pinned by live registrations (serving API v2): whole-entry
   /// eviction skips them until their handles are released.
   uint64_t PinnedMatrices = 0;
-  /// Session-layer counters (zero when serving through the deprecated
-  /// pointer API): matrices registered, handles currently open, async
-  /// submissions accepted and rejected by admission-queue backpressure.
+  /// Session-layer counters: matrices registered, handles currently
+  /// open, async submissions accepted and rejected by admission-queue
+  /// backpressure.
   uint64_t Registrations = 0;
   uint64_t ActiveHandles = 0;
   uint64_t AsyncAccepted = 0;
@@ -280,9 +253,6 @@ struct ServerStats {
   uint64_t RetriesExhausted = 0;
   /// Requests answered by the degraded baseline-kernel fallback.
   uint64_t DegradedServes = 0;
-  /// Process-wide faults fired by the FaultInjector (all actions). A
-  /// cumulative snapshot, never reset by resetStats().
-  uint64_t FaultsInjected = 0;
   /// Circuit-breaker open transitions across the pipeline stages.
   uint64_t BreakerOpens = 0;
   /// Service-latency summary, microseconds.
@@ -290,12 +260,6 @@ struct ServerStats {
   double MeanLatencyUs = 0.0;
   double P50LatencyUs = 0.0;
   double P99LatencyUs = 0.0;
-  /// Networked serving (src/net): connections accepted, frames served,
-  /// and framing/decoding violations. Zero unless this process hosts a
-  /// NetServer over the service's registry.
-  uint64_t NetConnections = 0;
-  uint64_t NetRequests = 0;
-  uint64_t NetProtocolErrors = 0;
 
   /// Misprediction rate over oracle-checked requests (0 when none).
   double mispredictRate() const {

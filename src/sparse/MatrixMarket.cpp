@@ -25,8 +25,7 @@ struct Banner {
   std::string Symmetry; // general | symmetric | skew-symmetric | hermitian
 };
 
-std::optional<Banner> parseBanner(std::string_view Line,
-                                  std::string *ErrorMessage) {
+Expected<Banner> parseBanner(std::string_view Line) {
   const std::vector<std::string> Words =
       splitString(std::string(trimString(Line)), ' ');
   std::vector<std::string> Tokens;
@@ -34,31 +33,24 @@ std::optional<Banner> parseBanner(std::string_view Line,
     if (!trimString(Word).empty())
       Tokens.push_back(toLower(std::string(trimString(Word))));
   if (Tokens.size() != 5 || Tokens[0] != "%%matrixmarket" ||
-      Tokens[1] != "matrix") {
-    if (ErrorMessage)
-      *ErrorMessage = "malformed MatrixMarket banner";
-    return std::nullopt;
-  }
+      Tokens[1] != "matrix")
+    return Status::invalidArgument("malformed MatrixMarket banner");
   return Banner{Tokens[2], Tokens[3], Tokens[4]};
 }
 
-/// The parser body, shared by the Expected entry point and the
-/// deprecated optional wrapper.
-std::optional<CsrMatrix> parseImpl(const std::string &Text,
-                                   std::string *ErrorMessage) {
-  const auto Fail = [&](const std::string &Message) -> std::optional<CsrMatrix> {
-    if (ErrorMessage)
-      *ErrorMessage = Message;
-    return std::nullopt;
+/// The parser body (the fault-site check lives in the entry point).
+Expected<CsrMatrix> parseImpl(const std::string &Text) {
+  const auto Fail = [](const std::string &Message) {
+    return Status::invalidArgument(Message);
   };
 
   std::istringstream Stream(Text);
   std::string Line;
   if (!std::getline(Stream, Line))
     return Fail("empty input");
-  const std::optional<Banner> Header = parseBanner(Line, ErrorMessage);
+  const Expected<Banner> Header = parseBanner(Line);
   if (!Header)
-    return std::nullopt;
+    return Header.status();
   if (Header->Format != "coordinate")
     return Fail("unsupported storage format '" + Header->Format +
                 "' (only coordinate is supported)");
@@ -130,10 +122,7 @@ std::optional<CsrMatrix> parseImpl(const std::string &Text,
 Expected<CsrMatrix> seer::parseMatrixMarket(const std::string &Text) {
   if (Status F = FaultInjector::instance().check(faultsite::ParseMm); !F.ok())
     return F;
-  std::string Error;
-  if (auto M = parseImpl(Text, &Error))
-    return std::move(*M);
-  return Status::invalidArgument(Error);
+  return parseImpl(Text);
 }
 
 Expected<CsrMatrix> seer::readMatrixMarketFile(const std::string &Path) {
@@ -143,22 +132,6 @@ Expected<CsrMatrix> seer::readMatrixMarketFile(const std::string &Path) {
   std::ostringstream Buffer;
   Buffer << Stream.rdbuf();
   return parseMatrixMarket(Buffer.str());
-}
-
-std::optional<CsrMatrix> seer::parseMatrixMarket(const std::string &Text,
-                                                 std::string *ErrorMessage) {
-  return parseImpl(Text, ErrorMessage);
-}
-
-std::optional<CsrMatrix>
-seer::readMatrixMarketFile(const std::string &Path,
-                           std::string *ErrorMessage) {
-  auto M = readMatrixMarketFile(Path);
-  if (M)
-    return std::move(*M);
-  if (ErrorMessage)
-    *ErrorMessage = M.status().message();
-  return std::nullopt;
 }
 
 std::string seer::writeMatrixMarket(const CsrMatrix &M) {
@@ -185,14 +158,4 @@ Status seer::writeMatrixMarketFile(const CsrMatrix &M,
   // Temp-file + rename: a crash mid-write can never leave a truncated
   // .mtx behind for a later load to trip over.
   return atomicWriteFile(Path, writeMatrixMarket(M));
-}
-
-bool seer::writeMatrixMarketFile(const CsrMatrix &M, const std::string &Path,
-                                 std::string *ErrorMessage) {
-  const Status S = writeMatrixMarketFile(M, Path);
-  if (S.ok())
-    return true;
-  if (ErrorMessage)
-    *ErrorMessage = S.message();
-  return false;
 }

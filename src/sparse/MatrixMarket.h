@@ -27,7 +27,6 @@
 #include "api/Status.h"
 #include "sparse/CsrMatrix.h"
 
-#include <optional>
 #include <string>
 
 namespace seer {
@@ -45,25 +44,6 @@ std::string writeMatrixMarket(const CsrMatrix &M);
 
 /// Writes \p M to \p Path; UNAVAILABLE on I/O failure.
 Status writeMatrixMarketFile(const CsrMatrix &M, const std::string &Path);
-
-/// \deprecated Pre-Status form of parseMatrixMarket: \returns std::nullopt
-/// and fills \p ErrorMessage on malformed input. Prefer the Expected
-/// overload.
-[[deprecated("use the Expected-returning parseMatrixMarket overload")]]
-std::optional<CsrMatrix> parseMatrixMarket(const std::string &Text,
-                                           std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of readMatrixMarketFile. Prefer the
-/// Expected overload.
-[[deprecated("use the Expected-returning readMatrixMarketFile overload")]]
-std::optional<CsrMatrix> readMatrixMarketFile(const std::string &Path,
-                                              std::string *ErrorMessage);
-
-/// \deprecated Pre-Status form of writeMatrixMarketFile: \returns false
-/// and fills \p ErrorMessage on I/O failure. Prefer the Status overload.
-[[deprecated("use the Status-returning writeMatrixMarketFile overload")]]
-bool writeMatrixMarketFile(const CsrMatrix &M, const std::string &Path,
-                           std::string *ErrorMessage);
 
 } // namespace seer
 

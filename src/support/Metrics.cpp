@@ -40,6 +40,26 @@ std::string formatDouble(double V) {
   return Buf;
 }
 
+/// Stat-line values: integral values print as plain integers (byte
+/// counts stay parseable at any size), everything else as formatDouble.
+std::string formatStatValue(double V) {
+  if (V != std::floor(V) || std::fabs(V) >= 1e15)
+    return formatDouble(V);
+  char Buf[32];
+  std::snprintf(Buf, sizeof Buf, "%.0f", V);
+  return Buf;
+}
+
+/// `seer_requests_total` -> `requests`: the stat-line name of a metric.
+std::string statName(const std::string &Metric) {
+  std::string Name = Metric;
+  if (Name.compare(0, 5, "seer_") == 0)
+    Name.erase(0, 5);
+  if (Name.size() > 6 && Name.compare(Name.size() - 6, 6, "_total") == 0)
+    Name.erase(Name.size() - 6);
+  return Name;
+}
+
 void appendJsonString(std::string &Out, const std::string &S) {
   Out += '"';
   for (char C : S) {
@@ -257,6 +277,31 @@ std::string MetricsRegistry::jsonSnapshot() const {
     }
     Out += "]}\n";
   }
+  return Out;
+}
+
+std::string MetricsRegistry::statLines() const {
+  MutexLock Lock(Mutex);
+  // Keyed by the full metric name, so the kinds interleave in the order
+  // prometheusText() emits them.
+  std::map<std::string, std::string> Lines;
+  for (const auto &[Name, C] : Counters)
+    Lines[Name] =
+        "stat " + statName(Name) + " " + std::to_string(C->value()) + "\n";
+  for (const auto &[Name, G] : Gauges)
+    Lines[Name] =
+        "stat " + statName(Name) + " " + formatStatValue(G->value()) + "\n";
+  for (const auto &[Name, H] : Histograms) {
+    const std::string Stat = "stat " + statName(Name);
+    Lines[Name] = Stat + "_count " + std::to_string(H->samples()) + "\n" +
+                  Stat + "_mean " + formatStatValue(H->mean()) + "\n" +
+                  Stat + "_p50 " + formatStatValue(H->percentile(0.50)) +
+                  "\n" + Stat + "_p99 " +
+                  formatStatValue(H->percentile(0.99)) + "\n";
+  }
+  std::string Out;
+  for (const auto &KV : Lines)
+    Out += KV.second;
   return Out;
 }
 

@@ -31,12 +31,14 @@
 ///    `seer_stage_select_us`) or their dimensionless ratio
 ///    (`seer_cost_model_error_select`: actual wall over modeled cost).
 ///
-/// Two exporters, both deterministic (metrics sorted by name):
+/// Three exporters, all deterministic (metrics sorted by name):
 ///  - `prometheusText()` — the Prometheus text exposition format
 ///    (`# TYPE` comments, cumulative `_bucket{le="..."}` lines, `_sum`,
 ///    `_count`);
 ///  - `jsonSnapshot()` — JSONL, one self-contained JSON object per line
-///    per metric, for log pipelines.
+///    per metric, for log pipelines;
+///  - `statLines()` — the `stat NAME VALUE` lines of the serving line
+///    protocol and the wire `stats` op.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -166,6 +168,14 @@ public:
   /// Histogram lines carry cumulative buckets, count, sum and the
   /// rejected-sample count the Prometheus exposition has no slot for.
   std::string jsonSnapshot() const;
+
+  /// The `stat NAME VALUE` snapshot, sorted by metric name: one line per
+  /// counter and per gauge, and `NAME_count`, `NAME_mean`, `NAME_p50`
+  /// and `NAME_p99` lines per histogram. NAME is the metric name without
+  /// its `seer_` prefix and `_total` suffix (`seer_requests_total` ->
+  /// `requests`, `seer_latency_us` -> `latency_us_p99`). Integral values
+  /// print as plain integers.
+  std::string statLines() const;
 
   /// The process-wide registry, for tools and tests that have no server
   /// to borrow one from. Server-scoped metrics live in the server's own

@@ -423,13 +423,6 @@ TEST(SeerServiceTest, ConcurrentUseAfterReleaseIsTypedNeverACrash) {
   EXPECT_EQ(Service.stats().ActiveHandles, 0u);
 }
 
-// This test drives the deprecated pointer-based v1 entry points
-// deliberately: the eviction-pressure churn must flow through the same
-// cache the session handles use, and the pointer path is the only way
-// to insert unregistered entries. Scoped suppression, not file-wide, so
-// any other deprecated call in this file still fails -Werror builds.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(SeerServiceTest, PinnedEntriesSurviveEvictionPressure) {
   const CsrMatrix &Pinned = requestPool()[1];
 
@@ -450,49 +443,49 @@ TEST(SeerServiceTest, PinnedEntriesSurviveEvictionPressure) {
   auto Handle = Service.registerMatrix(Pinned);
   ASSERT_TRUE(Handle);
 
-  // Churn a stream of other matrices through the deprecated pointer path
-  // (PR 3's eviction pressure): every insertion overflows the one-entry
-  // budget, and every eviction must pick them, never the pinned entry.
+  // Churn a stream of other matrices through short-lived registrations
+  // (register, select, release): every insertion overflows the one-entry
+  // budget, and once its handle is released each churn entry is the only
+  // eviction candidate — never the pinned entry.
   std::vector<CsrMatrix> Churn;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed)
     Churn.push_back(genUniformRandom(512, 512, 8.0, 0.5, Seed));
+  const auto ChurnOnce = [&](const CsrMatrix &M) {
+    auto Transient = Service.registerMatrix(M);
+    ASSERT_TRUE(Transient) << Transient.status().toString();
+    EXPECT_TRUE(Service.select(*Transient, 5).ok());
+    EXPECT_TRUE(Service.release(*Transient).ok());
+  };
   for (int Pass = 0; Pass < 3; ++Pass)
-    for (const CsrMatrix &M : Churn) {
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Request.Iterations = 5;
-      Service.server().handle(Request);
-    }
+    for (const CsrMatrix &M : Churn)
+      ChurnOnce(M);
 
   ServerStats Stats = Service.stats();
   EXPECT_GT(Stats.Evictions, 0u); // the churn really caused pressure
   EXPECT_EQ(Stats.PinnedMatrices, 1u);
   // The pinned matrix is the one entry still resident: every churn
-  // insertion overflowed the one-entry budget and had to evict itself,
-  // never the pinned entry. (No pointer-path probe here — a hit would
-  // promote the entry to the protected segment and let it survive the
-  // post-release churn below on LRU merit instead of proving the pin.)
+  // insertion overflowed the one-entry budget and had to be evicted on
+  // release, never the pinned entry. (No re-registration probe here — a
+  // cache hit would promote the entry to the protected segment and let
+  // it survive the post-release churn below on LRU merit instead of
+  // proving the pin.)
   EXPECT_EQ(Stats.CachedMatrices, 1u);
   // And the handle still serves.
   EXPECT_TRUE(Service.select(*Handle, 5).ok());
 
   // After release the entry is an ordinary victim again: more churn
-  // evicts it, and the next touch re-analyzes (bit-identically).
+  // evicts it, and the next registration re-analyzes (bit-identically).
   EXPECT_TRUE(Service.release(*Handle).ok());
-  for (const CsrMatrix &M : Churn) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Service.server().handle(Request);
-  }
+  for (const CsrMatrix &M : Churn)
+    ChurnOnce(M);
   EXPECT_EQ(Service.stats().PinnedMatrices, 0u);
-  ServeRequest Probe;
-  Probe.Matrix = &Pinned;
-  Probe.Iterations = 5;
-  const ServeResponse After = Service.server().handle(Probe);
-  EXPECT_FALSE(After.CacheHit);
+  const auto Back = Service.registerMatrix(Pinned);
+  ASSERT_TRUE(Back) << Back.status().toString();
+  EXPECT_FALSE(Service.describe(*Back)->AnalysisReused);
+  EXPECT_TRUE(Service.select(*Back, 5).ok());
   EXPECT_GE(Service.stats().Reanalyses, 1u);
+  EXPECT_TRUE(Service.release(*Back).ok());
 }
-#pragma GCC diagnostic pop
 
 //===----------------------------------------------------------------------===//
 // Async submission

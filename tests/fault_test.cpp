@@ -493,29 +493,6 @@ TEST(ServeFaultTest, BreakerOpensAfterPersistentFaultsAndDegrades) {
   EXPECT_LT(FaultInjector::instance().injectedCount() - InjectedBefore, 8u);
 }
 
-// This test covers the deprecated v1 path's degrade-on-error contract,
-// which no v2 entry point can exercise; the suppression is scoped to it
-// alone so other deprecated calls in this file still fail -Werror.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServeFaultTest, V1HandleNeverErrors) {
-  // The deprecated pointer path has no typed-error channel: under the
-  // same persistent fault it must answer degraded, not throw.
-  DisarmGuard Guard;
-  SeerServer Server(tinyModels());
-  const CsrMatrix M = genBanded(1024, 8, 0.9, 7);
-
-  armPlan("plan.select every=1 status=INTERNAL\n");
-  ServeRequest R;
-  R.Matrix = &M;
-  R.Iterations = 5;
-  R.Execute = true;
-  const ServeResponse Response = Server.handle(R);
-  EXPECT_TRUE(Response.Degraded);
-  EXPECT_EQ(Response.Selection.KernelIndex, Server.baselineKernel());
-}
-#pragma GCC diagnostic pop
-
 //===----------------------------------------------------------------------===//
 // Fault-site coverage. Every faultsite:: constant must be exercised by at
 // least one test — tools/seer_lint.py enforces the full set, and these

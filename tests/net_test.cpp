@@ -477,22 +477,20 @@ TEST(NetFaults, ReadAndWriteSitesInject) {
 // Loopback serving: NetServer + NetClient vs the in-process API
 //===----------------------------------------------------------------------===//
 
-/// Starts a loopback server over \p Handler in \p Mode and returns it.
-std::unique_ptr<NetServer> startLoopback(FrameHandler &Handler,
-                                         NetServerConfig::ServeMode Mode) {
+/// Starts a loopback server over \p Handler and returns it.
+std::unique_ptr<NetServer> startLoopback(FrameHandler &Handler) {
   NetServerConfig Config;
   Config.Host = "127.0.0.1";
   Config.Port = 0;
-  Config.Mode = Mode;
   auto Server = NetServer::start(Handler, Config);
   EXPECT_TRUE(Server.ok()) << Server.status().toString();
   return std::move(*Server);
 }
 
-void runLoopbackBitIdentity(NetServerConfig::ServeMode Mode) {
+TEST(NetServerTest, EpollLoopbackBitIdentity) {
   SeerService Remote(tinyModels());
   ServiceFrameHandler Handler(Remote);
-  auto Server = startLoopback(Handler, Mode);
+  auto Server = startLoopback(Handler);
   auto Client = NetClient::connect("127.0.0.1", Server->port());
   ASSERT_TRUE(Client.ok()) << Client.status().toString();
 
@@ -569,18 +567,10 @@ void runLoopbackBitIdentity(NetServerConfig::ServeMode Mode) {
   Server->join();
 }
 
-TEST(NetServerTest, EpollLoopbackBitIdentity) {
-  runLoopbackBitIdentity(NetServerConfig::ServeMode::Epoll);
-}
-
-TEST(NetServerTest, ThreadsLoopbackBitIdentity) {
-  runLoopbackBitIdentity(NetServerConfig::ServeMode::Threads);
-}
-
 TEST(NetServerTest, ShutdownOpStopsTheServer) {
   SeerService Service(tinyModels());
   ServiceFrameHandler Handler(Service);
-  auto Server = startLoopback(Handler, NetServerConfig::ServeMode::Epoll);
+  auto Server = startLoopback(Handler);
   auto Client = NetClient::connect("127.0.0.1", Server->port());
   ASSERT_TRUE(Client.ok());
   EXPECT_TRUE(Client->shutdownServer().ok());
@@ -590,7 +580,7 @@ TEST(NetServerTest, ShutdownOpStopsTheServer) {
 TEST(NetServerTest, ConnectionCloseReleasesHandles) {
   SeerService Service(tinyModels());
   ServiceFrameHandler Handler(Service);
-  auto Server = startLoopback(Handler, NetServerConfig::ServeMode::Epoll);
+  auto Server = startLoopback(Handler);
   {
     auto Client = NetClient::connect("127.0.0.1", Server->port());
     ASSERT_TRUE(Client.ok());
@@ -645,12 +635,12 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   // Two real shard servers, each over its own service.
   SeerService ShardA(tinyModels()), ShardB(tinyModels());
   ServiceFrameHandler HandlerA(ShardA), HandlerB(ShardB);
-  auto ServerA = startLoopback(HandlerA, NetServerConfig::ServeMode::Epoll);
-  auto ServerB = startLoopback(HandlerB, NetServerConfig::ServeMode::Epoll);
+  auto ServerA = startLoopback(HandlerA);
+  auto ServerB = startLoopback(HandlerB);
 
   LbHandler Lb({ShardEndpoint{"127.0.0.1", ServerA->port()},
                 ShardEndpoint{"127.0.0.1", ServerB->port()}});
-  auto LbServer = startLoopback(Lb, NetServerConfig::ServeMode::Epoll);
+  auto LbServer = startLoopback(Lb);
   auto Client = NetClient::connect("127.0.0.1", LbServer->port());
   ASSERT_TRUE(Client.ok()) << Client.status().toString();
 

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The observability contract: MetricsRegistry get-or-create semantics and
-// deterministic exports (Prometheus text, JSONL), geometric histogram
-// recording and percentile interpolation, concurrent span recording with
-// exact counts (the ThreadSanitizer CI job runs this file), ScopedSpan /
-// ScopedRequestId nesting, ring-overflow behavior, the disarmed-recorder
-// zero-allocation guarantee, and ServerStats being a faithful view of the
-// server's registry.
+// deterministic exports (Prometheus text, JSONL, stat lines), geometric
+// histogram recording and percentile interpolation, concurrent span
+// recording with exact counts (the ThreadSanitizer CI job runs this file),
+// ScopedSpan / ScopedRequestId nesting, ring-overflow behavior, the
+// disarmed-recorder zero-allocation guarantee, and ServerStats being a
+// faithful view of the server's registry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -236,6 +236,24 @@ TEST(MetricsExportTest, JsonlGolden) {
       "\"sum\":12,\"rejected\":1,\"buckets\":[{\"le\":\"" + B2 +
       "\",\"count\":1},{\"le\":\"" + B10 + "\",\"count\":2}]}\n";
   EXPECT_EQ(Reg.jsonSnapshot(), Expected);
+}
+
+TEST(MetricsExportTest, StatLinesGolden) {
+  MetricsRegistry Reg;
+  fillGoldenRegistry(Reg);
+  const Histogram &H = Reg.histogram("seer_wait_us");
+  // Sorted by metric name; `seer_` and `_total` dropped from the names;
+  // integral values print as integers, the rest like the exposition.
+  const std::string Expected = "stat bytes_cached 2.5\n"
+                               "stat requests 3\n"
+                               "stat wait_us_count 2\n"
+                               "stat wait_us_mean 6\n"
+                               "stat wait_us_p50 " +
+                               fmtDouble(H.percentile(0.50)) +
+                               "\n"
+                               "stat wait_us_p99 " +
+                               fmtDouble(H.percentile(0.99)) + "\n";
+  EXPECT_EQ(Reg.statLines(), Expected);
 }
 
 TEST(MetricsExportTest, EmptyHistogramStillEmitsInfBucket) {

@@ -21,15 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <thread>
-
-// The deprecated pointer-based v1 entry points are part of what this file
-// tests (the v1-vs-v2 bit-identity contract depends on them), so their
-// deprecation warnings are silenced here on purpose.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 using namespace seer;
 
@@ -75,6 +74,46 @@ const std::vector<CsrMatrix> &requestPool() {
   return Pool;
 }
 
+/// Zero-copy registration of a pool matrix (the pool outlives servers).
+RegisteredMatrix registerAliased(SeerServer &Server, const CsrMatrix &M) {
+  return Server.registerMatrix(
+      std::shared_ptr<const CsrMatrix>(std::shared_ptr<void>(), &M));
+}
+
+ServeOptions options(uint32_t Iterations, bool Execute = false,
+                     bool VerifyOracle = false) {
+  ServeOptions Options;
+  Options.Iterations = Iterations;
+  Options.Execute = Execute;
+  Options.VerifyOracle = VerifyOracle;
+  return Options;
+}
+
+/// One request through the handle API: register, serve, release.
+/// Releasing at once leaves the entry unpinned, so the cache-budget tests
+/// see ordinary eviction victims between requests. \p WhileLive, if set,
+/// receives a snapshot taken while the registration still pins the entry.
+ServeResponse serveOnce(SeerServer &Server, const CsrMatrix &M,
+                        const ServeOptions &Options,
+                        ServerStats *WhileLive = nullptr) {
+  const RegisteredMatrix Reg = registerAliased(Server, M);
+  Expected<ServeResponse> Response = Server.handleRegistered(Reg, Options);
+  if (WhileLive)
+    *WhileLive = Server.stats();
+  Server.releaseMatrix(Reg);
+  EXPECT_TRUE(Response) << Response.status().toString();
+  return Response ? std::move(*Response) : ServeResponse();
+}
+
+/// How far \p Config's budget can give way while one live registration
+/// pins an entry of \p EntryBytes: pinned entries are never whole-evicted,
+/// so a shard may run over its slice only while it holds nothing but the
+/// pinned entry.
+uint64_t pinnedOvershoot(const ServerConfig &Config, uint64_t EntryBytes) {
+  const uint64_t Slice = Config.CacheBudgetBytes / Config.CacheShards;
+  return EntryBytes > Slice ? EntryBytes - Slice : 0;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -113,10 +152,8 @@ TEST(SeerServerTest, SelectionsMatchRuntimeSerially) {
   for (const CsrMatrix &M : requestPool())
     for (const uint32_t Iterations : {1u, 5u, 19u}) {
       const SelectionResult Direct = Reference.select(M, Iterations);
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Request.Iterations = Iterations;
-      const ServeResponse Response = Server.handle(Request);
+      const ServeResponse Response =
+          serveOnce(Server, M, options(Iterations));
       EXPECT_EQ(Response.Selection.KernelIndex, Direct.KernelIndex);
       EXPECT_EQ(Response.Selection.UsedGatheredModel,
                 Direct.UsedGatheredModel);
@@ -148,10 +185,8 @@ TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
       for (size_t R = 0; R < RequestsPerClient; ++R) {
         const size_t MatrixIndex = (C + R) % Pool.size();
         const size_t IterIndex = R % 3;
-        ServeRequest Request;
-        Request.Matrix = &Pool[MatrixIndex];
-        Request.Iterations = IterationPattern[IterIndex];
-        const ServeResponse Response = Server.handle(Request);
+        const ServeResponse Response = serveOnce(
+            Server, Pool[MatrixIndex], options(IterationPattern[IterIndex]));
         const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
         if (Response.Selection.KernelIndex != Expected.KernelIndex ||
             Response.Selection.UsedGatheredModel !=
@@ -171,30 +206,72 @@ TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
   EXPECT_EQ(Stats.Requests, Stats.KnownRoutes + Stats.GatheredRoutes);
   EXPECT_EQ(Stats.CachedMatrices, Pool.size());
   EXPECT_EQ(Stats.LatencySamples, Stats.Requests);
-  // Every matrix is requested many times; almost all requests hit. At
-  // minimum the non-first touch of each matrix must have hit.
-  EXPECT_GE(Stats.CacheHits,
-            NumClients * RequestsPerClient - Pool.size() * NumClients);
+  // Registration paid every analysis, so every request hit; every
+  // registration was released again.
+  EXPECT_EQ(Stats.CacheHits, Stats.Requests);
+  EXPECT_EQ(Stats.Registrations, NumClients * RequestsPerClient);
+  EXPECT_EQ(Stats.ActiveHandles, 0u);
+  EXPECT_EQ(Stats.Reanalyses, 0u);
+}
+
+TEST(SeerServerTest, StatsNeverWrapUnderConcurrentLoad) {
+  // Each request commits Requests before CacheHits/GatheredRoutes. A
+  // snapshot racing those commits must still report derived counts that
+  // add up instead of wrapping the unsigned misses/known-route
+  // differences (or pushing the hit rate past 1).
+  SeerServer Server(tinyModels());
+  const RegisteredMatrix Reg = registerAliased(Server, requestPool()[1]);
+  std::atomic<bool> Stop{false};
+  std::vector<std::thread> Clients;
+  for (int C = 0; C < 3; ++C)
+    Clients.emplace_back([&] {
+      while (!Stop.load(std::memory_order_relaxed))
+        (void)Server.handleRegistered(Reg, options(5));
+    });
+  size_t Bad = 0;
+  for (int I = 0; I < 200000; ++I) {
+    const ServerStats S = Server.stats();
+    if (S.CacheMisses > S.Requests || S.KnownRoutes > S.Requests ||
+        S.CacheHits + S.CacheMisses != S.Requests ||
+        S.KnownRoutes + S.GatheredRoutes != S.Requests ||
+        S.hitRate() > 1.0)
+      ++Bad;
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  for (std::thread &T : Clients)
+    T.join();
+  Server.releaseMatrix(Reg);
+  EXPECT_EQ(Bad, 0u) << "snapshots with inconsistent derived counts";
 }
 
 TEST(SeerServerTest, CacheHitChargesZeroCollection) {
+  // Registration pays the analysis, so no request is charged collection
+  // — not the first one after a fresh analysis, nor one whose
+  // registration reused a cached analysis — while the decision stays
+  // the one-shot runtime's, which does charge it on the gathered route.
   SeerServer Server(tinyModels());
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Reference(tinyModels(), Registry, Sim);
   for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Request.Iterations = 5;
-    const ServeResponse First = Server.handle(Request);
-    const ServeResponse Second = Server.handle(Request);
-    EXPECT_FALSE(First.CacheHit);
-    EXPECT_TRUE(Second.CacheHit);
-    // Same decision, but the hit charges no collection cost even when the
-    // gathered model was consulted.
-    EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
-    EXPECT_EQ(Second.Selection.UsedGatheredModel,
-              First.Selection.UsedGatheredModel);
-    EXPECT_EQ(Second.Selection.FeatureCollectionMs, 0.0);
-    if (First.Selection.UsedGatheredModel) {
-      EXPECT_GT(First.Selection.FeatureCollectionMs, 0.0);
+    const SelectionResult Direct = Reference.select(M, 5);
+    const RegisteredMatrix Fresh = registerAliased(Server, M);
+    EXPECT_FALSE(Fresh.AnalysisReused);
+    const ServeResponse First = *Server.handleRegistered(Fresh, options(5));
+    Server.releaseMatrix(Fresh);
+    const RegisteredMatrix Again = registerAliased(Server, M);
+    EXPECT_TRUE(Again.AnalysisReused);
+    const ServeResponse Second = *Server.handleRegistered(Again, options(5));
+    Server.releaseMatrix(Again);
+    for (const ServeResponse *R : {&First, &Second}) {
+      EXPECT_TRUE(R->CacheHit);
+      EXPECT_EQ(R->Selection.KernelIndex, Direct.KernelIndex);
+      EXPECT_EQ(R->Selection.UsedGatheredModel, Direct.UsedGatheredModel);
+      EXPECT_EQ(R->Selection.FeatureCollectionMs, 0.0);
+      EXPECT_EQ(R->ModeledCollectionMs, Direct.FeatureCollectionMs);
+    }
+    if (Direct.UsedGatheredModel) {
+      EXPECT_GT(Direct.FeatureCollectionMs, 0.0);
     }
   }
   // The pool's gathered-routed matrices saved their collection cost.
@@ -213,12 +290,8 @@ TEST(SeerServerTest, PreprocessingAmortizedAcrossRequests) {
   const ExecutionReport Direct = Reference.execute(M, X, 19);
 
   SeerServer Server(tinyModels());
-  ServeRequest Request;
-  Request.Matrix = &M;
-  Request.Iterations = 19;
-  Request.Execute = true;
-  const ServeResponse First = Server.handle(Request);
-  const ServeResponse Second = Server.handle(Request);
+  const ServeResponse First = serveOnce(Server, M, options(19, true));
+  const ServeResponse Second = serveOnce(Server, M, options(19, true));
 
   // First execution pays exactly what the one-shot runtime pays.
   EXPECT_EQ(First.Selection.KernelIndex, Direct.Selection.KernelIndex);
@@ -253,11 +326,7 @@ TEST(SeerServerTest, ConcurrentExecutionsShareTheLedger) {
   for (size_t C = 0; C < NumClients; ++C)
     Clients.emplace_back([&, C] {
       for (size_t R = 0; R < PerClient; ++R) {
-        ServeRequest Request;
-        Request.Matrix = &M;
-        Request.Iterations = 5;
-        Request.Execute = true;
-        const ServeResponse Response = Server.handle(Request);
+        const ServeResponse Response = serveOnce(Server, M, options(5, true));
         if (R == 0)
           FirstY[C] = Response.Y;
       }
@@ -279,12 +348,8 @@ TEST(SeerServerTest, OracleFeedbackCountsMispredictions) {
   SeerServer Server(tinyModels());
   uint64_t ExpectedMispredictions = 0;
   for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Request.Iterations = 5;
-    Request.Execute = true;
-    Request.VerifyOracle = true;
-    const ServeResponse Response = Server.handle(Request);
+    const ServeResponse Response =
+        serveOnce(Server, M, options(5, true, /*VerifyOracle=*/true));
     ASSERT_TRUE(Response.OracleChecked);
     EXPECT_EQ(Response.Mispredicted,
               Response.OracleKernelIndex != Response.Selection.KernelIndex);
@@ -302,39 +367,19 @@ TEST(SeerServerTest, OracleFeedbackCountsMispredictions) {
                 static_cast<double>(requestPool().size()));
 }
 
-TEST(SeerServerTest, HandleBatchMatchesSerialHandling) {
-  const std::vector<CsrMatrix> &Pool = requestPool();
-  std::vector<ServeRequest> Batch;
-  for (size_t I = 0; I < 48; ++I) {
-    ServeRequest Request;
-    Request.Matrix = &Pool[I % Pool.size()];
-    Request.Iterations = 1 + static_cast<uint32_t>(I % 7);
-    Batch.push_back(Request);
-  }
-  SeerServer Serial(tinyModels());
-  SeerServer Parallel(tinyModels());
-  const std::vector<ServeResponse> A = Serial.handleBatch(Batch, 1);
-  const std::vector<ServeResponse> B = Parallel.handleBatch(Batch, 8);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Selection.KernelIndex, B[I].Selection.KernelIndex);
-    EXPECT_EQ(A[I].Selection.UsedGatheredModel,
-              B[I].Selection.UsedGatheredModel);
-  }
-}
-
 TEST(SeerServerTest, StatsResetZeroesTelemetryButKeepsCache) {
   SeerServer Server(tinyModels());
-  ServeRequest Request;
-  Request.Matrix = &requestPool()[0];
-  Server.handle(Request);
+  const CsrMatrix &M = requestPool()[0];
+  serveOnce(Server, M, options(1));
   Server.resetStats();
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.Requests, 0u);
   EXPECT_EQ(Stats.LatencySamples, 0u);
   EXPECT_EQ(Stats.CachedMatrices, 1u); // the cache survives
-  // And the cached matrix still hits.
-  EXPECT_TRUE(Server.handle(Request).CacheHit);
+  // And the cached analysis is still reused.
+  const RegisteredMatrix Again = registerAliased(Server, M);
+  EXPECT_TRUE(Again.AnalysisReused);
+  Server.releaseMatrix(Again);
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,16 +527,6 @@ TEST(PlannerTest, RouteFlipsWithIterationCount) {
 // Batched execution
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Zero-copy registration of a pool matrix (the pool outlives servers).
-RegisteredMatrix registerAliased(SeerServer &Server, const CsrMatrix &M) {
-  return Server.registerMatrix(
-      std::shared_ptr<const CsrMatrix>(std::shared_ptr<void>(), &M));
-}
-
-} // namespace
-
 TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
   const CsrMatrix &M = requestPool()[1];
   const auto Operands = buildBatchOperands(6, M.numCols());
@@ -562,11 +597,8 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
 
 TEST(CacheBudgetTest, ZeroBudgetIsUnboundedButAccounted) {
   SeerServer Server(tinyModels());
-  for (const CsrMatrix &M : requestPool()) {
-    ServeRequest Request;
-    Request.Matrix = &M;
-    Server.handle(Request);
-  }
+  for (const CsrMatrix &M : requestPool())
+    serveOnce(Server, M, options(1));
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.CacheBudgetBytes, 0u);
   EXPECT_EQ(Stats.Evictions, 0u);
@@ -586,17 +618,17 @@ TEST(CacheBudgetTest, ChurnStaysWithinBudgetAndBitIdentical) {
     Direct.push_back(Reference.select(M, 5));
 
   // Size the budget from the measured working set: a third of it, so the
-  // six-matrix pool churns hard through the bounded server.
+  // six-matrix pool churns hard through the bounded server. Each entry's
+  // bytes bound what its live registration can pin.
   uint64_t WorkingSet = 0;
+  std::vector<uint64_t> EntryBytes;
   {
     SeerServer Unbounded(tinyModels());
     for (const CsrMatrix &M : Pool) {
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Request.Iterations = 5;
-      Unbounded.handle(Request);
+      serveOnce(Unbounded, M, options(5));
+      EntryBytes.push_back(Unbounded.stats().BytesCached - WorkingSet);
+      WorkingSet = Unbounded.stats().BytesCached;
     }
-    WorkingSet = Unbounded.stats().BytesCached;
   }
 
   ServerConfig Config;
@@ -605,15 +637,20 @@ TEST(CacheBudgetTest, ChurnStaysWithinBudgetAndBitIdentical) {
   SeerServer Server(tinyModels(), Config);
   for (int Pass = 0; Pass < 3; ++Pass)
     for (size_t I = 0; I < Pool.size(); ++I) {
-      ServeRequest Request;
-      Request.Matrix = &Pool[I];
-      Request.Iterations = 5;
-      const ServeResponse Response = Server.handle(Request);
+      ServerStats Live;
+      const ServeResponse Response =
+          serveOnce(Server, Pool[I], options(5), &Live);
       // Evicted-then-revisited matrices re-analyze deterministically: the
       // kernel choice never changes.
       EXPECT_EQ(Response.Selection.KernelIndex, Direct[I].KernelIndex);
       EXPECT_EQ(Response.Selection.UsedGatheredModel,
                 Direct[I].UsedGatheredModel);
+      // Insertion polices the budget at once: while the registration is
+      // live only its own entry may overflow its shard's slice...
+      EXPECT_LE(Live.BytesCached,
+                Config.CacheBudgetBytes +
+                    pinnedOvershoot(Config, EntryBytes[I]));
+      // ...and once released the budget holds exactly.
       EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
     }
 
@@ -629,16 +666,15 @@ TEST(CacheBudgetTest, EvictionRechargesPreprocessingPerResidency) {
   const CsrMatrix &A = requestPool()[1]; // power-law: needs preprocessing
   const CsrMatrix &B = requestPool()[4];
 
-  // Measure one executed entry so the budget can hold exactly one.
-  uint64_t OneEntryBytes = 0;
+  // Measure the executed entries so the budget can hold exactly one.
+  const ServeOptions Exec = options(19, true);
+  uint64_t OneEntryBytes = 0, BEntryBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 19;
-    Request.Execute = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, Exec);
     OneEntryBytes = Unbounded.stats().BytesCached;
+    serveOnce(Unbounded, B, Exec);
+    BEntryBytes = Unbounded.stats().BytesCached - OneEntryBytes;
   }
 
   ServerConfig Config;
@@ -648,22 +684,22 @@ TEST(CacheBudgetTest, EvictionRechargesPreprocessingPerResidency) {
   Config.CacheBudgetBytes = static_cast<size_t>(OneEntryBytes);
   SeerServer Server(tinyModels(), Config);
 
-  ServeRequest ExecA;
-  ExecA.Matrix = &A;
-  ExecA.Iterations = 19;
-  ExecA.Execute = true;
-  const ServeResponse First = Server.handle(ExecA);
+  const ServeResponse First = serveOnce(Server, A, Exec);
   EXPECT_FALSE(First.PreprocessAmortized);
 
-  // B's executed entry pushes the shard over budget; A is the LRU victim.
-  ServeRequest ExecB = ExecA;
-  ExecB.Matrix = &B;
-  Server.handle(ExecB);
+  // B's executed entry pushes the shard over budget; A is the LRU victim,
+  // evicted while B's registration is still live.
+  ServerStats Live;
+  serveOnce(Server, B, Exec, &Live);
+  EXPECT_LE(Live.BytesCached,
+            Config.CacheBudgetBytes + pinnedOvershoot(Config, BEntryBytes));
   EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
 
   // A's return is a new residency: re-analyzed, re-charged, bit-identical.
-  const ServeResponse Second = Server.handle(ExecA);
-  EXPECT_FALSE(Second.CacheHit);
+  const RegisteredMatrix Back = registerAliased(Server, A);
+  EXPECT_FALSE(Back.AnalysisReused);
+  const ServeResponse Second = *Server.handleRegistered(Back, Exec);
+  Server.releaseMatrix(Back);
   EXPECT_FALSE(Second.PreprocessAmortized);
   EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
   EXPECT_EQ(Second.PreprocessMs, First.PreprocessMs);
@@ -688,11 +724,7 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
   uint64_t OneEntryBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 19;
-    Request.Execute = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, options(19, true));
     OneEntryBytes = Unbounded.stats().BytesCached;
   }
 
@@ -713,11 +745,7 @@ TEST(CacheBudgetTest, PlanReuseAcrossEvictionRebuildsBitIdentically) {
 
   // B's executed entry overflows the one-entry budget; A (no longer
   // pinned) is the victim.
-  ServeRequest ExecB;
-  ExecB.Matrix = &B;
-  ExecB.Iterations = 19;
-  ExecB.Execute = true;
-  Server.handle(ExecB);
+  serveOnce(Server, B, options(19, true));
 
   // A's return is a new residency: deterministic re-analysis, plan
   // rebuilt and re-charged, identical bits.
@@ -747,15 +775,11 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   // Full = entry bytes with the oracle sweep and its stashed states
   // resident; a budget one byte below forces a shed, which must free the
   // recomputable bytes while keeping the entry (and its paid state).
+  const ServeOptions Verified = options(5, true, /*VerifyOracle=*/true);
   uint64_t FullBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
-    ServeRequest Request;
-    Request.Matrix = &A;
-    Request.Iterations = 5;
-    Request.Execute = true;
-    Request.VerifyOracle = true;
-    Unbounded.handle(Request);
+    serveOnce(Unbounded, A, Verified);
     FullBytes = Unbounded.stats().BytesCached;
   }
 
@@ -763,12 +787,11 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   Config.CacheShards = 1;
   Config.CacheBudgetBytes = static_cast<size_t>(FullBytes - 1);
   SeerServer Server(tinyModels(), Config);
-  ServeRequest Request;
-  Request.Matrix = &A;
-  Request.Iterations = 5;
-  Request.Execute = true;
-  Request.VerifyOracle = true;
-  const ServeResponse First = Server.handle(Request);
+  ServerStats Live;
+  const ServeResponse First = serveOnce(Server, A, Verified, &Live);
+  // Shedding does not wait for the release: the live entry's own
+  // recomputable bytes go as soon as they overflow the budget.
+  EXPECT_LE(Live.BytesCached, Config.CacheBudgetBytes);
 
   ServerStats Stats = Server.stats();
   EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
@@ -776,10 +799,13 @@ TEST(CacheBudgetTest, OracleShedsBeforeWholeEntries) {
   EXPECT_EQ(Stats.Evictions, 0u);
   EXPECT_EQ(Stats.CachedMatrices, 1u);
 
-  // The entry survived: still a hit, identical selection, and the next
-  // verify recomputes the (deterministic) oracle to the same verdict.
-  const ServeResponse Second = Server.handle(Request);
-  EXPECT_TRUE(Second.CacheHit);
+  // The entry survived: its analysis is reused, the selection is
+  // identical, and the next verify recomputes the (deterministic) oracle
+  // to the same verdict.
+  const RegisteredMatrix Again = registerAliased(Server, A);
+  EXPECT_TRUE(Again.AnalysisReused);
+  const ServeResponse Second = *Server.handleRegistered(Again, Verified);
+  Server.releaseMatrix(Again);
   EXPECT_EQ(Second.Selection.KernelIndex, First.Selection.KernelIndex);
   EXPECT_TRUE(Second.OracleChecked);
   EXPECT_EQ(Second.OracleKernelIndex, First.OracleKernelIndex);
@@ -799,15 +825,18 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
     for (uint32_t I : IterationPattern)
       Direct[M].push_back(Reference.select(Pool[M], I));
 
-  uint64_t WorkingSet = 0;
+  // The largest entry any request leaves bounds what one live
+  // registration can pin.
+  uint64_t WorkingSet = 0, MaxEntryBytes = 0;
   {
     SeerServer Unbounded(tinyModels());
     for (const CsrMatrix &M : Pool) {
-      ServeRequest Request;
-      Request.Matrix = &M;
-      Unbounded.handle(Request);
+      for (uint32_t I : IterationPattern)
+        serveOnce(Unbounded, M, options(I));
+      const uint64_t Bytes = Unbounded.stats().BytesCached;
+      MaxEntryBytes = std::max(MaxEntryBytes, Bytes - WorkingSet);
+      WorkingSet = Bytes;
     }
-    WorkingSet = Unbounded.stats().BytesCached;
   }
 
   ServerConfig Config;
@@ -823,19 +852,24 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
       for (size_t R = 0; R < RequestsPerClient; ++R) {
         const size_t MatrixIndex = (C + R) % Pool.size();
         const size_t IterIndex = R % 3;
-        ServeRequest Request;
-        Request.Matrix = &Pool[MatrixIndex];
-        Request.Iterations = IterationPattern[IterIndex];
-        const ServeResponse Response = Server.handle(Request);
+        ServerStats Live;
+        const ServeResponse Response =
+            serveOnce(Server, Pool[MatrixIndex],
+                      options(IterationPattern[IterIndex]), &Live);
         const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
         if (Response.Selection.KernelIndex != Expected.KernelIndex ||
             Response.Selection.UsedGatheredModel !=
                 Expected.UsedGatheredModel)
           Failures[C] = "client " + std::to_string(C) + " request " +
                         std::to_string(R) + " diverged under churn";
-        if (Server.stats().BytesCached > Config.CacheBudgetBytes)
+        // Every shard over its slice holds only pinned entries, and the
+        // snapshot reads each shard's bytes and pin count together, so
+        // only the pinned entries may stand over the budget.
+        if (Live.BytesCached >
+            Config.CacheBudgetBytes + Live.PinnedMatrices * MaxEntryBytes)
           Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) + " saw the cache over budget";
+                        std::to_string(R) +
+                        " saw unpinned bytes over the budget";
       }
     });
   for (std::thread &T : Clients)
@@ -843,8 +877,10 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
   for (const std::string &Failure : Failures)
     EXPECT_TRUE(Failure.empty()) << Failure;
 
+  // Once every registration is released, the budget holds exactly.
   const ServerStats Stats = Server.stats();
   EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
+  EXPECT_EQ(Stats.PinnedMatrices, 0u);
   EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
   EXPECT_GT(Stats.Evictions, 0u);
 }
@@ -948,19 +984,14 @@ TEST(RequestTraceTest, ParsesBatchCommands) {
   EXPECT_FALSE(parseTraceLine("batch web many", Command).ok());
   EXPECT_FALSE(parseTraceLine("batch web 4 5 verify", Command).ok());
 
-  // In a trace, batch is a v2 command (like open/close)...
-  const auto V1 = parseTrace("gen a banded 256 4 0.9 1\nbatch a 4\n");
-  ASSERT_FALSE(V1);
-  EXPECT_NE(V1.status().message().find("seer-trace v2"), std::string::npos);
-  // ...and parses into a Batch op with its operand count under v2.
-  const auto V2 = parseTrace("seer-trace v2\n"
-                             "gen a banded 256 4 0.9 1\n"
-                             "batch a 4 5\n");
-  ASSERT_TRUE(V2) << V2.status().toString();
-  ASSERT_EQ(V2->Ops.size(), 1u);
-  EXPECT_EQ(V2->Ops[0].Command, TraceScript::Op::Kind::Batch);
-  EXPECT_EQ(V2->Ops[0].BatchCount, 4u);
-  EXPECT_EQ(V2->Ops[0].Iterations, 5u);
+  // In a trace it parses into a Batch op with its operand count.
+  const auto Script = parseTrace("gen a banded 256 4 0.9 1\n"
+                                 "batch a 4 5\n");
+  ASSERT_TRUE(Script) << Script.status().toString();
+  ASSERT_EQ(Script->Ops.size(), 1u);
+  EXPECT_EQ(Script->Ops[0].Command, TraceScript::Op::Kind::Batch);
+  EXPECT_EQ(Script->Ops[0].BatchCount, 4u);
+  EXPECT_EQ(Script->Ops[0].Iterations, 5u);
 }
 
 TEST(RequestTraceTest, BatchOperandsAreDeterministic) {
@@ -986,7 +1017,6 @@ TEST(RequestTraceTest, ParsesWholeTraceAndServesIt) {
                            "select a 5\n";
   const auto Script = parseTrace(Text);
   ASSERT_TRUE(Script) << Script.status().toString();
-  EXPECT_EQ(Script->Version, 1);
   EXPECT_EQ(Script->Matrices.size(), 2u);
   ASSERT_EQ(Script->Ops.size(), 3u);
   EXPECT_EQ(Script->Ops[0].MatrixIndex, 0u);
@@ -995,41 +1025,61 @@ TEST(RequestTraceTest, ParsesWholeTraceAndServesIt) {
   EXPECT_EQ(Script->Ops[1].Iterations, 19u);
 
   SeerServer Server(tinyModels());
+  std::vector<RegisteredMatrix> Registered;
+  for (const auto &Named : Script->Matrices)
+    Registered.push_back(registerAliased(Server, Named.second));
   for (const TraceScript::Op &Op : Script->Ops) {
-    ServeRequest Request;
-    Request.Matrix = &Script->Matrices[Op.MatrixIndex].second;
-    Request.Iterations = Op.Iterations;
-    Request.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-    const ServeResponse Response = Server.handle(Request);
+    const auto Response = Server.handleRegistered(
+        Registered[Op.MatrixIndex],
+        options(Op.Iterations, Op.Command == TraceScript::Op::Kind::Execute));
+    ASSERT_TRUE(Response) << Response.status().toString();
     const std::string Line = formatResponseLine(
-        Script->Matrices[Op.MatrixIndex].first, Response,
+        Script->Matrices[Op.MatrixIndex].first, *Response,
         Server.registry());
     EXPECT_NE(Line.find("kernel="), std::string::npos);
   }
+  for (const RegisteredMatrix &Reg : Registered)
+    Server.releaseMatrix(Reg);
   EXPECT_EQ(Server.stats().Requests, 3u);
 }
 
 TEST(RequestTraceTest, ParsesV2HeaderAndHandleCommands) {
-  const std::string Text = "seer-trace v2\n"
-                           "gen a banded 256 4 0.9 1\n"
-                           "select a 1\n"
-                           "close a\n"
-                           "select a 1\n"
-                           "open a\n"
-                           "execute a 5\n";
-  const auto Script = parseTrace(Text);
+  const std::string Body = "gen web powerlaw 2048 1.8 1 256 11\n"
+                           "gen road banded 4096 4 0.95 7\n"
+                           "select web 1\n"
+                           "close web\n"
+                           "select web 1\n"
+                           "open web\n"
+                           "execute road 19 verify\n"
+                           "batch web 8 5\n";
+  const auto Script = parseTrace("seer-trace v2\n" + Body);
   ASSERT_TRUE(Script) << Script.status().toString();
-  EXPECT_EQ(Script->Version, 2);
-  ASSERT_EQ(Script->Ops.size(), 5u);
+  ASSERT_EQ(Script->Ops.size(), 6u);
   EXPECT_EQ(Script->Ops[1].Command, TraceScript::Op::Kind::Close);
   EXPECT_EQ(Script->Ops[3].Command, TraceScript::Op::Kind::Open);
 
-  // open/close without the header are parse errors...
-  const auto V1 = parseTrace("gen a banded 256 4 0.9 1\nclose a\n");
-  ASSERT_FALSE(V1);
-  EXPECT_EQ(V1.status().code(), StatusCode::InvalidArgument);
-  EXPECT_NE(V1.status().message().find("seer-trace v2"), std::string::npos);
-  // ...and the header must come first.
+  // The header is a no-op: without it the trace parses to the same
+  // script, matrix for matrix and op for op — and a replay is a function
+  // of the script alone, so both replay to the same lines...
+  const auto Headerless = parseTrace(Body);
+  ASSERT_TRUE(Headerless) << Headerless.status().toString();
+  ASSERT_EQ(Headerless->Matrices.size(), Script->Matrices.size());
+  for (size_t I = 0; I < Script->Matrices.size(); ++I) {
+    EXPECT_EQ(Headerless->Matrices[I].first, Script->Matrices[I].first);
+    EXPECT_EQ(matrixFingerprint(Headerless->Matrices[I].second),
+              matrixFingerprint(Script->Matrices[I].second));
+  }
+  ASSERT_EQ(Headerless->Ops.size(), Script->Ops.size());
+  for (size_t I = 0; I < Script->Ops.size(); ++I) {
+    const TraceScript::Op &A = Headerless->Ops[I];
+    const TraceScript::Op &B = Script->Ops[I];
+    EXPECT_EQ(A.Command, B.Command) << "op " << I;
+    EXPECT_EQ(A.MatrixIndex, B.MatrixIndex) << "op " << I;
+    EXPECT_EQ(A.Iterations, B.Iterations) << "op " << I;
+    EXPECT_EQ(A.Verify, B.Verify) << "op " << I;
+    EXPECT_EQ(A.BatchCount, B.BatchCount) << "op " << I;
+  }
+  // ...but when present it must come first.
   EXPECT_FALSE(parseTrace("gen a banded 256 4 0.9 1\nseer-trace v2\n"));
   // Unknown versions are rejected.
   EXPECT_FALSE(parseTrace("seer-trace v3\n"));
@@ -1043,29 +1093,60 @@ TEST(RequestTraceTest, ErrorLinesCarryStatusCodes) {
             "error RESOURCE_EXHAUSTED queue full");
 }
 
-TEST(RequestTraceTest, StatsLinesCarryResidencyCounters) {
-  ServerStats Stats;
-  Stats.CacheBudgetBytes = 1 << 20;
-  Stats.BytesCached = 12345;
-  Stats.BytesEvicted = 678;
-  Stats.Evictions = 9;
-  Stats.PartialEvictions = 2;
-  Stats.Reanalyses = 4;
-  Stats.PlansBuilt = 7;
-  Stats.PlansReused = 11;
-  Stats.BatchRequests = 3;
-  Stats.BatchedOperands = 96;
-  const std::string Lines = formatStatsLines(Stats);
-  EXPECT_NE(Lines.find("stat cache_budget_bytes 1048576"), std::string::npos);
-  EXPECT_NE(Lines.find("stat bytes_cached 12345"), std::string::npos);
-  EXPECT_NE(Lines.find("stat bytes_evicted 678"), std::string::npos);
-  EXPECT_NE(Lines.find("stat evictions 9"), std::string::npos);
-  EXPECT_NE(Lines.find("stat partial_evictions 2"), std::string::npos);
-  EXPECT_NE(Lines.find("stat reanalyses 4"), std::string::npos);
-  EXPECT_NE(Lines.find("stat plans_built 7"), std::string::npos);
-  EXPECT_NE(Lines.find("stat plans_reused 11"), std::string::npos);
-  EXPECT_NE(Lines.find("stat batch_requests 3"), std::string::npos);
-  EXPECT_NE(Lines.find("stat batched_operands 96"), std::string::npos);
+TEST(RequestTraceTest, StatLinesCoverEveryRegistryMetric) {
+  SeerService Service(tinyModels());
+  const auto Handle = Service.registerMatrix(requestPool()[1]);
+  ASSERT_TRUE(Handle) << Handle.status().toString();
+  ASSERT_TRUE(Service.execute(*Handle, 5, /*VerifyOracle=*/true));
+  ASSERT_TRUE(Service.release(*Handle).ok());
+  // Leading newline: every needle below is matched at a line start.
+  const std::string Stats = "\n" + Service.metricsStatLines();
+
+  // The exposition lists every registered metric with its kind; each
+  // counter and gauge has exactly one stat line named by the rule (no
+  // `seer_` prefix, no `_total` suffix), each histogram four.
+  std::istringstream Exposition(Service.metricsPrometheus());
+  std::string Line;
+  size_t ExpectedLines = 0;
+  while (std::getline(Exposition, Line)) {
+    if (Line.rfind("# TYPE seer_", 0) != 0)
+      continue;
+    std::istringstream Fields(Line.substr(std::strlen("# TYPE seer_")));
+    std::string Name, Kind;
+    Fields >> Name >> Kind;
+    if (Kind == "counter")
+      Name.erase(Name.size() - std::strlen("_total"));
+    const std::vector<std::string> Suffixes =
+        Kind == "histogram"
+            ? std::vector<std::string>{"_count", "_mean", "_p50", "_p99"}
+            : std::vector<std::string>{""};
+    for (const std::string &Suffix : Suffixes) {
+      EXPECT_NE(Stats.find("\nstat " + Name + Suffix + " "),
+                std::string::npos)
+          << Kind << " " << Name << Suffix;
+      ++ExpectedLines;
+    }
+  }
+  EXPECT_GT(ExpectedLines, 40u);
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(Stats.begin(), Stats.end(), '\n')) - 1,
+            ExpectedLines);
+
+  // Values are the registry's: integers print exactly, and the names the
+  // tools parse (seer-netclient --strict, the serving bench) are stable.
+  const ServerStats Snapshot = Service.stats();
+  EXPECT_NE(Stats.find("\nstat requests 1\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat executions 1\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat oracle_checks 1\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat retries_exhausted 0\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat breaker_opens 0\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat latency_us_count 1\n"), std::string::npos);
+  EXPECT_NE(Stats.find("\nstat bytes_cached " +
+                       std::to_string(Snapshot.BytesCached) + "\n"),
+            std::string::npos);
+  EXPECT_NE(Stats.find("\nstat reanalyses " +
+                       std::to_string(Snapshot.Reanalyses) + "\n"),
+            std::string::npos);
 }
 
 TEST(RequestTraceTest, BatchResponseLinesCarryPerBatchCharges) {
@@ -1083,81 +1164,6 @@ TEST(RequestTraceTest, BatchResponseLinesCarryPerBatchCharges) {
   EXPECT_NE(Line.find(" preprocess_ms="), std::string::npos);
   EXPECT_NE(Line.find(" total_ms="), std::string::npos);
   Server.releaseMatrix(Reg);
-}
-
-TEST(RequestTraceTest, HandlePathBitIdenticalToPointerPathOnSameTrace) {
-  // The acceptance gate of the v2 redesign: replaying one trace through
-  // the deprecated pointer-based handle() and through session handles
-  // must produce the same kernel choices, routing, charged preprocessing
-  // and product vectors, request by request.
-  const std::string Text = "gen a banded 512 4 0.9 1\n"
-                           "gen b powerlaw 512 1.8 1 64 2\n"
-                           "gen c uniform 256 256 12 0.5 3\n"
-                           "select a 1\n"
-                           "execute b 19\n"
-                           "select a 5\n"
-                           "execute b 19\n" // amortized on both paths
-                           "execute c 5 verify\n"
-                           "select b 19\n";
-  const auto Script = parseTrace(Text);
-  ASSERT_TRUE(Script) << Script.status().toString();
-
-  // Old path: one server, pointer requests.
-  SeerServer Old(tinyModels());
-  std::vector<ServeResponse> OldResponses;
-  for (const TraceScript::Op &Op : Script->Ops) {
-    ServeRequest Request;
-    Request.Matrix = &Script->Matrices[Op.MatrixIndex].second;
-    Request.Iterations = Op.Iterations;
-    Request.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-    Request.VerifyOracle = Op.Verify;
-    OldResponses.push_back(Old.handle(Request));
-  }
-
-  // New path: one service, matrices registered once, handle requests.
-  SeerService Service(tinyModels());
-  std::vector<MatrixHandle> Handles;
-  for (const auto &[Name, M] : Script->Matrices) {
-    auto Handle = Service.registerMatrix(M);
-    ASSERT_TRUE(Handle) << Handle.status().toString();
-    Handles.push_back(*Handle);
-  }
-  std::vector<ServeResponse> NewResponses;
-  for (const TraceScript::Op &Op : Script->Ops) {
-    Request R;
-    R.Handle = Handles[Op.MatrixIndex];
-    R.Iterations = Op.Iterations;
-    R.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-    R.VerifyOracle = Op.Verify;
-    const auto Response = Service.serve(R);
-    ASSERT_TRUE(Response) << Response.status().toString();
-    NewResponses.push_back(*Response);
-  }
-
-  ASSERT_EQ(OldResponses.size(), NewResponses.size());
-  for (size_t I = 0; I < OldResponses.size(); ++I) {
-    const ServeResponse &A = OldResponses[I];
-    const ServeResponse &B = NewResponses[I];
-    EXPECT_EQ(A.Fingerprint, B.Fingerprint) << "op " << I;
-    EXPECT_EQ(A.Selection.KernelIndex, B.Selection.KernelIndex) << "op " << I;
-    EXPECT_EQ(A.Selection.UsedGatheredModel, B.Selection.UsedGatheredModel)
-        << "op " << I;
-    EXPECT_EQ(A.Executed, B.Executed) << "op " << I;
-    EXPECT_EQ(A.PreprocessAmortized, B.PreprocessAmortized) << "op " << I;
-    EXPECT_EQ(A.PreprocessMs, B.PreprocessMs) << "op " << I;
-    EXPECT_EQ(A.IterationMs, B.IterationMs) << "op " << I;
-    EXPECT_EQ(A.Y, B.Y) << "op " << I;
-    EXPECT_EQ(A.OracleChecked, B.OracleChecked) << "op " << I;
-    EXPECT_EQ(A.OracleKernelIndex, B.OracleKernelIndex) << "op " << I;
-    EXPECT_EQ(A.Mispredicted, B.Mispredicted) << "op " << I;
-    EXPECT_EQ(A.RegretMs, B.RegretMs) << "op " << I;
-    // Registration pays the analysis, so every handle request is a hit;
-    // the pointer path pays it on first touch of each matrix instead.
-    EXPECT_TRUE(B.CacheHit) << "op " << I;
-  }
-
-  for (MatrixHandle Handle : Handles)
-    EXPECT_TRUE(Service.release(Handle).ok());
 }
 
 TEST(RequestTraceTest, RejectsBadTraces) {
@@ -1240,32 +1246,4 @@ TEST(ModelBundleTest, MissingAndMalformedFilesAreErrors) {
   EXPECT_NE(Malformed.status().message().find("malformed"),
             std::string::npos);
   std::filesystem::remove_all(Dir);
-}
-
-TEST(ModelBundleTest, DeprecatedWrappersStillDelegate) {
-  // The pre-Status wrappers are kept (and marked [[deprecated]]) for
-  // embedders mid-migration; this is their one intentional use. They
-  // must surface exactly what the Status forms report.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const std::string Dir =
-      (std::filesystem::temp_directory_path() / "seer_bundle_deprecated")
-          .string();
-  std::filesystem::remove_all(Dir);
-  std::filesystem::create_directories(Dir);
-  const KernelRegistry Registry;
-  std::string Error;
-  EXPECT_FALSE(loadModelBundle(Dir, Registry.names(), &Error));
-  EXPECT_NE(Error.find("cannot open"), std::string::npos);
-  ASSERT_TRUE(storeModelBundle(tinyModels(), Dir, &Error)) << Error;
-  EXPECT_TRUE(loadModelBundle(Dir, Registry.names(), &Error).has_value());
-
-  TraceCommand Command;
-  EXPECT_TRUE(parseTraceLine("select web 5", Command, &Error));
-  EXPECT_FALSE(parseTraceLine("select web 0", Command, &Error));
-  EXPECT_NE(Error.find("iteration count"), std::string::npos);
-  EXPECT_FALSE(parseTrace("select nosuch 1\n", &Error).has_value());
-  EXPECT_NE(Error.find("unknown matrix"), std::string::npos);
-  std::filesystem::remove_all(Dir);
-#pragma GCC diagnostic pop
 }

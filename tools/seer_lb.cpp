@@ -13,7 +13,7 @@
 // working set, so N shards give N times the cache capacity.
 //
 //   seer-lb --shards HOST:PORT,HOST:PORT[,...] --listen HOST:PORT
-//           [--port-file FILE] [--net-mode epoll|threads]
+//           [--port-file FILE] [--virtual-nodes N]
 //
 // Stops on SIGTERM / SIGINT or the wire Shutdown op — which stops the
 // balancer only; the shards (and their cache state) outlive it. Shard
@@ -55,7 +55,6 @@ constexpr const char *Usage =
     "                      order defines shard indices in stats sections\n"
     "  --listen HOST:PORT  listener address; port 0 binds an ephemeral port\n"
     "  --port-file FILE    write the bound port to FILE once serving\n"
-    "  --net-mode MODE     'epoll' (default) or 'threads'\n"
     "  --virtual-nodes N   ring points per shard (default 64)\n";
 
 /// The server a stop signal should interrupt; requestStop is
@@ -72,7 +71,7 @@ extern "C" void onStopSignal(int) {
 
 int main(int Argc, char **Argv) {
   FlagSpec Spec;
-  Spec.Value = {"shards", "listen", "port-file", "net-mode"};
+  Spec.Value = {"shards", "listen", "port-file"};
   Spec.Int = {"virtual-nodes"};
   const CommandLine Cmd(Argc, Argv, Usage, Spec);
   if (const auto Early = Cmd.earlyExit())
@@ -99,11 +98,6 @@ int main(int Argc, char **Argv) {
   if (const Status S = net::parseHostPort(ListenSpec, Config.Host, Config.Port);
       !S.ok())
     fatal(S);
-  const std::string Mode = Cmd.flag("net-mode");
-  if (Mode == "threads")
-    Config.Mode = net::NetServerConfig::ServeMode::Threads;
-  else if (!Mode.empty() && Mode != "epoll")
-    fatal("--net-mode must be 'epoll' or 'threads'");
 
   net::LbHandler Handler(std::move(Endpoints),
                          static_cast<size_t>(VirtualNodes));

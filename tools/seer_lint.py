@@ -10,32 +10,24 @@ Tree checks (always run; see README "Static analysis"):
     markers themselves from silently disappearing. A line may opt out
     with a preceding `// seer-lint: allow(<rule>) <reason>` comment.
 
- 2. Deprecated-API suppressions. Every `-Wdeprecated-declarations`
-    pragma must sit in a whitelisted file (the wrapper-coverage tests
-    and the v1-vs-v2 comparison harnesses) and carry a justification
-    comment; combined with the -Werror CI builds this means no internal
-    caller can quietly depend on a `[[deprecated]]` entry point.
-
- 3. Suppression hygiene. Every NOLINT marker in src/ names its check
+ 2. Suppression hygiene. Every NOLINT marker in src/ names its check
     and carries a `: reason`; every SEER_NO_THREAD_SAFETY_ANALYSIS
     escape hatch outside its defining header carries a nearby comment.
 
- 4. Fault-site coverage. Every `faultsite::` constant declared in
+ 3. Fault-site coverage. Every `faultsite::` constant declared in
     src/support/FaultInjector.h is registered in faultSiteNames(),
     checked somewhere in src/, and exercised by at least one test.
 
- 5. Documentation cross-checks. Every metric name registered in src/
+ 4. Documentation cross-checks. Every metric name registered in src/
     and every `spanname::` constant appears in README.md (brace sets
     like `seer_cost_model_error_{select,prepare,run}` expand); every
     `seer_*` token in the README's Observability section names a real
-    metric; the ServerStats field -> metric map below stays in
-    bidirectional sync with struct ServerStats and the registry.
+    metric.
 
 Exposition check (with --metrics FILE; absorbed from the former
 tools/metrics_lint.py): the Prometheus text exposition grammar —
 `# TYPE` lines, counter `_total` suffix rules, cumulative histogram
-buckets with increasing `le` ending in `+Inf` agreeing with `_count` —
-plus exposition-side ServerStats coverage.
+buckets with increasing `le` ending in `+Inf` agreeing with `_count`.
 
 Usage: tools/seer_lint.py [--root DIR] [--metrics FILE]
 Exit status 0 when clean; 1 with one `seer_lint: ...` line per
@@ -76,80 +68,8 @@ HOT_END_RE = re.compile(r"seer-hot-end\(([a-z0-9-]+)\)")
 ALLOW_RE = re.compile(r"seer-lint:\s*allow\(([a-z0-9-]+)\)\s*(\S.*)?")
 
 # --------------------------------------------------------------------------
-# Check 2: deprecated-API suppressions
+# Name patterns of the documentation and exposition checks
 # --------------------------------------------------------------------------
-
-# Files allowed to suppress -Wdeprecated-declarations, and why. Everyone
-# else migrates to the Status/Expected entry points instead.
-DEPRECATION_WHITELIST = {
-    "src/serve/SeerServer.cpp":
-        "the deprecated batch shim delegates to the deprecated "
-        "single-request shim on purpose",
-    "tests/serve_test.cpp":
-        "the v1-vs-v2 bit-identity contract and the wrapper-coverage "
-        "test drive the deprecated entry points deliberately",
-    "tests/api_test.cpp":
-        "scoped region: eviction-pressure churn needs the pointer path "
-        "to insert unregistered entries",
-    "tests/fault_test.cpp":
-        "scoped region: the v1 degrade-on-error contract has no v2 "
-        "equivalent",
-    "bench/serving_throughput.cpp":
-        "the v1 grid compares the deprecated pointer path against the "
-        "handle API bit-for-bit",
-}
-
-DEPRECATION_PRAGMA = '-Wdeprecated-declarations'
-
-# --------------------------------------------------------------------------
-# Check 5: ServerStats field -> metric map (from tools/metrics_lint.py).
-# Derived fields (rates, latency summary statistics) map onto the metric
-# they are computed from.
-# --------------------------------------------------------------------------
-
-FIELD_TO_METRIC = {
-    "Requests": "seer_requests_total",
-    "CacheHits": "seer_cache_hits_total",
-    "CacheMisses": "seer_cache_misses",
-    "KnownRoutes": "seer_known_routes",
-    "GatheredRoutes": "seer_gathered_routes_total",
-    "Executions": "seer_executions_total",
-    "PaidPreprocesses": "seer_paid_preprocesses_total",
-    "AmortizedPreprocesses": "seer_amortized_preprocesses_total",
-    "PlansBuilt": "seer_plans_built_total",
-    "PlansReused": "seer_plans_reused_total",
-    "BatchRequests": "seer_batch_requests_total",
-    "BatchedOperands": "seer_batched_operands_total",
-    "OracleChecks": "seer_oracle_checks_total",
-    "Mispredictions": "seer_mispredictions_total",
-    "SavedCollectionMs": "seer_saved_collection_ns_total",
-    "SavedPreprocessMs": "seer_saved_preprocess_ns_total",
-    "CachedMatrices": "seer_cached_matrices",
-    "CacheBudgetBytes": "seer_cache_budget_bytes",
-    "BytesCached": "seer_bytes_cached",
-    "BytesEvicted": "seer_bytes_evicted",
-    "Evictions": "seer_evictions",
-    "PartialEvictions": "seer_partial_evictions",
-    "Reanalyses": "seer_reanalyses",
-    "PinnedMatrices": "seer_pinned_matrices",
-    "Registrations": "seer_registrations_total",
-    "ActiveHandles": "seer_active_handles",
-    "AsyncAccepted": "seer_async_accepted_total",
-    "AsyncRejected": "seer_async_rejected_total",
-    "DeadlineExceeded": "seer_deadline_exceeded_total",
-    "Retries": "seer_retries_total",
-    "RetriesExhausted": "seer_retries_exhausted_total",
-    "DegradedServes": "seer_degraded_serves_total",
-    "FaultsInjected": "seer_faults_injected",
-    "BreakerOpens": "seer_breaker_opens",
-    "LatencySamples": "seer_latency_us",
-    "MeanLatencyUs": "seer_latency_us",
-    "P50LatencyUs": "seer_latency_us",
-    "P99LatencyUs": "seer_latency_us",
-    "NetConnections": "seer_net_connections_total",
-    "NetRequests": "seer_net_requests_total",
-    "NetProtocolErrors": "seer_net_protocol_errors_total",
-}
 
 NAME_RE = re.compile(r"^seer(_[a-z0-9]+)+$")
 TYPE_RE = re.compile(
@@ -272,32 +192,6 @@ def lint_hot_regions(root, lint):
 # Check 2 implementation
 # --------------------------------------------------------------------------
 
-def lint_deprecation_pragmas(root, lint):
-    for path in iter_source_files(root,
-                                  ["src", "tests", "bench", "tools",
-                                   "examples"]):
-        relpath = rel(root, path)
-        lines = path.read_text().splitlines()
-        for line_no, raw in enumerate(lines, start=1):
-            if DEPRECATION_PRAGMA not in raw or "#pragma" not in raw:
-                continue
-            if relpath not in DEPRECATION_WHITELIST:
-                lint.error(f"{relpath}:{line_no}",
-                           "suppresses -Wdeprecated-declarations but is "
-                           "not in the seer_lint.py whitelist — migrate "
-                           "to the Status/Expected entry points instead")
-                continue
-            context = lines[max(0, line_no - 7):line_no - 1]
-            if not any(line.lstrip().startswith("//") for line in context):
-                lint.error(f"{relpath}:{line_no}",
-                           "-Wdeprecated-declarations suppression has no "
-                           "justification comment in the 6 lines above it")
-
-
-# --------------------------------------------------------------------------
-# Check 3 implementation
-# --------------------------------------------------------------------------
-
 NOLINT_RE = re.compile(r"NOLINT(NEXTLINE|BEGIN|END)?")
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN)?\([^)]+\):\s*\S")
 
@@ -328,7 +222,7 @@ def lint_suppressions(root, lint):
 
 
 # --------------------------------------------------------------------------
-# Check 4 implementation
+# Check 3 implementation
 # --------------------------------------------------------------------------
 
 def lint_fault_sites(root, lint):
@@ -371,7 +265,7 @@ def lint_fault_sites(root, lint):
 
 
 # --------------------------------------------------------------------------
-# Check 5 implementation
+# Check 4 implementation
 # --------------------------------------------------------------------------
 
 BRACE_SET_RE = re.compile(r"([a-z0-9_.]+)\{([a-z0-9_,]+)\}")
@@ -448,45 +342,7 @@ def lint_doc_cross_checks(root, lint):
             lint.error("README.md",
                        f"Observability section mentions '{name}' which "
                        "is not a registered metric")
-
-    # ServerStats coverage, static half: the map and the struct agree,
-    # and every mapped metric really is registered.
-    fields = server_stats_fields(root / "src/serve/ServeTypes.h", lint)
-    for field in fields:
-        metric = FIELD_TO_METRIC.get(field)
-        if metric is None:
-            lint.error("src/serve/ServeTypes.h",
-                       f"ServerStats field '{field}' has no entry in "
-                       "seer_lint.py FIELD_TO_METRIC — add its registry "
-                       "twin")
-        elif metric not in metrics:
-            lint.error("src/serve/ServeTypes.h",
-                       f"ServerStats field '{field}' maps to '{metric}' "
-                       "which is not registered anywhere in src/")
-    for field in FIELD_TO_METRIC:
-        if fields and field not in fields:
-            lint.error("tools/seer_lint.py",
-                       f"FIELD_TO_METRIC names '{field}' which is no "
-                       "longer a ServerStats field — prune the map")
     return metrics
-
-
-def server_stats_fields(serve_types_path, lint):
-    """The data-member names of struct ServerStats, parsed live from the
-    header so the check cannot drift from the code."""
-    text = Path(serve_types_path).read_text()
-    m = re.search(r"struct ServerStats \{(.*?)\n\};", text, re.DOTALL)
-    if not m:
-        lint.error(str(serve_types_path),
-                   "cannot find 'struct ServerStats'")
-        return []
-    fields = []
-    for line in m.group(1).splitlines():
-        fm = re.match(r"(?:uint64_t|double|size_t)\s+(\w+)\s*=",
-                      line.strip())
-        if fm:
-            fields.append(fm.group(1))
-    return fields
 
 
 # --------------------------------------------------------------------------
@@ -659,19 +515,11 @@ def lint_exposition(lines, lint):
     return seen
 
 
-def lint_metrics_file(root, metrics_file, lint):
+def lint_metrics_file(metrics_file, lint):
     lines = Path(metrics_file).read_text().splitlines()
     if not lines:
         lint.error(metrics_file, "exposition file is empty")
-    seen = lint_exposition(lines, lint)
-    fields = server_stats_fields(root / "src/serve/ServeTypes.h", lint)
-    for field in fields:
-        metric = FIELD_TO_METRIC.get(field)
-        if metric is not None and metric not in seen:
-            lint.error(metrics_file,
-                       f"ServerStats field '{field}' maps to '{metric}' "
-                       "which is missing from the exposition")
-    return seen
+    return lint_exposition(lines, lint)
 
 
 # --------------------------------------------------------------------------
@@ -694,14 +542,13 @@ def main():
 
     lint = Lint()
     lint_hot_regions(root, lint)
-    lint_deprecation_pragmas(root, lint)
     lint_suppressions(root, lint)
     lint_fault_sites(root, lint)
     metrics = lint_doc_cross_checks(root, lint)
 
     seen = set()
     if args.metrics is not None:
-        seen = lint_metrics_file(root, args.metrics, lint)
+        seen = lint_metrics_file(args.metrics, lint)
 
     for error in lint.errors:
         print(error, file=sys.stderr)

@@ -91,7 +91,7 @@ uint64_t statValue(const std::string &StatsText, const std::string &Name) {
 }
 
 /// Walks the script's operation sequence \p Repeat times over \p Client,
-/// printing exactly what replayV2 in seer-serve prints for a single
+/// printing exactly what replay() in seer-serve prints for a single
 /// client. \returns the number of operations answered with an error line.
 uint64_t replayOverWire(net::NetClient &Client, const TraceScript &Script,
                         unsigned Repeat, const KernelRegistry &Registry) {

@@ -24,9 +24,8 @@
 // share one pinned cache entry), then the telemetry snapshot and a
 // throughput summary are printed. With a single client the per-request
 // response lines are printed too (in order), so a trace doubles as a
-// readable demo. Traces without a `seer-trace v2` header replay through
-// the server's handle API (each matrix registered once up front), with
-// the same selections PR 2's pointer-based path produced.
+// readable demo. The `seer-trace v2` header is optional: traces with and
+// without it replay identically.
 //
 // The protocol grammar is documented in serve/RequestTrace.h and the
 // README's "Serving" section.
@@ -63,11 +62,10 @@ constexpr const char *Usage =
     "Serves Fig. 3 kernel selection from the .tree models in DIR. Without\n"
     "--trace, reads the line protocol from stdin (try 'gen m banded 1000 8\n"
     "0.9 1' then 'select m 5', 'stats', 'quit'). With --trace, replays the\n"
-    "scripted request trace and prints telemetry. Traces with a\n"
-    "'seer-trace v2' header replay through session handles (open/close\n"
-    "scriptable, 'batch NAME COUNT [ITERATIONS]' runs one execution plan\n"
-    "over COUNT deterministic operands); headerless traces replay through\n"
-    "the server handle API with every matrix registered up front.\n"
+    "scripted request trace through session handles and prints telemetry\n"
+    "(open/close scriptable, 'batch NAME COUNT [ITERATIONS]' runs one\n"
+    "execution plan over COUNT deterministic operands; the 'seer-trace\n"
+    "v2' header line is optional).\n"
     "\n"
     "options:\n"
     "  --models DIR        directory with seer_{known,gathered,selector}.tree\n"
@@ -85,7 +83,7 @@ constexpr const char *Usage =
     "                      per-shard slice to hold whole entries\n"
     "  --fault-plan FILE   arm the deterministic fault injector with FILE\n"
     "                      (support/FaultInjector.h grammar) before serving;\n"
-    "                      v2 traces and stdin sessions can also drive it\n"
+    "                      traces and stdin sessions can also drive it\n"
     "                      with the 'fault' command\n"
     "  --metrics-out FILE  write the unified metrics registry at exit:\n"
     "                      Prometheus text exposition, or one JSON object\n"
@@ -105,7 +103,6 @@ constexpr const char *Usage =
     "                      flight requests before exit\n"
     "  --port-file FILE    with --listen: write the bound port to FILE once\n"
     "                      serving (how spawners using port 0 find us)\n"
-    "  --net-mode MODE     with --listen: 'epoll' (default) or 'threads'\n"
     "\n"
     "Either output flag arms the span recorder, which also enables the\n"
     "armed-only per-stage histograms (seer_stage_*_us, seer_cost_model_*)\n"
@@ -149,13 +146,13 @@ struct SpanSink {
 
 SpanSink Sink;
 
-/// One client's replay of a v2 trace: registers its own handles for the
+/// One client's replay of a trace: registers its own handles for the
 /// trace's matrices and walks the operation sequence. Response/error
 /// lines are printed only when \p Print (single-client mode). \returns
 /// the number of operations answered with an error line — counted even
 /// when nothing is printed, so --strict works at any client count.
-uint64_t replayV2(SeerService &Service, const TraceScript &Script,
-                  unsigned Repeat, bool Print) {
+uint64_t replay(SeerService &Service, const TraceScript &Script,
+                unsigned Repeat, bool Print) {
   uint64_t Errors = 0;
   // Zero-copy registration: the parsed script outlives the service (and
   // every registration is released before this function returns), so
@@ -284,52 +281,6 @@ uint64_t replayV2(SeerService &Service, const TraceScript &Script,
   return Errors;
 }
 
-/// One client's replay of a headerless (v1) trace through the handle
-/// API: every trace matrix is registered once up front (fingerprint and
-/// analysis paid there, as registration defines), then each op serves
-/// against its registration. Selections and Y vectors are bit-identical
-/// to the deprecated pointer-based shim this replaced; the differences
-/// are the ones registration is *for* — responses report CacheHit
-/// uniformly (the analysis is always amortized) and failures surface as
-/// typed error lines instead of silent degradation. \returns the number
-/// of error-line outcomes (v1 traces carry no fault ops, so this is 0
-/// unless a fault plan was armed from outside the trace).
-uint64_t replayV1(SeerServer &Server, const TraceScript &Script,
-                  unsigned Repeat, bool Print, const KernelRegistry &Registry) {
-  // Zero-copy registration, as in replayV2: the parsed script outlives
-  // this replay, so the registrations alias its matrices.
-  std::vector<RegisteredMatrix> Handles;
-  Handles.reserve(Script.Matrices.size());
-  for (const auto &Named : Script.Matrices)
-    Handles.push_back(Server.registerMatrix(std::shared_ptr<const CsrMatrix>(
-        std::shared_ptr<void>(), &Named.second)));
-
-  uint64_t Errors = 0;
-  for (unsigned K = 0; K < Repeat; ++K)
-    for (const TraceScript::Op &Op : Script.Ops) {
-      ServeOptions Options;
-      Options.Iterations = Op.Iterations;
-      Options.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-      Options.VerifyOracle = Op.Verify;
-      const Expected<ServeResponse> Response =
-          Server.handleRegistered(Handles[Op.MatrixIndex], Options);
-      if (!Response) {
-        ++Errors;
-        if (Print)
-          std::printf("%s\n", formatErrorLine(Response.status()).c_str());
-      } else if (Print) {
-        std::printf("%s\n",
-                    formatResponseLine(Script.Matrices[Op.MatrixIndex].first,
-                                       *Response, Registry)
-                        .c_str());
-      }
-    }
-
-  for (const RegisteredMatrix &Handle : Handles)
-    Server.releaseMatrix(Handle);
-  return Errors;
-}
-
 /// Replays the trace with \p Clients concurrent clients and prints the
 /// telemetry snapshot plus a throughput summary. \returns the total
 /// number of error-line outcomes across all clients (the --strict gate).
@@ -338,12 +289,8 @@ uint64_t runTrace(SeerService &Service, const TraceScript &Script,
   const auto Start = std::chrono::steady_clock::now();
   std::atomic<uint64_t> Errors{0};
   const auto RunClient = [&](bool Print) {
-    const uint64_t ClientErrors =
-        Script.Version >= 2
-            ? replayV2(Service, Script, Repeat, Print)
-            : replayV1(Service.server(), Script, Repeat, Print,
-                       Service.registry());
-    Errors.fetch_add(ClientErrors, std::memory_order_relaxed);
+    Errors.fetch_add(replay(Service, Script, Repeat, Print),
+                     std::memory_order_relaxed);
   };
   if (Clients <= 1) {
     RunClient(/*Print=*/true);
@@ -359,13 +306,12 @@ uint64_t runTrace(SeerService &Service, const TraceScript &Script,
                                  std::chrono::steady_clock::now() - Start)
                                  .count();
 
-  const ServerStats Stats = Service.stats();
-  std::printf("%s", formatStatsLines(Stats).c_str());
+  std::printf("%s", Service.metricsStatLines().c_str());
+  const uint64_t Requests = Service.stats().Requests;
   std::printf("replayed %zu ops x %u clients x %u in %.3fs "
               "(%.0f req/s, %llu errors)\n",
               Script.Ops.size(), Clients, Repeat, WallSeconds,
-              WallSeconds > 0 ? static_cast<double>(Stats.Requests) /
-                                    WallSeconds
+              WallSeconds > 0 ? static_cast<double>(Requests) / WallSeconds
                               : 0.0,
               static_cast<unsigned long long>(Errors.load()));
   return Errors.load();
@@ -421,7 +367,7 @@ int runStdin(SeerService &Service) {
     case TraceCommand::Kind::Quit:
       return 0;
     case TraceCommand::Kind::Stats:
-      std::printf("%s", formatStatsLines(Service.stats()).c_str());
+      std::printf("%s", Service.metricsStatLines().c_str());
       break;
     case TraceCommand::Kind::Metrics:
       std::printf("%s", Service.metricsPrometheus().c_str());
@@ -577,18 +523,14 @@ extern "C" void onStopSignal(int) {
 /// Network serving: bind, publish the port, then block until SIGTERM /
 /// SIGINT or a wire Shutdown op, and drain before returning.
 int runListen(SeerService &Service, const std::string &ListenSpec,
-              const std::string &PortFile, const std::string &Mode) {
+              const std::string &PortFile) {
   net::NetServerConfig Config;
   if (const Status S =
           net::parseHostPort(ListenSpec, Config.Host, Config.Port);
       !S.ok())
     fatal(S);
-  if (Mode == "threads")
-    Config.Mode = net::NetServerConfig::ServeMode::Threads;
-  else if (!Mode.empty() && Mode != "epoll")
-    fatal("--net-mode must be 'epoll' or 'threads'");
   // Share the service's registry so seer_net_* counters land in the same
-  // exposition (and stats snapshot) as the serving metrics.
+  // exposition (and stat snapshot) as the serving metrics.
   Config.Metrics = &Service.metrics();
 
   net::ServiceFrameHandler Handler(Service);
@@ -621,8 +563,8 @@ int runListen(SeerService &Service, const std::string &ListenSpec,
 
 int main(int Argc, char **Argv) {
   FlagSpec Spec;
-  Spec.Value = {"models",      "trace",     "fault-plan", "metrics-out",
-                "trace-out",   "listen",    "port-file",  "net-mode"};
+  Spec.Value = {"models",    "trace",  "fault-plan", "metrics-out",
+                "trace-out", "listen", "port-file"};
   Spec.Int = {"clients", "repeat", "cache-budget", "cache-shards"};
   Spec.Bool = {"strict"};
   const CommandLine Cmd(Argc, Argv, Usage, Spec);
@@ -670,8 +612,7 @@ int main(int Argc, char **Argv) {
   if (!ListenSpec.empty()) {
     if (!TracePath.empty())
       fatal("--listen and --trace are mutually exclusive");
-    ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"),
-                         Cmd.flag("net-mode"));
+    ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"));
   } else if (TracePath.empty()) {
     ExitCode = runStdin(Service);
     // EOF/quit ends the session, but work admitted through the async
