@@ -253,7 +253,9 @@ void Planner::prepare(ExecutionPlan &Plan, const AnalyzedMatrix &A) const {
   Plan.PreprocessAmortized = false;
   Plan.PreprocessMs = Prep.TimeMs;
   Plan.ModeledPreprocessMs = Prep.TimeMs;
-  Plan.Thunk = Registry.runThunk(Plan.kernelIndex());
+  // The launch time never depends on the operand: simulate it once, here.
+  Plan.IterationMs =
+      Kernel.timing(A.matrix(), A.Stats, Plan.State.get(), Sim).TotalMs;
 }
 
 void Planner::reusePrepared(ExecutionPlan &Plan,
@@ -264,11 +266,7 @@ void Planner::reusePrepared(ExecutionPlan &Plan,
   Plan.PreprocessAmortized = AlreadyPaid;
   Plan.PreprocessMs = AlreadyPaid ? 0.0 : Prepared.PreprocessMs;
   Plan.ModeledPreprocessMs = Prepared.PreprocessMs;
-  // Adopt the fragment's specialized entry point; a fragment stashed
-  // without one (oracle-sweep leftovers) is specialized here so the run
-  // stage stays devirtualized either way.
-  Plan.Thunk =
-      Prepared.Thunk ? Prepared.Thunk : Registry.runThunk(Plan.kernelIndex());
+  Plan.IterationMs = Prepared.IterationMs;
 }
 
 PreparedKernel Planner::exportPrepared(const ExecutionPlan &Plan) const {
@@ -276,9 +274,8 @@ PreparedKernel Planner::exportPrepared(const ExecutionPlan &Plan) const {
   PreparedKernel Prepared;
   Prepared.State = Plan.State;
   Prepared.PreprocessMs = Plan.ModeledPreprocessMs;
+  Prepared.IterationMs = Plan.IterationMs;
   Prepared.Paid = true;
-  Prepared.Thunk =
-      Plan.Thunk ? Plan.Thunk : Registry.runThunk(Plan.kernelIndex());
   return Prepared;
 }
 
@@ -287,13 +284,11 @@ SpmvRun Planner::run(const ExecutionPlan &Plan, const AnalyzedMatrix &A,
   assert(Plan.Prepared && "running an unprepared plan");
   FaultInjector::instance().checkOrThrow(faultsite::PlanRun);
   ScopedSpan Span(spanname::PlanRun);
-  // Cached/prepared plans carry a devirtualized thunk; dispatch through
-  // it (one indirect call to a direct-call body) instead of the vtable.
-  // The virtual fallback covers hand-built plans and is bit-identical.
-  SpmvRun Run =
-      Plan.Thunk ? Plan.Thunk(A.matrix(), A.Stats, Plan.State.get(), X, Sim)
-                 : Registry.kernel(Plan.kernelIndex())
-                       .run(A.matrix(), A.Stats, Plan.State.get(), X, Sim);
-  Span.tag("modeled_ms", Run.Timing.TotalMs);
+  // One indirect call to a direct-call body instead of the vtable.
+  SpmvRun Run;
+  Run.Y = Registry.runThunk(Plan.kernelIndex())(A.matrix(), Plan.State.get(),
+                                                X, Sim);
+  Run.Timing.TotalMs = Plan.IterationMs;
+  Span.tag("modeled_ms", Plan.IterationMs);
   return Run;
 }

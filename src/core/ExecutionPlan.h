@@ -23,7 +23,7 @@
 ///                never a second matrix walk);
 ///   `select()`   the kernel prediction itself — `plan()` fuses stages
 ///                route/collect/select into an `ExecutionPlan`;
-///   `prepare()`  the chosen kernel's one-time preprocessing state;
+///   `prepare()`  the chosen kernel's one-time state and launch time;
 ///   `run()`      one y = A * x against the prepared plan.
 ///
 /// The resulting `ExecutionPlan` owns the route decision, the kernel
@@ -130,25 +130,23 @@ struct SelectionResult {
 };
 
 /// A reusable prepared-plan fragment: the preprocessed kernel state, its
-/// intrinsic one-time cost, and whether some earlier plan already paid
-/// it. This is exactly what the serving layer's fingerprint cache stores
-/// per (matrix, kernel); `Planner::reusePrepared` rebuilds a plan around
-/// it and `Planner::exportPrepared` turns a fresh plan back into one.
+/// intrinsic one-time cost and launch time, and whether some earlier plan
+/// already paid it. This is exactly what the serving layer's fingerprint
+/// cache stores per (matrix, kernel); `Planner::reusePrepared` rebuilds a
+/// plan around it and `Planner::exportPrepared` turns a fresh plan back
+/// into one.
 struct PreparedKernel {
   /// Preprocessed state, shared with every plan that runs the kernel.
   std::shared_ptr<KernelState> State;
   /// Modeled one-time cost; valid whenever State is set.
   double PreprocessMs = 0.0;
+  /// Modeled time of one launch (SpmvKernel::timing()'s TotalMs), kept
+  /// alone because the cache charges each ledger slot's size.
+  double IterationMs = 0.0;
   /// True once some plan was charged this kernel's preprocessing. A
   /// stashed state with Paid == false (e.g. left behind by an oracle
   /// sweep) is reusable but still owes its one-time cost.
   bool Paid = false;
-  /// The kernel's devirtualized run entry point, captured from the
-  /// registry when the fragment was prepared: the *specialized* half of
-  /// the cached plan. A cached-plan run() dispatches through this —
-  /// zero virtual calls on the repeat stream. Empty fragments (old
-  /// stashes) fall back to virtual dispatch with identical results.
-  RunThunk Thunk;
 };
 
 /// One planned (and possibly prepared) execution: the route decision and
@@ -177,9 +175,9 @@ struct ExecutionPlan {
   double PreprocessMs = 0.0;
   /// Intrinsic modeled preprocessing cost (charged or not).
   double ModeledPreprocessMs = 0.0;
-  /// Devirtualized run entry point of the chosen kernel (set by
-  /// prepare()/reusePrepared()); run() dispatches through it when set.
-  RunThunk Thunk;
+  /// Modeled time of one launch, simulated once by prepare() or adopted
+  /// with a cached fragment; run() charges it without simulating again.
+  double IterationMs = 0.0;
 
   size_t kernelIndex() const { return Selection.KernelIndex; }
 
@@ -255,7 +253,7 @@ public:
                               size_t KernelIndex) const;
 
   /// Stage 4: preprocess the plan's kernel fresh, charging the plan its
-  /// one-time cost.
+  /// one-time cost, and simulate its launch once (Plan.IterationMs).
   void prepare(ExecutionPlan &Plan, const AnalyzedMatrix &A) const;
 
   /// Stage 4, reuse form: rebuild the prepare() outcome from a cached
@@ -270,7 +268,9 @@ public:
   /// charged for it).
   PreparedKernel exportPrepared(const ExecutionPlan &Plan) const;
 
-  /// Stage 5: one y = A * x against the prepared plan.
+  /// Stage 5: one y = A * x against the prepared plan, through the
+  /// kernel's RunThunk. Timing.TotalMs is the plan's IterationMs; the
+  /// compute/memory/overhead breakdown comes from SpmvKernel::timing().
   SpmvRun run(const ExecutionPlan &Plan, const AnalyzedMatrix &A,
               const std::vector<double> &X) const;
 

@@ -41,15 +41,12 @@ AdaptiveKernelBase::preprocess(const CsrMatrix &M, const MatrixStats &,
   return Result;
 }
 
-SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
-                                const KernelState *State,
-                                const std::vector<double> &X,
-                                const GpuSimulator &Sim) const {
+LaunchTiming AdaptiveKernelBase::timing(const CsrMatrix &M,
+                                        const MatrixStats &Stats,
+                                        const KernelState *State,
+                                        const GpuSimulator &Sim) const {
   assert(State != nullptr && "adaptive kernels require preprocessing");
-  assert(X.size() == M.numCols() && "operand size mismatch");
   const auto *Bins = static_cast<const RowBinsState *>(State);
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
 
   LaunchBuilder Builder(Sim.device().WavefrontSize);
   const double BaseHitRate = estimateGatherHitRate(
@@ -60,14 +57,6 @@ SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
   Builder.setStreamEfficiency(streamEfficiency());
   const double WaveSize = Builder.wavefrontSize();
   const double Efficiency = issueEfficiency();
-
-  const auto ComputeRow = [&](uint32_t Row) {
-    double Sum = 0.0;
-    for (uint64_t K = M.rowOffsets()[Row], E = M.rowOffsets()[Row + 1]; K < E;
-         ++K)
-      Sum += M.values()[K] * X[M.columnIndices()[K]];
-    Result.Y[Row] = Sum;
-  };
 
   // --- Short rows: CSR-stream bundles. Consecutive binned rows are packed
   // until a bundle holds ~WaveSize * shortBinNnzPerLane nonzeros; lanes
@@ -92,7 +81,6 @@ SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
     BundleRows = 0;
   };
   for (uint32_t Row : Bins->ShortRows) {
-    ComputeRow(Row);
     BundleNnz += M.rowLength(Row);
     ++BundleRows;
     if (BundleNnz >= BundleCapacity)
@@ -102,7 +90,6 @@ SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
 
   // --- Medium rows: CSR-vector, one wavefront each.
   for (uint32_t Row : Bins->MediumRows) {
-    ComputeRow(Row);
     const double Length = M.rowLength(Row);
     WavefrontWork Wave;
     Wave.MaxLaneOps =
@@ -118,7 +105,6 @@ SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
   // --- Long rows: split into LongRowLimit-sized segments, one wavefront
   // per segment, partial sums combined through LDS/atomics.
   for (uint32_t Row : Bins->LongRows) {
-    ComputeRow(Row);
     const double Length = M.rowLength(Row);
     const uint32_t Segments = static_cast<uint32_t>(
         std::ceil(Length / static_cast<double>(LongRowLimit)));
@@ -138,6 +124,5 @@ SpmvRun AdaptiveKernelBase::run(const CsrMatrix &M, const MatrixStats &Stats,
     }
   }
 
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }

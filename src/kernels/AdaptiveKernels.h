@@ -19,8 +19,9 @@
 ///    analysis pass (it additionally scans the nonzeros to size row
 ///    blocks) and a more aggressively tuned steady state.
 ///
-/// Both kernels produce a RowBinsState at preprocess time and refuse to run
-/// without it (asserted), mirroring the library APIs they model.
+/// Both kernels produce a RowBinsState at preprocess time and refuse to
+/// time a launch without it (asserted), mirroring the library APIs they
+/// model; each bin sums its rows sequentially, the default compute().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +63,9 @@ public:
   PreprocessResult preprocess(const CsrMatrix &M, const MatrixStats &Stats,
                               const GpuSimulator &Sim) const override;
 
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 
 protected:
   /// Host cycles per row spent by the binning/analysis pass.

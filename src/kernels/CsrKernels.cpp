@@ -36,15 +36,11 @@ double meanRowBurstBytes(const MatrixStats &Stats) {
 // CSR,TM — one thread per row.
 //===----------------------------------------------------------------------===//
 
-SpmvRun CsrThreadMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
-                             const KernelState *State,
-                             const std::vector<double> &X,
-                             const GpuSimulator &Sim) const {
+LaunchTiming CsrThreadMapped::timing(const CsrMatrix &M,
+                                     const MatrixStats &Stats,
+                                     const KernelState *State,
+                                     const GpuSimulator &Sim) const {
   assert(State == nullptr && "CSR,TM takes no preprocessing state");
-  assert(X.size() == M.numCols() && "operand size mismatch");
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
-
   LaunchBuilder Builder = makeBuilder(M, Stats, Sim);
   // Each lane streams its own row: the burst per lane is one row, and
   // concurrent lanes interleave 64 unrelated bursts — the least coalesced
@@ -57,14 +53,7 @@ SpmvRun CsrThreadMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
         std::min<uint32_t>(RowBase + WaveSize, M.numRows());
     Builder.beginWavefront();
     for (uint32_t Row = RowBase; Row < RowEnd; ++Row) {
-      double Sum = 0.0;
-      const uint64_t Begin = M.rowOffsets()[Row];
-      const uint64_t End = M.rowOffsets()[Row + 1];
-      for (uint64_t K = Begin; K < End; ++K)
-        Sum += M.values()[K] * X[M.columnIndices()[K]];
-      Result.Y[Row] = Sum;
-
-      const double Length = static_cast<double>(End - Begin);
+      const double Length = M.rowLength(Row);
       Builder.addLane(/*Ops=*/Length * OpsPerNnz + 2.0,
                       /*CoalescedBytes=*/Length * StreamBytesPerNnz +
                           StreamBytesPerRow,
@@ -72,23 +61,18 @@ SpmvRun CsrThreadMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
     }
     Builder.endWavefront();
   }
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }
 
 //===----------------------------------------------------------------------===//
 // CSR,WM — one wavefront per row.
 //===----------------------------------------------------------------------===//
 
-SpmvRun CsrWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
-                           const KernelState *State,
-                           const std::vector<double> &X,
-                           const GpuSimulator &Sim) const {
+LaunchTiming CsrWarpMapped::timing(const CsrMatrix &M,
+                                   const MatrixStats &Stats,
+                                   const KernelState *State,
+                                   const GpuSimulator &Sim) const {
   assert(State == nullptr && "CSR,WM takes no preprocessing state");
-  assert(X.size() == M.numCols() && "operand size mismatch");
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
-
   LaunchBuilder Builder = makeBuilder(M, Stats, Sim);
   // One wavefront-wide burst per row: coalesced within the row, but short
   // rows leave the burst (and most lanes) underfilled.
@@ -96,15 +80,7 @@ SpmvRun CsrWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
       rowBurstEfficiency(meanRowBurstBytes(Stats), 160.0, 0.30, 0.90));
   const double WaveSize = Builder.wavefrontSize();
   for (uint32_t Row = 0; Row < M.numRows(); ++Row) {
-    const uint64_t Begin = M.rowOffsets()[Row];
-    const uint64_t End = M.rowOffsets()[Row + 1];
-    // Lanes stride the row cooperatively, then tree-reduce.
-    double Sum = 0.0;
-    for (uint64_t K = Begin; K < End; ++K)
-      Sum += M.values()[K] * X[M.columnIndices()[K]];
-    Result.Y[Row] = Sum;
-
-    const double Length = static_cast<double>(End - Begin);
+    const double Length = M.rowLength(Row);
     const double StepsPerLane = std::ceil(Length / WaveSize);
     WavefrontWork Wave;
     Wave.MaxLaneOps = StepsPerLane * OpsPerNnz + WaveReductionOps + 2.0;
@@ -114,23 +90,18 @@ SpmvRun CsrWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
         std::min<double>(WaveSize, std::max(Length, 1.0)));
     Builder.addWavefront(Wave);
   }
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }
 
 //===----------------------------------------------------------------------===//
 // CSR,BM — one workgroup (WavesPerBlock wavefronts) per row.
 //===----------------------------------------------------------------------===//
 
-SpmvRun CsrBlockMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
-                            const KernelState *State,
-                            const std::vector<double> &X,
-                            const GpuSimulator &Sim) const {
+LaunchTiming CsrBlockMapped::timing(const CsrMatrix &M,
+                                    const MatrixStats &Stats,
+                                    const KernelState *State,
+                                    const GpuSimulator &Sim) const {
   assert(State == nullptr && "CSR,BM takes no preprocessing state");
-  assert(X.size() == M.numCols() && "operand size mismatch");
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
-
   LaunchBuilder Builder = makeBuilder(M, Stats, Sim);
   // A 256-thread workgroup streams one row: only rows of several KB keep
   // the whole block's burst machinery busy.
@@ -141,14 +112,7 @@ SpmvRun CsrBlockMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
   // LDS staging + cross-wavefront reduction cost paid by each wavefront.
   const double BlockReductionOps = WaveReductionOps + 6.0;
   for (uint32_t Row = 0; Row < M.numRows(); ++Row) {
-    const uint64_t Begin = M.rowOffsets()[Row];
-    const uint64_t End = M.rowOffsets()[Row + 1];
-    double Sum = 0.0;
-    for (uint64_t K = Begin; K < End; ++K)
-      Sum += M.values()[K] * X[M.columnIndices()[K]];
-    Result.Y[Row] = Sum;
-
-    const double Length = static_cast<double>(End - Begin);
+    const double Length = M.rowLength(Row);
     const double StepsPerLane = std::ceil(Length / BlockThreads);
     const double BytesShare = 1.0 / WavesPerBlock;
     for (uint32_t Wave = 0; Wave < WavesPerBlock; ++Wave) {
@@ -161,54 +125,54 @@ SpmvRun CsrBlockMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
       Builder.addWavefront(Work);
     }
   }
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }
 
 //===----------------------------------------------------------------------===//
 // CSR,WO — equal nonzeros per thread, atomic row combination.
 //===----------------------------------------------------------------------===//
 
-SpmvRun CsrWorkOriented::run(const CsrMatrix &M, const MatrixStats &Stats,
-                             const KernelState *State,
-                             const std::vector<double> &X,
-                             const GpuSimulator &Sim) const {
+std::vector<double> CsrWorkOriented::compute(const CsrMatrix &M,
+                                             const KernelState *State,
+                                             const std::vector<double> &X,
+                                             const GpuSimulator &) const {
   assert(State == nullptr && "CSR,WO takes no preprocessing state");
   assert(X.size() == M.numCols() && "operand size mismatch");
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
-
-  // Host execution mirrors the schedule: walk fixed-size nonzero chunks.
-  // The GPU threads each binary-search for their chunk's starting row, but
-  // the host walks chunks in order, so the cursor from the previous chunk
-  // already points at (or just before) the next chunk's row — carrying it
-  // replaces the per-chunk upper_bound with an amortized-O(1) advance.
-  const uint64_t Nnz = M.nnz();
-  const auto &Offsets = M.rowOffsets();
-  uint32_t Row = 0;
-  for (uint64_t ChunkBegin = 0; ChunkBegin < Nnz;
-       ChunkBegin += ItemsPerThread) {
-    const uint64_t ChunkEnd = std::min<uint64_t>(ChunkBegin + ItemsPerThread, Nnz);
-    // Advance to the row containing ChunkBegin (skipping empty rows).
-    while (Offsets[Row + 1] <= ChunkBegin)
-      ++Row;
-    double Partial = 0.0;
-    for (uint64_t K = ChunkBegin; K < ChunkEnd; ++K) {
-      while (K >= Offsets[Row + 1]) {
-        Result.Y[Row] += Partial; // atomic add on the device
-        Partial = 0.0;
-        ++Row;
-      }
-      Partial += M.values()[K] * X[M.columnIndices()[K]];
+  // Thread T owns nonzeros [T * ItemsPerThread, (T + 1) * ItemsPerThread)
+  // and atomically adds its partial sum of each row it touches into y.
+  // Row by row, that is the row's chunk-bounded segments, each summed from
+  // zero and added in chunk order: the device's additions, in its order.
+  std::vector<double> Y(M.numRows());
+  const uint64_t *Offsets = M.rowOffsets().data();
+  const uint32_t *Cols = M.columnIndices().data();
+  const double *Vals = M.values().data();
+  const double *In = X.data();
+  for (uint32_t Row = 0; Row < M.numRows(); ++Row) {
+    const uint64_t End = Offsets[Row + 1];
+    double Sum = 0.0;
+    for (uint64_t K = Offsets[Row]; K < End;) {
+      const uint64_t SegmentEnd =
+          std::min(End, K - K % ItemsPerThread + ItemsPerThread);
+      double Partial = 0.0;
+      for (; K < SegmentEnd; ++K)
+        Partial += Vals[K] * In[Cols[K]];
+      Sum += Partial; // atomic add on the device
     }
-    Result.Y[Row] += Partial;
+    Y[Row] = Sum;
   }
+  return Y;
+}
 
+LaunchTiming CsrWorkOriented::timing(const CsrMatrix &M,
+                                     const MatrixStats &Stats,
+                                     const KernelState *State,
+                                     const GpuSimulator &Sim) const {
+  assert(State == nullptr && "CSR,WO takes no preprocessing state");
   LaunchBuilder Builder = makeBuilder(M, Stats, Sim);
   // Reference-quality nonzero splitting: contiguous chunks coalesce, but
   // the per-chunk row search and atomic combines disturb the stream.
   Builder.setStreamEfficiency(0.62);
-  const uint64_t Threads = (Nnz + ItemsPerThread - 1) / ItemsPerThread;
+  const uint64_t Threads = (M.nnz() + ItemsPerThread - 1) / ItemsPerThread;
   const double SearchOps =
       2.0 * std::log2(static_cast<double>(M.numRows()) + 2.0);
   const double RowsPerThread =
@@ -221,51 +185,59 @@ SpmvRun CsrWorkOriented::run(const CsrMatrix &M, const MatrixStats &Stats,
           (RowsPerThread + 1.0) * StreamBytesPerRow,
       /*RandomPerLane=*/ItemsPerThread * GatherBytesPerNnz,
       /*AtomicPerLane=*/std::min(RowsPerThread + 1.0, 2.0));
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }
 
 //===----------------------------------------------------------------------===//
 // CSR,MP — merge-path split of (nonzeros + rows).
 //===----------------------------------------------------------------------===//
 
-SpmvRun CsrMergePath::run(const CsrMatrix &M, const MatrixStats &Stats,
-                          const KernelState *State,
-                          const std::vector<double> &X,
-                          const GpuSimulator &Sim) const {
+std::vector<double> CsrMergePath::compute(const CsrMatrix &M,
+                                          const KernelState *State,
+                                          const std::vector<double> &X,
+                                          const GpuSimulator &) const {
   assert(State == nullptr && "CSR,MP takes no preprocessing state");
   assert(X.size() == M.numCols() && "operand size mismatch");
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
-
   // Host execution walks the merge path: a diagonal split of the (row-end,
   // nonzero) merge produces per-thread segments covering ItemsPerThread
   // merge items; row carries are fixed up after the walk, which we emulate
   // directly by accumulating into Y.
-  const uint64_t Nnz = M.nnz();
-  const uint64_t MergeItems = Nnz + M.numRows();
-  const auto &Offsets = M.rowOffsets();
+  std::vector<double> Y(M.numRows());
+  const uint32_t NumRows = M.numRows();
+  const uint64_t MergeItems = M.nnz() + NumRows;
+  const uint64_t *Offsets = M.rowOffsets().data();
+  const uint32_t *Cols = M.columnIndices().data();
+  const double *Vals = M.values().data();
+  const double *In = X.data();
   uint32_t Row = 0;
   uint64_t K = 0;
   double Partial = 0.0;
   for (uint64_t Item = 0; Item < MergeItems; ++Item) {
     // Advance the merge: consume a row end if reached, else a nonzero.
-    if (Row < M.numRows() && K == Offsets[Row + 1]) {
-      Result.Y[Row] += Partial; // carry write (fix-up pass on device)
+    if (Row < NumRows && K == Offsets[Row + 1]) {
+      Y[Row] += Partial; // carry write (fix-up pass on device)
       Partial = 0.0;
       ++Row;
     } else {
-      Partial += M.values()[K] * X[M.columnIndices()[K]];
+      Partial += Vals[K] * In[Cols[K]];
       ++K;
     }
   }
-  if (Row < M.numRows())
-    Result.Y[Row] += Partial;
+  if (Row < NumRows)
+    Y[Row] += Partial;
+  return Y;
+}
 
+LaunchTiming CsrMergePath::timing(const CsrMatrix &M, const MatrixStats &Stats,
+                                  const KernelState *State,
+                                  const GpuSimulator &Sim) const {
+  assert(State == nullptr && "CSR,MP takes no preprocessing state");
   LaunchBuilder Builder = makeBuilder(M, Stats, Sim);
   // Merge path keeps perfectly even chunks; the diagonal searches and the
   // carry fix-up pass cost some achieved bandwidth versus a pure stream.
   Builder.setStreamEfficiency(0.72);
+  const uint64_t Nnz = M.nnz();
+  const uint64_t MergeItems = Nnz + M.numRows();
   const uint64_t Threads = (MergeItems + ItemsPerThread - 1) / ItemsPerThread;
   // Each thread runs a 2D diagonal binary search to find its segment.
   const double SearchOps =
@@ -282,6 +254,5 @@ SpmvRun CsrMergePath::run(const CsrMatrix &M, const MatrixStats &Stats,
       /*RandomPerLane=*/ItemsPerThread * NnzShare * GatherBytesPerNnz);
   // Carry fix-up runs as a second (small) launch.
   Builder.addFixedOverheadUs(Sim.device().LaunchOverheadUs);
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }

@@ -34,9 +34,9 @@ class CsrThreadMapped : public SpmvKernel {
 public:
   std::string name() const override { return "CSR,TM"; }
   std::string format() const override { return "CSR"; }
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 /// CSR,WM: one wavefront per row.
@@ -44,9 +44,9 @@ class CsrWarpMapped : public SpmvKernel {
 public:
   std::string name() const override { return "CSR,WM"; }
   std::string format() const override { return "CSR"; }
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 /// CSR,BM: one workgroup per row.
@@ -57,9 +57,9 @@ public:
 
   std::string name() const override { return "CSR,BM"; }
   std::string format() const override { return "CSR"; }
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 /// CSR,WO: equal nonzeros per thread.
@@ -70,9 +70,12 @@ public:
 
   std::string name() const override { return "CSR,WO"; }
   std::string format() const override { return "CSR"; }
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  std::vector<double> compute(const CsrMatrix &M, const KernelState *State,
+                              const std::vector<double> &X,
+                              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 /// CSR,MP: merge-path splitting of (nonzeros + rows).
@@ -83,9 +86,12 @@ public:
 
   std::string name() const override { return "CSR,MP"; }
   std::string format() const override { return "CSR"; }
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  std::vector<double> compute(const CsrMatrix &M, const KernelState *State,
+                              const std::vector<double> &X,
+                              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 } // namespace seer

@@ -29,17 +29,23 @@ PreprocessResult EllThreadMapped::preprocess(const CsrMatrix &M,
   return Result;
 }
 
-SpmvRun EllThreadMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
-                             const KernelState *State,
-                             const std::vector<double> &X,
-                             const GpuSimulator &Sim) const {
+std::vector<double> EllThreadMapped::compute(const CsrMatrix &M,
+                                             const KernelState *State,
+                                             const std::vector<double> &X,
+                                             const GpuSimulator &) const {
   assert(State != nullptr && "ELL,TM requires the converted matrix");
-  assert(X.size() == M.numCols() && "operand size mismatch");
-  const auto *Ell = static_cast<const EllState *>(State);
-  assert(Ell->Ell.numRows() == M.numRows() && "state/matrix mismatch");
+  const EllMatrix &Ell = static_cast<const EllState *>(State)->Ell;
+  assert(Ell.numRows() == M.numRows() && "state/matrix mismatch");
+  return Ell.multiply(X); // one lane per padded row
+}
 
-  SpmvRun Result;
-  Result.Y = Ell->Ell.multiply(X);
+LaunchTiming EllThreadMapped::timing(const CsrMatrix &M,
+                                     const MatrixStats &Stats,
+                                     const KernelState *State,
+                                     const GpuSimulator &Sim) const {
+  assert(State != nullptr && "ELL,TM requires the converted matrix");
+  const EllMatrix &Ell = static_cast<const EllState *>(State)->Ell;
+  assert(Ell.numRows() == M.numRows() && "state/matrix mismatch");
 
   LaunchBuilder Builder(Sim.device().WavefrontSize);
   // ELL slabs are stored column-major on the device: lane L of a wavefront
@@ -48,19 +54,18 @@ SpmvRun EllThreadMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
   Builder.setGatherHitRate(estimateGatherHitRate(
       Sim.device(), M.numCols(), Stats.MeanColumnGap));
 
-  const double Width = Ell->Ell.width();
+  const double Width = Ell.width();
   const double MeanLength = Stats.MeanRowLength;
   // All lanes iterate the full padded width in lockstep (a padded slot
   // still issues the bounds check + masked ops).
   const double PaddedOps = Width * OpsPerNnz;
   // Padding streams index+value but gathers nothing (masked lanes).
   Builder.addUniformLanes(
-      Ell->Ell.numRows(),
+      Ell.numRows(),
       /*OpsPerLane=*/PaddedOps + 2.0,
       /*CoalescedPerLane=*/Width * StreamBytesPerNnz + 8.0 /*y write*/,
       /*RandomPerLane=*/MeanLength * GatherBytesPerNnz);
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }
 
 //===----------------------------------------------------------------------===//
@@ -78,17 +83,43 @@ PreprocessResult CooWarpMapped::preprocess(const CsrMatrix &M,
   return Result;
 }
 
-SpmvRun CooWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
-                           const KernelState *State,
-                           const std::vector<double> &X,
-                           const GpuSimulator &Sim) const {
+std::vector<double> CooWarpMapped::compute(const CsrMatrix &M,
+                                           const KernelState *State,
+                                           const std::vector<double> &X,
+                                           const GpuSimulator &Sim) const {
   assert(State != nullptr && "COO,WM requires the converted matrix");
   assert(X.size() == M.numCols() && "operand size mismatch");
-  const auto *Coo = static_cast<const CooState *>(State);
-  assert(Coo->Coo.numRows() == M.numRows() && "state/matrix mismatch");
+  const CooMatrix &Coo = static_cast<const CooState *>(State)->Coo;
+  assert(Coo.numRows() == M.numRows() && "state/matrix mismatch");
 
-  SpmvRun Result;
-  Result.Y.assign(M.numRows(), 0.0);
+  // Each wavefront reduces one slice of WavefrontSize triples segmented by
+  // row: a run ends at a row change or the slice end and commits with one
+  // atomic add. One trip is one run, so additions keep the device's order.
+  std::vector<double> Y(M.numRows());
+  const uint64_t Slice = Sim.device().WavefrontSize;
+  const uint64_t Nnz = Coo.nnz();
+  const uint32_t *Rows = Coo.rowIndices().data();
+  const uint32_t *Cols = Coo.colIndices().data();
+  const double *Vals = Coo.values().data();
+  const double *In = X.data();
+  for (uint64_t K = 0; K < Nnz;) {
+    const uint64_t SliceEnd = std::min(Nnz, K - K % Slice + Slice);
+    const uint32_t Row = Rows[K];
+    double RunSum = 0.0;
+    for (; K < SliceEnd && Rows[K] == Row; ++K)
+      RunSum += Vals[K] * In[Cols[K]];
+    Y[Row] += RunSum; // boundary atomic
+  }
+  return Y;
+}
+
+LaunchTiming CooWarpMapped::timing(const CsrMatrix &M,
+                                   const MatrixStats &Stats,
+                                   const KernelState *State,
+                                   const GpuSimulator &Sim) const {
+  assert(State != nullptr && "COO,WM requires the converted matrix");
+  const CooMatrix &Coo = static_cast<const CooState *>(State)->Coo;
+  assert(Coo.numRows() == M.numRows() && "state/matrix mismatch");
 
   LaunchBuilder Builder(Sim.device().WavefrontSize);
   Builder.setGatherHitRate(estimateGatherHitRate(
@@ -98,33 +129,18 @@ SpmvRun CooWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
   // stream this is the most traffic-hungry schedule in the zoo.
   Builder.setStreamEfficiency(0.60);
   const uint32_t WaveSize = Builder.wavefrontSize();
-
-  const auto &Rows = Coo->Coo.rowIndices();
-  const auto &Cols = Coo->Coo.colIndices();
-  const auto &Vals = Coo->Coo.values();
-  const uint64_t Nnz = Coo->Coo.nnz();
+  const uint64_t Nnz = Coo.nnz();
+  const uint32_t *Rows = Coo.rowIndices().data();
 
   // COO bytes per nonzero: row index (4) + column index (4) + value (8).
   constexpr double CooStreamBytesPerNnz = 16.0;
 
   for (uint64_t Base = 0; Base < Nnz; Base += WaveSize) {
     const uint64_t End = std::min<uint64_t>(Base + WaveSize, Nnz);
-    // Host mirror of the segmented reduction: accumulate runs of equal row
-    // index, committing each run boundary (an atomic on the device).
-    uint32_t RunRow = Rows[Base];
-    double RunSum = 0.0;
-    uint32_t Boundaries = 0;
-    for (uint64_t K = Base; K < End; ++K) {
-      if (Rows[K] != RunRow) {
-        Result.Y[RunRow] += RunSum; // boundary atomic
-        ++Boundaries;
-        RunRow = Rows[K];
-        RunSum = 0.0;
-      }
-      RunSum += Vals[K] * X[Cols[K]];
-    }
-    Result.Y[RunRow] += RunSum; // final atomic of the slice
-    ++Boundaries;
+    // One atomic per run of equal row index in the slice (see compute()).
+    uint32_t Boundaries = 1;
+    for (uint64_t K = Base + 1; K < End; ++K)
+      Boundaries += Rows[K] != Rows[K - 1];
 
     const double Lanes = static_cast<double>(End - Base);
     WavefrontWork Wave;
@@ -136,7 +152,5 @@ SpmvRun CooWarpMapped::run(const CsrMatrix &M, const MatrixStats &Stats,
     Wave.ActiveLanes = static_cast<uint32_t>(Lanes);
     Builder.addWavefront(Wave);
   }
-  (void)Stats;
-  Result.Timing = Sim.simulate(Builder.take());
-  return Result;
+  return Sim.simulate(Builder.take());
 }

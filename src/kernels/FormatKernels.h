@@ -52,9 +52,12 @@ public:
   PreprocessResult preprocess(const CsrMatrix &M, const MatrixStats &Stats,
                               const GpuSimulator &Sim) const override;
 
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  std::vector<double> compute(const CsrMatrix &M, const KernelState *State,
+                              const std::vector<double> &X,
+                              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 /// Preprocessed state holding the converted COO matrix.
@@ -75,9 +78,12 @@ public:
   PreprocessResult preprocess(const CsrMatrix &M, const MatrixStats &Stats,
                               const GpuSimulator &Sim) const override;
 
-  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-              const KernelState *State, const std::vector<double> &X,
-              const GpuSimulator &Sim) const override;
+  std::vector<double> compute(const CsrMatrix &M, const KernelState *State,
+                              const std::vector<double> &X,
+                              const GpuSimulator &Sim) const override;
+  LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                      const KernelState *State,
+                      const GpuSimulator &Sim) const override;
 };
 
 } // namespace seer

@@ -48,29 +48,28 @@ public:
   static constexpr size_t npos = static_cast<size_t>(-1);
   size_t indexOf(const std::string &Name) const;
 
-  /// Devirtualized run entry point of the kernel at \p Index, captured at
-  /// registration time (see SpmvKernel.h RunThunk). Valid as long as the
-  /// registry.
+  /// Devirtualized compute entry point of the kernel at \p Index, captured
+  /// at registration time (see SpmvKernel.h RunThunk). Valid as long as
+  /// the registry.
   const RunThunk &runThunk(size_t Index) const {
     assert(Index < Thunks.size() && "kernel index out of range");
     return Thunks[Index];
   }
 
 private:
-  /// Registers \p KernelT and captures its non-virtual run thunk: the
-  /// concrete type is known here, so the qualified KernelT::run call in
-  /// the thunk body compiles to a direct call (inlinable), bypassing the
-  /// vtable on every cached-plan execution.
+  /// Registers \p KernelT and captures its non-virtual compute thunk: the
+  /// concrete type is known here, so the qualified KernelT::compute call
+  /// in the thunk body compiles to a direct call (inlinable), bypassing
+  /// the vtable on every prepared-plan run.
   template <typename KernelT> void registerKernel() {
     auto Kernel = std::make_unique<KernelT>();
     RunThunk Thunk;
     Thunk.Kernel = Kernel.get();
     Thunk.Run = [](const SpmvKernel *Self, const CsrMatrix &M,
-                   const MatrixStats &Stats, const KernelState *State,
-                   const std::vector<double> &X,
-                   const GpuSimulator &Sim) -> SpmvRun {
-      return static_cast<const KernelT *>(Self)->KernelT::run(M, Stats, State,
-                                                              X, Sim);
+                   const KernelState *State, const std::vector<double> &X,
+                   const GpuSimulator &Sim) -> std::vector<double> {
+      return static_cast<const KernelT *>(Self)->KernelT::compute(M, State, X,
+                                                                  Sim);
     };
     Thunks.push_back(Thunk);
     Kernels.push_back(std::move(Kernel));

@@ -6,14 +6,15 @@
 ///
 /// \file
 /// The common interface of every SpMV kernel variant in Table II of the
-/// paper. A variant is a (compressed format, load-balancing schedule) pair.
-/// Each implementation does two things at once:
+/// paper. A variant is a (compressed format, load-balancing schedule) pair,
+/// with its functional and timing models kept apart:
 ///
-///  1. computes the true y = A * x on the host, following the same work
-///     decomposition its GPU schedule would use (so scheduling bugs surface
-///     as wrong numerics, not just odd timings); and
-///  2. describes that schedule's wavefronts to the GPU simulator, which
-///     returns the modeled execution time.
+///  1. compute() is the true y = A * x on the host, in the decomposition
+///     and addition order its GPU schedule would use (so scheduling bugs
+///     surface as wrong numerics, not just odd timings); and
+///  2. timing() describes that schedule's wavefronts to the GPU simulator,
+///     which returns the modeled time. It takes no operand: a prepared
+///     plan simulates once, and each later run pays only for compute().
 ///
 /// Kernels with a one-time preprocessing step (Adaptive-CSR's row binning,
 /// rocSPARSE's analysis pass) report its cost separately so the Seer
@@ -59,7 +60,7 @@ struct PreprocessResult {
 struct SpmvRun {
   /// The computed product; length = numRows().
   std::vector<double> Y;
-  /// Simulated timing of the launch.
+  /// Simulated timing of the launch (Planner::run fills only TotalMs).
   LaunchTiming Timing;
 };
 
@@ -80,34 +81,50 @@ public:
                                       const MatrixStats &Stats,
                                       const GpuSimulator &Sim) const;
 
-  /// Runs one y = A * x. \p State must be the PreprocessResult::State
-  /// produced by this kernel for this matrix (nullptr if the kernel needs
-  /// none). \p X must have numCols() elements.
-  virtual SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
-                      const KernelState *State, const std::vector<double> &X,
-                      const GpuSimulator &Sim) const = 0;
+  /// Computes y = A * x. \p State must be the PreprocessResult::State
+  /// produced by this kernel for this matrix (nullptr if none), \p X has
+  /// numCols() elements, \p Sim gives the device geometry. The default is
+  /// the row-sum loop: most schedules reduce each row in one lane group.
+  virtual std::vector<double> compute(const CsrMatrix &M,
+                                      const KernelState * /*State*/,
+                                      const std::vector<double> &X,
+                                      const GpuSimulator & /*Sim*/) const {
+    return M.multiply(X);
+  }
+
+  /// Simulates one launch of this kernel's schedule over \p M with
+  /// \p State (as for compute()).
+  virtual LaunchTiming timing(const CsrMatrix &M, const MatrixStats &Stats,
+                              const KernelState *State,
+                              const GpuSimulator &Sim) const = 0;
+
+  /// One-shot compute() plus timing().
+  SpmvRun run(const CsrMatrix &M, const MatrixStats &Stats,
+              const KernelState *State, const std::vector<double> &X,
+              const GpuSimulator &Sim) const {
+    return {compute(M, State, X, Sim), timing(M, Stats, State, Sim)};
+  }
 };
 
-/// A devirtualized run entry point: a plain function pointer that calls
-/// one concrete kernel's run() non-virtually, bound to that kernel
-/// instance. The KernelRegistry captures one per kernel at registration
-/// (it knows the concrete type there, so the qualified call inside the
-/// thunk is resolved at compile time); cached ExecutionPlans carry the
-/// thunk so a repeat-stream run() stage makes zero virtual calls.
+/// A devirtualized compute entry point: a plain function pointer that
+/// calls one concrete kernel's compute() non-virtually, bound to that
+/// kernel instance. The KernelRegistry captures one per kernel at
+/// registration (it knows the concrete type there, so the qualified call
+/// inside the thunk is resolved at compile time); Planner::run dispatches
+/// through it, so a repeat-stream run() stage makes zero virtual calls.
 /// Trivially copyable; valid as long as the registry that captured it.
 struct RunThunk {
-  using Fn = SpmvRun (*)(const SpmvKernel *, const CsrMatrix &,
-                         const MatrixStats &, const KernelState *,
-                         const std::vector<double> &, const GpuSimulator &);
+  using Fn = std::vector<double> (*)(const SpmvKernel *, const CsrMatrix &,
+                                     const KernelState *,
+                                     const std::vector<double> &,
+                                     const GpuSimulator &);
   Fn Run = nullptr;
   const SpmvKernel *Kernel = nullptr;
 
-  explicit operator bool() const { return Run != nullptr; }
-
-  SpmvRun operator()(const CsrMatrix &M, const MatrixStats &Stats,
-                     const KernelState *State, const std::vector<double> &X,
-                     const GpuSimulator &Sim) const {
-    return Run(Kernel, M, Stats, State, X, Sim);
+  std::vector<double> operator()(const CsrMatrix &M, const KernelState *State,
+                                 const std::vector<double> &X,
+                                 const GpuSimulator &Sim) const {
+    return Run(Kernel, M, State, X, Sim);
   }
 };
 

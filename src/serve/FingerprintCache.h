@@ -15,10 +15,10 @@
 ///
 ///  - the single-pass matrix analysis (known + gathered features), so
 ///    repeat selections skip feature collection entirely;
-///  - the per-kernel *amortization ledger*: the preprocessed kernel state
-///    and a paid flag, so a kernel's one-time preprocessing cost is
-///    charged exactly once per residency (Sec. IV-E amortization, extended
-///    across requests);
+///  - the per-kernel *amortization ledger*: the prepared kernel state, its
+///    launch time and a paid flag, so a kernel's one-time preprocessing
+///    is charged (and its launch simulated) once per residency (Sec. IV-E
+///    amortization, extended across requests);
 ///  - lazily, the full per-kernel oracle measurements used by online
 ///    feedback, so repeat matrices verify for free.
 ///

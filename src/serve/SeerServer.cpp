@@ -41,33 +41,49 @@ double microsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Armed-only stage timer: no clock read when observability is off, so
-/// the disarmed request path keeps its pre-instrumentation cost.
-struct StageClock {
-  explicit StageClock(bool Armed)
-      : Armed(Armed), StartNs(Armed ? SpanRecorder::nowNs() : 0) {}
-  /// Elapsed wall time, microseconds (0 when disarmed).
-  double elapsedUs() const {
-    return Armed
-               ? static_cast<double>(SpanRecorder::nowNs() - StartNs) / 1000.0
-               : 0.0;
+/// Armed-only timer of one stage: no clock read when observability is
+/// off, so the disarmed request path keeps its pre-instrumentation cost.
+/// Declared before its request's span, a timer outlives it and writes its
+/// sample only then: as a span records itself after taking its end time,
+/// the request is not billed for writing its own telemetry.
+class StageTimer {
+public:
+  StageTimer(bool Armed, Histogram &WallUs, Histogram *CostError = nullptr)
+      : Armed(Armed), WallUs(WallUs), CostError(CostError) {}
+  StageTimer(const StageTimer &) = delete;
+  StageTimer &operator=(const StageTimer &) = delete;
+  /// Records the stage's wall time and, when it ran with a non-zero
+  /// modeled cost, the wall/modeled ratio as its cost-model error.
+  ~StageTimer() {
+    if (!Sampled)
+      return;
+    WallUs.record(Us);
+    if (CostError && ModeledMs > 0.0)
+      CostError->record(Us * 1e-3 / ModeledMs);
   }
-  bool Armed;
-  uint64_t StartNs;
-};
 
-/// Records a stage's wall time and, when the stage ran with a non-zero
-/// modeled cost, the wall/modeled ratio into the cost-model-error
-/// histogram.
-void recordStage(const StageClock &Clock, Histogram &WallUs,
-                 Histogram *CostError, double ModeledMs) {
-  if (!Clock.Armed)
-    return;
-  double Us = Clock.elapsedUs();
-  WallUs.record(Us);
-  if (CostError && ModeledMs > 0.0)
-    CostError->record(Us * 1e-3 / ModeledMs);
-}
+  void start() {
+    if (Armed)
+      StartNs = SpanRecorder::nowNs();
+  }
+  /// Ends the stage; a \p Modeled of 0 records no cost-model error.
+  void stop(double Modeled = 0.0) {
+    if (!Armed)
+      return;
+    Us = static_cast<double>(SpanRecorder::nowNs() - StartNs) / 1000.0;
+    ModeledMs = Modeled;
+    Sampled = true;
+  }
+
+private:
+  bool Armed;
+  bool Sampled = false;
+  Histogram &WallUs;
+  Histogram *CostError;
+  uint64_t StartNs = 0;
+  double Us = 0.0;
+  double ModeledMs = 0.0;
+};
 
 } // namespace
 
@@ -76,12 +92,15 @@ RegisteredMatrix SeerServer::registerMatrix(
   assert(Matrix && "registration without a matrix");
   RegisteredMatrix R;
   R.Fingerprint = matrixFingerprint(*Matrix);
-  const StageClock Probe(SpanRecorder::instance().armed());
+  StageTimer Probe(SpanRecorder::instance().armed(), CacheProbeUs);
+  Probe.start();
   ScopedSpan ProbeSpan(spanname::CacheProbe);
   auto [Entry, Hit] =
       Cache.lookupOrAnalyze(R.Fingerprint, *Matrix, Registry.size());
   ProbeSpan.tag("hit", Hit ? 1.0 : 0.0);
-  recordStage(Probe, CacheProbeUs, nullptr, 0.0);
+  Probe.stop();
+  // Executes that bring no operand run on these ones, built once here.
+  R.Ones = std::make_shared<const std::vector<double>>(Matrix->numCols(), 1.0);
   R.Matrix = std::move(Matrix);
   R.Entry = std::move(Entry);
   R.AnalysisReused = Hit;
@@ -186,6 +205,10 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
   const bool Obs = SpanRecorder::instance().armed();
   const uint64_t RequestId =
       Obs ? NextRequestId.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
+  StageTimer SelectTimer(Obs, StageSelectUs, &CostErrorSelect);
+  StageTimer PrepareTimer(Obs, StagePrepareUs, &CostErrorPrepare);
+  StageTimer RunTimer(Obs, StageRunUs, &CostErrorRun);
+  StageTimer OracleTimer(Obs, StageOracleUs);
   ScopedRequestId IdScope(RequestId);
   ScopedSpan RequestSpan(spanname::Serve, RequestId);
 
@@ -218,15 +241,14 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
       Degraded = true;
       return {};
     }
-    const StageClock Select(Obs);
+    SelectTimer.start();
     try {
       if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
         throw InjectedFaultError(std::move(F));
       ExecutionPlan P =
           Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
       SelectBreaker.recordSuccess();
-      recordStage(Select, StageSelectUs, &CostErrorSelect,
-                  P.Selection.overheadMs());
+      SelectTimer.stop(P.Selection.overheadMs());
       return P;
     } catch (const InjectedFaultError &E) {
       SelectBreaker.recordFailure();
@@ -262,11 +284,8 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
         Status::deadlineExceeded("deadline expired after selection"), Start);
 
   // The operand is shared by the planned and the degraded execution path.
-  const std::vector<double> Ones =
-      (Request.Execute && !Request.Operand)
-          ? std::vector<double>(M.numCols(), 1.0)
-          : std::vector<double>();
-  const std::vector<double> &X = Request.Operand ? *Request.Operand : Ones;
+  const std::vector<double> &X =
+      Request.Operand ? *Request.Operand : *Registered.Ones;
 
   bool PlanReused = false;
   if (!Degraded && Request.Execute) {
@@ -277,18 +296,16 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
     if (!PrepareBreaker.allow()) {
       Degraded = true;
     } else {
-      const StageClock Prepare(Obs);
+      PrepareTimer.start();
       try {
         PlanReused = preparePlan(Plan, A, Entry);
         PrepareBreaker.recordSuccess();
         // Cost-model error only when this request actually ran the
         // preprocess kernel — a ledger reuse's wall time measures a map
         // lookup, not the modeled preprocessing.
-        recordStage(Prepare, StagePrepareUs,
-                    (!PlanReused && !Plan.PreprocessAmortized)
-                        ? &CostErrorPrepare
-                        : nullptr,
-                    Plan.ModeledPreprocessMs);
+        PrepareTimer.stop((!PlanReused && !Plan.PreprocessAmortized)
+                              ? Plan.ModeledPreprocessMs
+                              : 0.0);
       } catch (const InjectedFaultError &E) {
         PrepareBreaker.recordFailure();
         if (E.status().isRetryable())
@@ -311,13 +328,13 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
       if (!RunBreaker.allow()) {
         Degraded = true;
       } else {
-        const StageClock RunClock(Obs);
+        RunTimer.start();
         try {
           SpmvRun Run = Pipeline.run(Plan, A, X);
           R.IterationMs = Run.Timing.TotalMs;
           R.Y = std::move(Run.Y);
           RunBreaker.recordSuccess();
-          recordStage(RunClock, StageRunUs, &CostErrorRun, R.IterationMs);
+          RunTimer.stop(R.IterationMs);
         } catch (const InjectedFaultError &E) {
           RunBreaker.recordFailure();
           if (E.status().isRetryable())
@@ -333,10 +350,10 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
     if (!Degraded && Request.VerifyOracle) {
       // Online feedback: compare against the noise-free oracle, computed
       // once per fingerprint and cached. Best-effort under injection: a
-      // fault here (the serve.oracle site, or kernel.prepare/plan.run
-      // firing inside the probe sweep) skips verification and serves the
+      // fault here (the serve.oracle site, or kernel.prepare firing
+      // inside the probe sweep) skips verification and serves the
       // response unverified rather than failing or degrading it.
-      const StageClock Oracle(Obs);
+      OracleTimer.start();
       ScopedSpan OracleSpan(spanname::ServeOracle);
       try {
         if (Status F = Faults.check(faultsite::ServeOracle); !F.ok())
@@ -347,16 +364,15 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
           Oracle = Entry->Oracle;
         }
         if (Oracle.empty()) {
-          // The oracle sweep is the planner's per-kernel plan path, one
-          // prepared plan per registry kernel.
+          // The oracle sweep prepares one plan per registry kernel and
+          // reads the launch time each one simulated: no SpMV runs.
           Oracle.resize(Registry.size());
           std::vector<ExecutionPlan> Probes;
           Probes.reserve(Registry.size());
           for (size_t K = 0; K < Registry.size(); ++K) {
             Probes.push_back(Pipeline.planForKernel(A, K));
-            const SpmvRun Probe = Pipeline.run(Probes[K], A, X);
             Oracle[K].PreprocessMs = Probes[K].ModeledPreprocessMs;
-            Oracle[K].IterationMs = Probe.Timing.TotalMs;
+            Oracle[K].IterationMs = Probes[K].IterationMs;
           }
           bool Grew = false;
           {
@@ -374,7 +390,7 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
               if (!Slot.State && !Slot.Paid && Probes[K].State) {
                 Slot.State = std::move(Probes[K].State);
                 Slot.PreprocessMs = Probes[K].ModeledPreprocessMs;
-                Slot.Thunk = Probes[K].Thunk;
+                Slot.IterationMs = Probes[K].IterationMs;
                 Grew = true;
               }
             }
@@ -396,7 +412,7 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
         // Verification skipped; the response itself is unaffected.
       } catch (const std::bad_alloc &) {
       }
-      recordStage(Oracle, StageOracleUs, nullptr, 0.0);
+      OracleTimer.stop();
     }
   }
 
@@ -473,6 +489,9 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
   const bool Obs = SpanRecorder::instance().armed();
   const uint64_t RequestId =
       Obs ? NextRequestId.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
+  StageTimer SelectTimer(Obs, StageSelectUs, &CostErrorSelect);
+  StageTimer PrepareTimer(Obs, StagePrepareUs, &CostErrorPrepare);
+  StageTimer RunTimer(Obs, StageRunUs, &CostErrorRun);
   ScopedRequestId IdScope(RequestId);
   ScopedSpan BatchSpan(spanname::ServeBatch, RequestId);
   BatchSpan.tag("operands", static_cast<double>(Operands.size()));
@@ -508,14 +527,13 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
     if (!SelectBreaker.allow()) {
       Degraded = true;
     } else {
-      const StageClock Select(Obs);
+      SelectTimer.start();
       try {
         if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
           throw InjectedFaultError(std::move(F));
         Plan = Pipeline.plan(A, B.Iterations, CollectionCharging::Precollected);
         SelectBreaker.recordSuccess();
-        recordStage(Select, StageSelectUs, &CostErrorSelect,
-                    Plan.Selection.overheadMs());
+        SelectTimer.stop(Plan.Selection.overheadMs());
       } catch (const InjectedFaultError &E) {
         SelectBreaker.recordFailure();
         if (E.status().isRetryable())
@@ -545,15 +563,13 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
     if (!PrepareBreaker.allow()) {
       Degraded = true;
     } else {
-      const StageClock Prepare(Obs);
+      PrepareTimer.start();
       try {
         PlanReused = preparePlan(Plan, A, Registered.Entry);
         PrepareBreaker.recordSuccess();
-        recordStage(Prepare, StagePrepareUs,
-                    (!PlanReused && !Plan.PreprocessAmortized)
-                        ? &CostErrorPrepare
-                        : nullptr,
-                    Plan.ModeledPreprocessMs);
+        PrepareTimer.stop((!PlanReused && !Plan.PreprocessAmortized)
+                              ? Plan.ModeledPreprocessMs
+                              : 0.0);
       } catch (const InjectedFaultError &E) {
         PrepareBreaker.recordFailure();
         if (E.status().isRetryable())
@@ -577,7 +593,7 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
     if (!RunBreaker.allow()) {
       Degraded = true;
     } else {
-      const StageClock RunClock(Obs);
+      RunTimer.start();
       try {
         for (const std::vector<double> &X : Operands) {
           // The per-operand deadline checkpoint: an expired batch stops
@@ -599,8 +615,7 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
         RunBreaker.recordSuccess();
         // One wall sample for the whole operand loop; the modeled cost
         // is the per-operand run scaled by the batch size.
-        recordStage(RunClock, StageRunUs, &CostErrorRun,
-                    B.IterationMs * static_cast<double>(Operands.size()));
+        RunTimer.stop(B.IterationMs * static_cast<double>(Operands.size()));
       } catch (const InjectedFaultError &E) {
         RunBreaker.recordFailure();
         if (E.status().isRetryable())

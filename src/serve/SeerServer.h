@@ -93,6 +93,8 @@ struct RegisteredMatrix {
   std::shared_ptr<const CsrMatrix> Matrix;
   uint64_t Fingerprint = 0;
   std::shared_ptr<FingerprintCache::Entry> Entry;
+  /// numCols() ones, the operand of executes that bring none.
+  std::shared_ptr<const std::vector<double>> Ones;
   /// True when registration found the analysis already cached (a repeat
   /// matrix registered by an earlier or concurrent client).
   bool AnalysisReused = false;

@@ -100,15 +100,21 @@ double EllMatrix::entryValue(uint32_t Row, uint32_t K) const {
 
 std::vector<double> EllMatrix::multiply(const std::vector<double> &X) const {
   assert(X.size() == NumCols && "operand size mismatch");
-  std::vector<double> Y(NumRows, 0.0);
+  std::vector<double> Y(NumRows);
   for (uint32_t Row = 0; Row < NumRows; ++Row) {
+    // A row's slots: its padded slab, or its compact CSR row in the
+    // virtual view (same entries, same order, no padding).
+    const uint64_t Begin =
+        Materialized ? static_cast<uint64_t>(Row) * Width : RowOffsets[Row];
+    const uint64_t Slots = Materialized ? Width : RowOffsets[Row + 1] - Begin;
+    const uint32_t *Cols =
+        (Materialized ? PaddedColumns.data() : CompactColumns.data()) + Begin;
+    const double *Vals =
+        (Materialized ? PaddedValues.data() : CompactValues.data()) + Begin;
     double Sum = 0.0;
-    for (uint32_t K = 0; K < Width; ++K) {
-      const uint32_t Col = entryColumn(Row, K);
-      if (Col == PaddingColumn)
-        break; // Entries are stored densely from slot 0, padding after.
-      Sum += entryValue(Row, K) * X[Col];
-    }
+    // Entries are stored densely from slot 0, padding after.
+    for (uint64_t K = 0; K < Slots && Cols[K] != PaddingColumn; ++K)
+      Sum += Vals[K] * X[Cols[K]];
     Y[Row] = Sum;
   }
   return Y;

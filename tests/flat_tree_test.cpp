@@ -8,9 +8,10 @@
 // the interpreted DecisionTree::predict oracle over randomized trained
 // trees and parse()-built edge trees (single leaf, shared-child DAGs),
 // under fuzzed feature vectors including NaN, infinities and exact
-// thresholds; PlanArena bump/scope/overflow/reset semantics; and the
+// thresholds; PlanArena bump/scope/overflow/reset semantics; the
 // zero-heap-allocation guarantee on the repeat-stream compiled select
-// path, asserted with the global operator-new counter idiom from
+// path; and the single allocation (the product) of a prepared plan's run,
+// both asserted with the global operator-new counter idiom from
 // obs_test. The ASan/UBSan and TSan CI jobs both run this binary.
 //
 //===----------------------------------------------------------------------===//
@@ -24,6 +25,7 @@
 #include "ml/DecisionTree.h"
 #include "ml/FlatTree.h"
 #include "sim/GpuSimulator.h"
+#include "sparse/Generators.h"
 
 #include <gtest/gtest.h>
 
@@ -44,16 +46,19 @@ using namespace seer;
 
 namespace {
 std::atomic<uint64_t> GlobalAllocations{0};
-} // namespace
 
-void *operator new(std::size_t Size) {
+/// Both new forms allocate here, so once inlined every block visibly
+/// comes from malloc and goes back to free.
+void *countedMalloc(std::size_t Size) {
   GlobalAllocations.fetch_add(1, std::memory_order_relaxed);
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
 }
+} // namespace
 
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
+void *operator new(std::size_t Size) { return countedMalloc(Size); }
+void *operator new[](std::size_t Size) { return countedMalloc(Size); }
 
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
@@ -373,6 +378,27 @@ TEST(CompiledSelectTest, RepeatStreamSelectionDoesZeroHeapAllocation) {
   EXPECT_EQ(Plan.selectPrecollected(Small, Gathered, 1).KernelIndex,
             WarmKnown.KernelIndex);
   (void)Picks;
+}
+
+TEST(PreparedRunTest, RunAllocatesOnlyTheProduct) {
+  // A prepared plan already holds its launch time, so Planner::run is the
+  // SpMV alone: the one heap allocation it may make is the Y it returns.
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const Planner Pipeline(Registry, Sim);
+  const CsrMatrix M = genPowerLaw(2048, 2048, 1.8, 1, 256, 11);
+  const AnalyzedMatrix A = Pipeline.analyze(M);
+  const std::vector<double> X(M.numCols(), 1.0);
+  for (size_t K = 0; K < Registry.size(); ++K) {
+    const ExecutionPlan Plan = Pipeline.planForKernel(A, K);
+    // Warm-up: lazily initialized statics on the run path.
+    (void)Pipeline.run(Plan, A, X);
+    const uint64_t Before = allocationCount();
+    const SpmvRun Run = Pipeline.run(Plan, A, X);
+    EXPECT_EQ(allocationCount() - Before, 1u) << Registry.kernel(K).name();
+    EXPECT_EQ(Run.Y.size(), M.numRows());
+    EXPECT_EQ(Run.Timing.TotalMs, Plan.IterationMs);
+  }
 }
 
 TEST(CompiledSelectTest, CompiledAndInterpretedSelectionsAreBitIdentical) {

@@ -13,17 +13,21 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/ExecutionPlan.h"
 #include "kernels/AdaptiveKernels.h"
 #include "kernels/CsrKernels.h"
 #include "kernels/FeatureKernels.h"
 #include "kernels/FormatKernels.h"
 #include "kernels/KernelRegistry.h"
+#include "sparse/EllMatrix.h"
 #include "sparse/Generators.h"
+#include "support/Fnv.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 using namespace seer;
 
@@ -127,6 +131,100 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+//===----------------------------------------------------------------------===//
+// Bit identity across the compute/timing split, pinned to recorded hashes.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One input per regime the split could get wrong: skew, a regular band,
+/// empty rows, one dense row, an ELL input above the materialization
+/// budget (the virtual view), and no nonzeros at all.
+std::vector<CsrMatrix> bitIdentityShapes() {
+  std::vector<CsrMatrix> Shapes;
+  Shapes.push_back(genPowerLaw(2048, 2048, 1.6, 1, 600, 41));
+  Shapes.push_back(genBanded(1500, 6, 0.8, 42));
+  {
+    // Two of every three rows empty, the rest short runs.
+    Rng R(43);
+    std::vector<Triplet> Entries;
+    for (uint32_t Row = 0; Row < 900; Row += 3) {
+      const uint32_t Length = 1 + static_cast<uint32_t>(R.bounded(12));
+      for (uint32_t Col = Row; Col < std::min<uint32_t>(900, Row + Length);
+           ++Col)
+        Entries.push_back({Row, Col, R.uniform(-2.0, 2.0)});
+    }
+    Shapes.push_back(CsrMatrix::fromTriplets(900, 900, std::move(Entries)));
+  }
+  Shapes.push_back(genDenseRowOutlier(1024, 4096, 4.0, 1, 4000, 44));
+  Shapes.push_back(genDenseRowOutlier(16384, 16384, 2.0, 1, 4200, 45));
+  Shapes.push_back(CsrMatrix::fromTriplets(64, 64, {}));
+  return Shapes;
+}
+
+/// FNV-1a over the bits of everything kernel \p K produces on \p Shapes:
+/// a prepared plan's Y and TotalMs from Planner::run, and the one-shot
+/// SpmvKernel::run's Y and every field of its Timing.
+uint64_t kernelBitsHash(size_t K, const std::vector<CsrMatrix> &Shapes) {
+  const KernelRegistry Registry;
+  const GpuSimulator Sim = makeSim();
+  const Planner Pipeline(Registry, Sim);
+  const SpmvKernel &Kernel = Registry.kernel(K);
+  Fnv1a Hash;
+  for (size_t S = 0; S < Shapes.size(); ++S) {
+    const CsrMatrix &M = Shapes[S];
+    const std::vector<double> X = randomVector(M.numCols(), 7000 + S);
+    const AnalyzedMatrix A = Pipeline.analyze(M);
+    const ExecutionPlan Plan = Pipeline.planForKernel(A, K);
+    const SpmvRun Planned = Pipeline.run(Plan, A, X);
+    for (double V : Planned.Y)
+      Hash.add(V);
+    Hash.add(Planned.Timing.TotalMs);
+    const SpmvRun OneShot = Kernel.run(M, A.Stats, Plan.State.get(), X, Sim);
+    for (double V : OneShot.Y)
+      Hash.add(V);
+    Hash.add(OneShot.Timing.TotalMs);
+    Hash.add(OneShot.Timing.ComputeMs);
+    Hash.add(OneShot.Timing.MemoryMs);
+    Hash.add(OneShot.Timing.OverheadMs);
+    Hash.add(OneShot.Timing.NumWavefronts);
+    Hash.add(OneShot.Timing.DramBytes);
+  }
+  return Hash.value();
+}
+
+} // namespace
+
+TEST(KernelSplitTest, BitIdenticalToTheFusedRun) {
+  // Recorded from the fused run() that computed Y and simulated the
+  // launch in one pass, before the split into compute() and timing():
+  // the split must not move one bit of any product or timing.
+  const std::pair<const char *, uint64_t> Expected[] = {
+      {"CSR,A", 0xcc7fce81af6fb8eeull},
+      {"CSR,BM", 0x737782b0524ae55dull},
+      {"CSR,MP", 0x6d47b2b0cdbe6e1full},
+      {"CSR,WM", 0x199abce5c81afadfull},
+      {"CSR,WO", 0xece21059f683e8e2ull},
+      {"CSR,TM", 0x24981ff974cb2bbcull},
+      {"COO,WM", 0xf6fe511ad46b9b25ull},
+      {"ELL,TM", 0xae7975f73f906b8cull},
+      {"rocSPARSE", 0x15256d06feebc4d8ull},
+  };
+  const std::vector<CsrMatrix> Shapes = bitIdentityShapes();
+  ASSERT_GT(static_cast<uint64_t>(Shapes[4].numRows()) *
+                Shapes[4].maxRowLength(),
+            EllMatrix::DefaultMaxMaterializedCells);
+  ASSERT_EQ(Shapes[5].nnz(), 0u);
+  const KernelRegistry Registry;
+  ASSERT_EQ(Registry.size(), std::size(Expected));
+  for (size_t K = 0; K < Registry.size(); ++K) {
+    ASSERT_EQ(Registry.kernel(K).name(), Expected[K].first);
+    const uint64_t Got = kernelBitsHash(K, Shapes);
+    EXPECT_EQ(Got, Expected[K].second)
+        << Expected[K].first << " hashes to 0x" << std::hex << Got;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Registry

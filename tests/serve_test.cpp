@@ -367,6 +367,51 @@ TEST(SeerServerTest, OracleFeedbackCountsMispredictions) {
                 static_cast<double>(requestPool().size()));
 }
 
+TEST(SeerServerTest, OracleStashCarriesTheLaunchTime) {
+  // A verified execute prepares every kernel to read its timing, and
+  // stashes the states it built, unpaid. A later execute whose kernel
+  // finds such a stash adopts the state and the launch time simulated
+  // with it: its Y and IterationMs must be the one-shot runtime's.
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Runtime(tinyModels(), Registry, Sim);
+  const Planner &P = Runtime.planner();
+  size_t Checked = 0;
+  for (const CsrMatrix &M : requestPool()) {
+    SeerServer Server(tinyModels());
+    const RegisteredMatrix Reg = registerAliased(Server, M);
+    const auto Verified = Server.handleRegistered(Reg, options(1, true, true));
+    ASSERT_TRUE(Verified) << Verified.status().toString();
+    ASSERT_TRUE(Verified->OracleChecked);
+
+    // An iteration count whose kernel has preprocessing state the
+    // verified execute did not pay for: only the oracle stash holds it.
+    const AnalyzedMatrix A = P.analyze(M);
+    for (uint32_t Iterations = 2; Iterations <= 40; ++Iterations) {
+      const size_t Kernel = Runtime.select(M, Iterations).KernelIndex;
+      if (Kernel == Verified->Selection.KernelIndex ||
+          !P.planForKernel(A, Kernel).State)
+        continue;
+      const uint64_t ReusedBefore = Server.stats().PlansReused;
+      const auto Stashed =
+          Server.handleRegistered(Reg, options(Iterations, true));
+      ASSERT_TRUE(Stashed) << Stashed.status().toString();
+      EXPECT_EQ(Server.stats().PlansReused, ReusedBefore + 1);
+      EXPECT_FALSE(Stashed->PreprocessAmortized);
+      const std::vector<double> Ones(M.numCols(), 1.0);
+      const ExecutionReport Report = Runtime.execute(M, Ones, Iterations);
+      EXPECT_EQ(Stashed->Selection.KernelIndex, Kernel);
+      EXPECT_EQ(Stashed->IterationMs, Report.IterationMs);
+      EXPECT_EQ(Stashed->PreprocessMs, Report.PreprocessMs);
+      EXPECT_EQ(Stashed->Y, Report.Y);
+      ++Checked;
+      break;
+    }
+    Server.releaseMatrix(Reg);
+  }
+  EXPECT_GT(Checked, 0u) << "no request reached an oracle stash";
+}
+
 TEST(SeerServerTest, StatsResetZeroesTelemetryButKeepsCache) {
   SeerServer Server(tinyModels());
   const CsrMatrix &M = requestPool()[0];
@@ -460,22 +505,37 @@ TEST(PlannerTest, PreparedPlanReuseChargesPerPayment) {
   EXPECT_EQ(Fragment.PreprocessMs, Fresh.PreprocessMs);
   EXPECT_EQ(Fragment.State, Fresh.State);
 
-  // Amortized reuse: zero charge, shared state, identical product.
+  // The fragment carries the launch time the fresh plan simulated.
+  const std::vector<double> X(M.numCols(), 1.0);
+  const SpmvRun FreshRun = P.run(Fresh, A, X);
+  EXPECT_EQ(FreshRun.Timing.TotalMs,
+            Registry.kernel(Fresh.kernelIndex())
+                .timing(M, A.Stats, Fresh.State.get(), Sim)
+                .TotalMs);
+  EXPECT_EQ(Fragment.IterationMs, FreshRun.Timing.TotalMs);
+
+  // Amortized reuse: zero charge, shared state, identical product and
+  // launch time.
   ExecutionPlan Reused = P.plan(A, 19, CollectionCharging::Precollected);
   P.reusePrepared(Reused, Fragment, /*AlreadyPaid=*/true);
   EXPECT_TRUE(Reused.PreprocessAmortized);
   EXPECT_EQ(Reused.PreprocessMs, 0.0);
   EXPECT_EQ(Reused.ModeledPreprocessMs, Fresh.PreprocessMs);
-  const std::vector<double> X(M.numCols(), 1.0);
-  EXPECT_EQ(P.run(Reused, A, X).Y, P.run(Fresh, A, X).Y);
+  const SpmvRun ReusedRun = P.run(Reused, A, X);
+  EXPECT_EQ(ReusedRun.Y, FreshRun.Y);
+  EXPECT_EQ(ReusedRun.Timing.TotalMs, FreshRun.Timing.TotalMs);
 
-  // Unpaid stash: the state is reused, the charge is not waived.
+  // Unpaid stash: the state is reused, the charge is not waived, and the
+  // launch time travels with it.
   PreparedKernel Stash = Fragment;
   Stash.Paid = false;
   ExecutionPlan Charged = P.plan(A, 19, CollectionCharging::Precollected);
   P.reusePrepared(Charged, Stash, /*AlreadyPaid=*/false);
   EXPECT_FALSE(Charged.PreprocessAmortized);
   EXPECT_EQ(Charged.PreprocessMs, Fresh.PreprocessMs);
+  const SpmvRun ChargedRun = P.run(Charged, A, X);
+  EXPECT_EQ(ChargedRun.Y, FreshRun.Y);
+  EXPECT_EQ(ChargedRun.Timing.TotalMs, FreshRun.Timing.TotalMs);
 
   // The batched-charge rule: overhead and preprocessing once per plan,
   // iterations per operand.

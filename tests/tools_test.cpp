@@ -124,3 +124,35 @@ TEST(CommandLineTest, EqualsFormAndBoolSemantics) {
   EXPECT_FALSE(Cmd.boolFlag("execute"));
   EXPECT_EQ(Cmd.flag("models"), "m");
 }
+
+TEST(StatsSnapshotTest, SumsEveryShardSection) {
+  // What seer-lb answers for `stats` in front of two shards: one section
+  // per shard, each under its own header.
+  const std::string Fleet = "# shard 0 127.0.0.1:7001\n"
+                            "stat requests 3\n"
+                            "stat breaker_opens 0\n"
+                            "stat latency_us_p50 41.5\n"
+                            "# shard 1 127.0.0.1:7002\n"
+                            "stat requests 3\n"
+                            "stat breaker_opens 2\n";
+  EXPECT_EQ(statSum(Fleet, "requests"), 6u);
+  EXPECT_EQ(statSum(Fleet, "breaker_opens"), 2u);
+  EXPECT_EQ(statSum(Fleet, "retries_exhausted"), 0u);
+  // A name is matched whole, never as a prefix of a longer one.
+  EXPECT_EQ(statSum(Fleet, "request"), 0u);
+  EXPECT_EQ(missingShardSections(Fleet), 0u);
+
+  // A single server's snapshot has no headers and no trailing newline
+  // requirement.
+  EXPECT_EQ(statSum("stat requests 5", "requests"), 5u);
+
+  // A shard that did not answer leaves a marker instead of its lines.
+  const std::string Degraded = "# shard 0 127.0.0.1:7001\n"
+                               "stat requests 3\n"
+                               "# shard 1 127.0.0.1:7002\n"
+                               "# unavailable: connection refused\n"
+                               "# shard 2 127.0.0.1:7003\n"
+                               "# malformed reply: truncated text\n";
+  EXPECT_EQ(statSum(Degraded, "requests"), 3u);
+  EXPECT_EQ(missingShardSections(Degraded), 2u);
+}

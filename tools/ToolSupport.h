@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tiny flag parser and diagnostics shared by the seer-* command line
-/// tools. Flags are `--name value` or `--name=value`; anything else is a
-/// positional argument.
+/// Tiny flag parser, diagnostics and stats-snapshot readers shared by the
+/// seer-* command line tools. Flags are `--name value` or `--name=value`;
+/// anything else is a positional argument.
 ///
 /// Each tool declares its flag vocabulary up front (string-, integer- and
 /// boolean-valued), and the parser validates against it: unknown flags,
@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seer::tools {
@@ -170,6 +171,34 @@ private:
   std::map<std::string, std::string> Flags;
   std::vector<std::string> Positional;
 };
+
+/// The sum of every `stat NAME VALUE` line's value in a stats snapshot, 0
+/// when there is none. A seer-serve snapshot has one such line; a seer-lb
+/// snapshot has one section per shard, each under a `# shard N` header,
+/// so the sum is the whole fleet's count.
+inline uint64_t statSum(std::string_view StatsText, std::string_view Name) {
+  const std::string Needle = "stat " + std::string(Name) + " ";
+  uint64_t Sum = 0;
+  for (const std::string &Line : splitString(StatsText, '\n')) {
+    int64_t Value = 0;
+    if (startsWith(Line, Needle) &&
+        parseInt(std::string_view(Line).substr(Needle.size()), Value) &&
+        Value > 0)
+      Sum += static_cast<uint64_t>(Value);
+  }
+  return Sum;
+}
+
+/// Shard sections a seer-lb stats snapshot could not fill: the balancer
+/// writes `# unavailable: ...` or `# malformed reply: ...` in place of
+/// a shard's lines when the shard did not answer.
+inline uint64_t missingShardSections(std::string_view StatsText) {
+  uint64_t Missing = 0;
+  for (const std::string &Line : splitString(StatsText, '\n'))
+    Missing += startsWith(Line, "# unavailable") ||
+               startsWith(Line, "# malformed reply");
+  return Missing;
+}
 
 /// Prints `error: <message>` and exits 1. main()-level policy only; the
 /// library reports Status values instead.

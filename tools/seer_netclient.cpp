@@ -20,8 +20,9 @@
 // the in-process replay pays registration once at definition), then the
 // operation sequence is walked K times over one connection. `--strict`
 // is the chaos gate of seer-serve carried over the wire: error lines,
-// exhausted retry budgets, or breaker opens (read from the server's
-// stats snapshot) fail the run. `--shutdown` sends the wire Shutdown op
+// exhausted retry budgets, or breaker opens (summed over every shard
+// section of the stats snapshot), or a shard section seer-lb could not
+// fill, fail the run. `--shutdown` sends the wire Shutdown op
 // at the end — how the bench tears down the shard fleet it spawned.
 //
 //===----------------------------------------------------------------------===//
@@ -32,7 +33,6 @@
 #include "net/NetClient.h"
 #include "net/Socket.h"
 #include "serve/RequestTrace.h"
-#include "support/StringUtils.h"
 
 #include <chrono>
 #include <cinttypes>
@@ -61,34 +61,10 @@ constexpr const char *Usage =
     "  --strict             exit nonzero if the replay produced any\n"
     "                       'error CODE ...' line, or the server's stats\n"
     "                       report an exhausted retry budget or an opened\n"
-    "                       circuit breaker (chaos-gate mode)\n"
+    "                       circuit breaker on any shard, or a shard\n"
+    "                       behind seer-lb gave no stats (chaos-gate mode)\n"
     "  --shutdown           send the wire Shutdown op after the replay\n"
     "                       (the server acks, then drains and exits)\n";
-
-/// Reads the value of `stat NAME VALUE` from a stats snapshot, 0 when the
-/// line is missing — the --strict gate and the throughput summary both
-/// only see the server through its wire-format text snapshot.
-uint64_t statValue(const std::string &StatsText, const std::string &Name) {
-  const std::string Needle = "stat " + Name + " ";
-  size_t Pos = 0;
-  while (Pos < StatsText.size()) {
-    const size_t Eol = StatsText.find('\n', Pos);
-    const std::string_view Line(StatsText.data() + Pos,
-                                (Eol == std::string::npos ? StatsText.size()
-                                                          : Eol) -
-                                    Pos);
-    if (startsWith(Line, Needle)) {
-      int64_t Value = 0;
-      if (parseInt(Line.substr(Needle.size()), Value) && Value >= 0)
-        return static_cast<uint64_t>(Value);
-      return 0;
-    }
-    if (Eol == std::string::npos)
-      break;
-    Pos = Eol + 1;
-  }
-  return 0;
-}
 
 /// Walks the script's operation sequence \p Repeat times over \p Client,
 /// printing exactly what replay() in seer-serve prints for a single
@@ -254,9 +230,9 @@ int main(int Argc, char **Argv) {
     fatal(StatsText.status());
   std::printf("%s", StatsText->c_str());
   // Same summary line shape as seer-serve's runTrace; the request count
-  // comes from the server's snapshot (cumulative: with a balancer in
-  // front this aggregates every shard's counter).
-  const uint64_t Requests = statValue(*StatsText, "requests");
+  // comes from the server's snapshot, summed over every shard's section
+  // when a balancer is in front.
+  const uint64_t Requests = statSum(*StatsText, "requests");
   std::printf("replayed %zu ops x %u clients x %u in %.3fs "
               "(%.0f req/s, %llu errors)\n",
               Script->Ops.size(), 1u, Repeat, WallSeconds,
@@ -267,16 +243,20 @@ int main(int Argc, char **Argv) {
 
   int ExitCode = 0;
   if (Cmd.boolFlag("strict")) {
-    const uint64_t RetriesExhausted = statValue(*StatsText,
-                                                "retries_exhausted");
-    const uint64_t BreakerOpens = statValue(*StatsText, "breaker_opens");
-    if (Errors > 0 || RetriesExhausted > 0 || BreakerOpens > 0) {
+    const uint64_t RetriesExhausted = statSum(*StatsText,
+                                              "retries_exhausted");
+    const uint64_t BreakerOpens = statSum(*StatsText, "breaker_opens");
+    const uint64_t MissingShards = missingShardSections(*StatsText);
+    if (Errors > 0 || RetriesExhausted > 0 || BreakerOpens > 0 ||
+        MissingShards > 0) {
       std::fprintf(stderr,
                    "seer-netclient: --strict: %llu error line(s), %llu retry "
-                   "budget(s) exhausted, %llu breaker open(s)\n",
+                   "budget(s) exhausted, %llu breaker open(s), %llu shard(s) "
+                   "without stats\n",
                    static_cast<unsigned long long>(Errors),
                    static_cast<unsigned long long>(RetriesExhausted),
-                   static_cast<unsigned long long>(BreakerOpens));
+                   static_cast<unsigned long long>(BreakerOpens),
+                   static_cast<unsigned long long>(MissingShards));
       if (const auto Metrics = Client.metricsText())
         std::fprintf(stderr, "%s", Metrics->c_str());
       ExitCode = 1;
