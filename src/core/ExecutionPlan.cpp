@@ -9,25 +9,36 @@
 #include "core/Features.h"
 #include "core/SeerTrainer.h"
 #include "support/FaultInjector.h"
-#include "support/Fnv.h"
 #include "support/Tracing.h"
+#include "support/XxHash64.h"
 
+#include <cstring>
 #include <utility>
 
 using namespace seer;
 
+uint64_t seer::csrFingerprint(uint32_t Rows, uint32_t Cols, uint64_t Nnz,
+                              std::string_view OffsetBytes,
+                              std::string_view ColumnBytes,
+                              std::string_view ValueBytes) {
+  char Dims[16] = {};
+  std::memcpy(Dims, &Rows, 4);
+  std::memcpy(Dims + 4, &Cols, 4);
+  std::memcpy(Dims + 8, &Nnz, 8);
+  uint64_t H = xxHash64(std::string_view(Dims, sizeof(Dims)));
+  H = xxHash64(OffsetBytes, H);
+  H = xxHash64(ColumnBytes, H);
+  return xxHash64(ValueBytes, H);
+}
+
 uint64_t seer::matrixFingerprint(const CsrMatrix &M) {
-  Fnv1a F;
-  F.add(static_cast<uint64_t>(M.numRows()));
-  F.add(static_cast<uint64_t>(M.numCols()));
-  F.add(M.nnz());
-  for (uint64_t Offset : M.rowOffsets())
-    F.add(Offset);
-  for (uint32_t Col : M.columnIndices())
-    F.add(static_cast<uint64_t>(Col));
-  for (double Value : M.values())
-    F.add(Value);
-  return F.value();
+  const auto Bytes = [](const auto &V) {
+    return std::string_view(reinterpret_cast<const char *>(V.data()),
+                            V.size() * sizeof(V[0]));
+  };
+  return csrFingerprint(M.numRows(), M.numCols(), M.nnz(),
+                        Bytes(M.rowOffsets()), Bytes(M.columnIndices()),
+                        Bytes(M.values()));
 }
 
 Planner::Planner(const KernelRegistry &Registry, const GpuSimulator &Sim)

@@ -63,6 +63,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace seer {
@@ -72,9 +73,25 @@ namespace seer {
 // consumes the Benchmarker's sweep, whose plans are model-less.
 struct SeerModels;
 
-/// Content fingerprint of \p M: FNV-1a over dimensions, row offsets,
-/// column indices and values. O(nnz), but a plain streaming hash — far
-/// cheaper than the analysis and preprocessing passes it deduplicates.
+/// Content fingerprint of a CSR matrix given as the little-endian byte
+/// images of its three arrays, at any alignment: xxHash64
+/// (support/XxHash64.h) of the dimensions' image (rows u32, cols u32, nnz
+/// u64), chained over the row offsets (u64 each), the column indices
+/// (u32) and the values (IEEE-754 bits). The one definition behind
+/// matrixFingerprint() and the balancer's in-frame routing key
+/// (net/ShardRouter.h), so the two cannot disagree. The caller checks
+/// that the spans' lengths match the dimensions.
+uint64_t csrFingerprint(uint32_t Rows, uint32_t Cols, uint64_t Nnz,
+                        std::string_view OffsetBytes,
+                        std::string_view ColumnBytes,
+                        std::string_view ValueBytes);
+
+/// Content fingerprint of \p M: csrFingerprint() over its in-memory
+/// arrays, which on a little-endian host are their wire images. O(nnz)
+/// at memory speed: on a 32,768-row uniform matrix with 396k nonzeros it
+/// costs 0.65x one CSR multiply and 0.4x the single-pass analysis (185,
+/// 283 and 480 us on a 4-vCPU AMD EPYC at -O2). It is a bucket and
+/// routing key, not an identity: see serve/FingerprintCache.h.
 uint64_t matrixFingerprint(const CsrMatrix &M);
 
 /// A matrix together with everything the pipeline derives from it once:

@@ -37,6 +37,14 @@ Status carriedAck(const std::string &Reply) {
 
 } // namespace
 
+Expected<uint64_t> seer::net::openFrameFingerprint(const std::string &Payload) {
+  auto View = viewOpen(Payload);
+  if (!View.ok())
+    return View.status();
+  return csrFingerprint(View->Rows, View->Cols, View->Nnz, View->OffsetBytes,
+                        View->ColumnBytes, View->ValueBytes);
+}
+
 // -- ShardRouter -----------------------------------------------------------
 
 ShardRouter::ShardRouter(size_t ShardCount, size_t VirtualNodes)
@@ -151,15 +159,17 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
   }
   switch (*OpOr) {
   case Op::Open: {
-    // The one op the balancer fully decodes: routing needs the content
-    // fingerprint, computed with the same function the shards use, so
-    // balancer routing and shard cache keys can never disagree.
-    auto Req = decodeOpen(Payload);
-    if (!Req.ok()) {
+    // Routing needs only the content fingerprint, hashed over the
+    // frame's arrays where they lie with the function behind the shards'
+    // cache keys, so the two can never disagree. Nothing is decoded: a
+    // frame whose CSR content is invalid reaches its shard, which answers
+    // the typed error forwarded below.
+    auto Fingerprint = openFrameFingerprint(Payload);
+    if (!Fingerprint.ok()) {
       ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
+      return encodeStatusReply(Fingerprint.status());
     }
-    const size_t Shard = Router.route(matrixFingerprint(Req->Matrix));
+    const size_t Shard = Router.route(*Fingerprint);
     auto ReplyOr = callShard(Shard, Payload);
     if (!ReplyOr.ok())
       return encodeStatusReply(ReplyOr.status());

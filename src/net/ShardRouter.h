@@ -23,10 +23,13 @@
 /// **LbHandler.** A FrameHandler (net/NetServer.h) that terminates the
 /// client protocol and forwards to the shards:
 ///
-///   - Open is decoded once, fingerprinted with the same function the
-///     shards use, routed, and forwarded verbatim; the balancer mints
-///     its own per-connection handle and maps it to (shard, remote
-///     handle).
+///   - Open is viewed in place (net/Wire.h viewOpen), its arrays
+///     fingerprinted where they lie with the function the shards' caches
+///     key on (openFrameFingerprint), routed, and forwarded verbatim; the
+///     balancer mints its own per-connection handle and maps it to
+///     (shard, remote handle). The balancer checks only that the arrays'
+///     lengths agree with the dimensions; CSR content is validated at
+///     the shard, whose typed INVALID_ARGUMENT comes back verbatim.
 ///   - Close/Select/Execute/Batch rewrite the handle in place
 ///     (net/Wire.h fixed offset) and forward — no re-encode, no decode
 ///     of operands or replies on the hot path.
@@ -77,6 +80,12 @@ private:
   std::vector<Point> Ring; ///< sorted by Hash
   size_t Shards;
 };
+
+/// The routing key of an Open frame: csrFingerprint (core/ExecutionPlan.h)
+/// over the frame's arrays in place, equal to matrixFingerprint of the
+/// matrix the shard decodes from it. INVALID_ARGUMENT when the frame is
+/// not a well-formed Open (viewOpen); the CSR content is not checked.
+Expected<uint64_t> openFrameFingerprint(const std::string &Payload);
 
 /// One shard server address (numeric IPv4).
 struct ShardEndpoint {

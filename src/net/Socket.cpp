@@ -10,6 +10,7 @@
 #include "support/FaultInjector.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -18,6 +19,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 using namespace seer;
@@ -49,14 +51,23 @@ void Socket::close() {
   }
 }
 
-Status Socket::sendAll(const void *Data, size_t Size) {
+Status Socket::sendAll(const void *Head, size_t HeadSize, const void *Body,
+                       size_t BodySize) {
   if (Status F = FaultInjector::instance().check(faultsite::NetWrite);
       !F.ok())
     return F;
-  const char *Cursor = static_cast<const char *>(Data);
-  size_t Left = Size;
-  while (Left > 0) {
-    const ssize_t Written = ::send(Fd, Cursor, Left, MSG_NOSIGNAL);
+  iovec Parts[2] = {{const_cast<void *>(Head), HeadSize},
+                    {const_cast<void *>(Body), BodySize}};
+  size_t First = 0; // the first part with bytes left to send
+  while (First < 2) {
+    if (Parts[First].iov_len == 0) {
+      ++First;
+      continue;
+    }
+    msghdr Msg{};
+    Msg.msg_iov = Parts + First;
+    Msg.msg_iovlen = 2 - First;
+    const ssize_t Written = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
     if (Written < 0) {
       if (errno == EINTR)
         continue;
@@ -67,8 +78,16 @@ Status Socket::sendAll(const void *Data, size_t Size) {
       }
       return errnoStatus("send failed", errno);
     }
-    Cursor += Written;
-    Left -= static_cast<size_t>(Written);
+    // Advance past what went out; it never exceeds what is left.
+    for (auto Left = static_cast<size_t>(Written); Left > 0;) {
+      iovec &Part = Parts[First];
+      const size_t Step = std::min(Left, Part.iov_len);
+      Part.iov_base = static_cast<char *>(Part.iov_base) + Step;
+      Part.iov_len -= Step;
+      Left -= Step;
+      if (Part.iov_len == 0)
+        ++First;
+    }
   }
   return Status::okStatus();
 }
@@ -215,8 +234,9 @@ Status seer::net::readFrame(Socket &S, size_t MaxBytes, std::string &Payload,
 }
 
 Status seer::net::writeFrame(Socket &S, const std::string &Payload) {
-  std::string Frame;
-  Frame.reserve(Payload.size() + 4);
-  appendFrame(Frame, Payload);
-  return S.sendAll(Frame.data(), Frame.size());
+  const auto Length = static_cast<uint32_t>(Payload.size());
+  const uint8_t Header[4] = {
+      static_cast<uint8_t>(Length), static_cast<uint8_t>(Length >> 8),
+      static_cast<uint8_t>(Length >> 16), static_cast<uint8_t>(Length >> 24)};
+  return S.sendAll(Header, sizeof(Header), Payload.data(), Payload.size());
 }

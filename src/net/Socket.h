@@ -64,10 +64,14 @@ public:
   /// Closes the descriptor now (idempotent).
   void close();
 
-  /// Writes all \p Size bytes (EINTR/short-write loop, SIGPIPE
-  /// suppressed). Checks the `net.write` fault site once per call;
+  /// Writes all \p HeadSize bytes at \p Head, then all \p BodySize bytes
+  /// at \p Body, gathered: each sendmsg carries what is left of both, so
+  /// a frame's length prefix and payload leave together without first
+  /// being copied into one buffer. EINTR/short-write loop, SIGPIPE
+  /// suppressed. Checks the `net.write` fault site once per call;
   /// UNAVAILABLE when the peer is gone.
-  Status sendAll(const void *Data, size_t Size);
+  Status sendAll(const void *Head, size_t HeadSize,
+                 const void *Body = nullptr, size_t BodySize = 0);
 
   /// Reads exactly \p Size bytes. Checks the `net.read` fault site once
   /// per call; UNAVAILABLE when the connection closes before \p Size
@@ -110,7 +114,8 @@ Status parseHostPort(const std::string &Spec, std::string &Host,
 Status readFrame(Socket &S, size_t MaxBytes, std::string &Payload,
                  bool *CleanClose = nullptr);
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with one sendAll, so the
+/// `net.write` fault site counts each frame once.
 Status writeFrame(Socket &S, const std::string &Payload);
 
 } // namespace seer::net

@@ -13,138 +13,138 @@
 using namespace seer;
 using namespace seer::net;
 
+// The wire image of every scalar and array is its little-endian in-memory
+// representation, so the codec below moves arrays with one memcpy each and
+// csrFingerprint() hashes an Open frame's arrays where they lie. A
+// big-endian host would need a byte-swapping codec; none is built.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the wire image is the host's little-endian representation");
+
 namespace {
 
-// -- Little-endian primitive writers ---------------------------------------
+// -- Writers ---------------------------------------------------------------
 
-void putU8(std::string &Out, uint8_t V) {
-  Out.push_back(static_cast<char>(V));
+/// Reply fields other than Y never exceed this many bytes (108 for a
+/// response, 88 for a batch), so reserving it plus the arrays sizes the
+/// frame once.
+constexpr size_t ReplyScalarBytes = 128;
+
+/// A payload holding opcode \p Code, with room for \p BodyBytes more: the
+/// encoders of frames that carry arrays pass their size, so the frame is
+/// allocated once.
+std::string startFrame(Op Code, size_t BodyBytes = 0) {
+  std::string Out;
+  Out.reserve(1 + BodyBytes);
+  Out.push_back(static_cast<char>(Code));
+  return Out;
 }
 
-void putU32(std::string &Out, uint32_t V) {
-  for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<char>((V >> Shift) & 0xff));
+template <typename T> void putScalar(std::string &Out, T V) {
+  Out.append(reinterpret_cast<const char *>(&V), sizeof(V));
 }
 
-void putU64(std::string &Out, uint64_t V) {
-  for (int Shift = 0; Shift < 64; Shift += 8)
-    Out.push_back(static_cast<char>((V >> Shift) & 0xff));
-}
-
-void putF64(std::string &Out, double V) {
-  uint64_t Bits = 0;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  putU64(Out, Bits);
-}
+void putU8(std::string &Out, uint8_t V) { putScalar(Out, V); }
+void putU32(std::string &Out, uint32_t V) { putScalar(Out, V); }
+void putU64(std::string &Out, uint64_t V) { putScalar(Out, V); }
+void putF64(std::string &Out, double V) { putScalar(Out, V); }
 
 void putString(std::string &Out, const std::string &S) {
   putU32(Out, static_cast<uint32_t>(S.size()));
   Out.append(S);
 }
 
-void putF64Vec(std::string &Out, const std::vector<double> &V) {
-  putU64(Out, V.size());
-  for (double D : V)
-    putF64(Out, D);
+/// The byte image of \p V, which is its wire image on this host.
+template <typename T> std::string_view imageOf(const std::vector<T> &V) {
+  return std::string_view(reinterpret_cast<const char *>(V.data()),
+                          V.size() * sizeof(T));
 }
 
-/// Bounds-checked little-endian reader over one frame payload. Every read
-/// fails with INVALID_ARGUMENT once the payload runs short, which is how
-/// truncated frames become typed errors.
+/// The one array writer: appends \p V's image in a single copy. Every
+/// array on the wire goes through it, uncounted (Open's CSR arrays, sized
+/// by the dimensions before them) or counted (putCounted).
+template <typename T> void putArray(std::string &Out, const std::vector<T> &V) {
+  Out.append(imageOf(V));
+}
+
+/// A u64 element count, then the array (execute operands, Y vectors).
+void putCounted(std::string &Out, const std::vector<double> &V) {
+  putU64(Out, V.size());
+  putArray(Out, V);
+}
+
+/// The one array reader's copy step: \p Image (already bounds-checked by
+/// Reader::arrayImage) into \p Out in a single memcpy.
+template <typename T>
+void copyArray(std::string_view Image, std::vector<T> &Out) {
+  Out.resize(Image.size() / sizeof(T));
+  if (!Image.empty())
+    std::memcpy(Out.data(), Image.data(), Image.size());
+}
+
+/// Bounds-checked reader over one frame payload. Every read fails with
+/// INVALID_ARGUMENT once the payload runs short, which is how truncated
+/// frames become typed errors.
 class Reader {
 public:
   explicit Reader(const std::string &Payload)
-      : Data(reinterpret_cast<const uint8_t *>(Payload.data())),
-        Size(Payload.size()) {}
+      : Data(Payload.data()), Size(Payload.size()) {}
 
-  Status need(size_t Bytes) {
+  Status need(size_t Bytes) const {
     if (Size - Pos < Bytes)
       return Status::invalidArgument("truncated frame body");
     return Status::okStatus();
   }
 
-  Status u8(uint8_t &Out) {
-    if (Status S = need(1); !S.ok())
+  template <typename T> Status scalar(T &Out) {
+    if (Status S = need(sizeof(T)); !S.ok())
       return S;
-    Out = Data[Pos++];
+    std::memcpy(&Out, Data + Pos, sizeof(T));
+    Pos += sizeof(T);
     return Status::okStatus();
   }
 
-  Status u32(uint32_t &Out) {
-    if (Status S = need(4); !S.ok())
-      return S;
-    Out = 0;
-    for (int Shift = 0; Shift < 32; Shift += 8)
-      Out |= static_cast<uint32_t>(Data[Pos++]) << Shift;
-    return Status::okStatus();
-  }
-
-  Status u64(uint64_t &Out) {
-    if (Status S = need(8); !S.ok())
-      return S;
-    Out = 0;
-    for (int Shift = 0; Shift < 64; Shift += 8)
-      Out |= static_cast<uint64_t>(Data[Pos++]) << Shift;
-    return Status::okStatus();
-  }
-
-  Status f64(double &Out) {
-    uint64_t Bits = 0;
-    if (Status S = u64(Bits); !S.ok())
-      return S;
-    std::memcpy(&Out, &Bits, sizeof(Out));
-    return Status::okStatus();
-  }
+  Status u8(uint8_t &Out) { return scalar(Out); }
+  Status u32(uint32_t &Out) { return scalar(Out); }
+  Status u64(uint64_t &Out) { return scalar(Out); }
+  Status f64(double &Out) { return scalar(Out); }
 
   Status str(std::string &Out) {
+    std::string_view View;
+    if (Status S = strView(View); !S.ok())
+      return S;
+    Out.assign(View);
+    return Status::okStatus();
+  }
+
+  Status strView(std::string_view &Out) {
     uint32_t Len = 0;
     if (Status S = u32(Len); !S.ok())
       return S;
-    if (Status S = need(Len); !S.ok())
-      return S;
-    Out.assign(reinterpret_cast<const char *>(Data + Pos), Len);
-    Pos += Len;
+    return arrayImage(Out, Len, 1);
+  }
+
+  /// Views the next \p Count elements of \p Width bytes in place. The
+  /// count is checked against the remaining bytes before it is multiplied
+  /// or anything is allocated, so a forged count can neither overflow nor
+  /// request memory the frame does not contain.
+  Status arrayImage(std::string_view &Out, uint64_t Count, size_t Width) {
+    if (Count > (Size - Pos) / Width)
+      return Status::invalidArgument("vector count exceeds frame size");
+    const size_t Bytes = static_cast<size_t>(Count) * Width;
+    Out = std::string_view(Data + Pos, Bytes);
+    Pos += Bytes;
     return Status::okStatus();
   }
 
-  /// Reads a counted f64 vector; the count is validated against the
-  /// remaining bytes *before* the allocation.
-  Status f64Vec(std::vector<double> &Out) {
+  /// Reads a u64-counted array: the count check, then one copy.
+  Status counted(std::vector<double> &Out) {
     uint64_t Count = 0;
+    std::string_view Image;
     if (Status S = u64(Count); !S.ok())
       return S;
-    return f64Vec(Out, Count);
-  }
-
-  /// Reads \p Count f64s whose count another field already carries (the
-  /// CSR values array, counted by nnz).
-  Status f64Vec(std::vector<double> &Out, uint64_t Count) {
-    if (Count > (Size - Pos) / 8)
-      return Status::invalidArgument("vector count exceeds frame size");
-    Out.resize(static_cast<size_t>(Count));
-    for (double &D : Out)
-      if (Status S = f64(D); !S.ok())
-        return S;
-    return Status::okStatus();
-  }
-
-  Status u64Vec(std::vector<uint64_t> &Out, uint64_t Count) {
-    if (Count > (Size - Pos) / 8)
-      return Status::invalidArgument("vector count exceeds frame size");
-    Out.resize(static_cast<size_t>(Count));
-    for (uint64_t &V : Out)
-      if (Status S = u64(V); !S.ok())
-        return S;
-    return Status::okStatus();
-  }
-
-  Status u32Vec(std::vector<uint32_t> &Out, uint64_t Count) {
-    if (Count > (Size - Pos) / 4)
-      return Status::invalidArgument("vector count exceeds frame size");
-    Out.resize(static_cast<size_t>(Count));
-    for (uint32_t &V : Out)
-      if (Status S = u32(V); !S.ok())
-        return S;
+    if (Status S = arrayImage(Image, Count, sizeof(double)); !S.ok())
+      return S;
+    copyArray(Image, Out);
     return Status::okStatus();
   }
 
@@ -157,7 +157,7 @@ public:
   }
 
 private:
-  const uint8_t *Data;
+  const char *Data;
   size_t Size;
   size_t Pos = 0;
 };
@@ -172,9 +172,8 @@ Status expectOp(Reader &R, Op Want) {
   return Status::okStatus();
 }
 
-std::string requestHeader(Op Code, uint64_t Handle) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Code));
+std::string requestHeader(Op Code, uint64_t Handle, size_t BodyBytes = 0) {
+  std::string Out = startFrame(Code, 8 + BodyBytes);
   putU64(Out, Handle);
   return Out;
 }
@@ -229,26 +228,24 @@ void seer::net::appendFrame(std::string &Out, const std::string &Payload) {
 // -- Request encoders ------------------------------------------------------
 
 std::string seer::net::encodeHello(uint32_t Version) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::Hello));
+  std::string Out = startFrame(Op::Hello);
   putU32(Out, Version);
   return Out;
 }
 
 std::string seer::net::encodeOpen(const std::string &Name,
                                   const CsrMatrix &Matrix) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::Open));
+  const size_t ArrayBytes = imageOf(Matrix.rowOffsets()).size() +
+                            imageOf(Matrix.columnIndices()).size() +
+                            imageOf(Matrix.values()).size();
+  std::string Out = startFrame(Op::Open, 4 + Name.size() + 16 + ArrayBytes);
   putString(Out, Name);
   putU32(Out, Matrix.numRows());
   putU32(Out, Matrix.numCols());
   putU64(Out, Matrix.nnz());
-  for (uint64_t Offset : Matrix.rowOffsets())
-    putU64(Out, Offset);
-  for (uint32_t Col : Matrix.columnIndices())
-    putU32(Out, Col);
-  for (double V : Matrix.values())
-    putF64(Out, V);
+  putArray(Out, Matrix.rowOffsets());
+  putArray(Out, Matrix.columnIndices());
+  putArray(Out, Matrix.values());
   return Out;
 }
 
@@ -265,10 +262,11 @@ std::string seer::net::encodeSelect(uint64_t Handle, uint32_t Iterations) {
 std::string seer::net::encodeExecute(uint64_t Handle, uint32_t Iterations,
                                      bool Verify,
                                      const std::vector<double> &Operand) {
-  std::string Out = requestHeader(Op::Execute, Handle);
+  std::string Out =
+      requestHeader(Op::Execute, Handle, 4 + 1 + 8 + 8 * Operand.size());
   putU32(Out, Iterations);
   putU8(Out, Verify ? 1 : 0);
-  putF64Vec(Out, Operand);
+  putCounted(Out, Operand);
   return Out;
 }
 
@@ -281,37 +279,28 @@ std::string seer::net::encodeBatch(uint64_t Handle, uint32_t Count,
 }
 
 std::string seer::net::encodeFault(const std::string &Spec) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::Fault));
+  std::string Out = startFrame(Op::Fault);
   putString(Out, Spec);
   return Out;
 }
 
-std::string seer::net::encodeStats() {
-  return std::string(1, static_cast<char>(Op::Stats));
-}
+std::string seer::net::encodeStats() { return startFrame(Op::Stats); }
 
-std::string seer::net::encodeMetrics() {
-  return std::string(1, static_cast<char>(Op::Metrics));
-}
+std::string seer::net::encodeMetrics() { return startFrame(Op::Metrics); }
 
-std::string seer::net::encodeShutdown() {
-  return std::string(1, static_cast<char>(Op::Shutdown));
-}
+std::string seer::net::encodeShutdown() { return startFrame(Op::Shutdown); }
 
 // -- Reply encoders --------------------------------------------------------
 
 std::string seer::net::encodeHelloReply(uint32_t Version) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::RHello));
+  std::string Out = startFrame(Op::RHello);
   putU32(Out, Version);
   return Out;
 }
 
 std::string seer::net::encodeOpenReply(uint64_t Handle,
                                        const HandleInfo &Info) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::ROpen));
+  std::string Out = startFrame(Op::ROpen);
   putU64(Out, Handle);
   putU64(Out, Info.Fingerprint);
   putU32(Out, Info.NumRows);
@@ -322,16 +311,15 @@ std::string seer::net::encodeOpenReply(uint64_t Handle,
 }
 
 std::string seer::net::encodeStatusReply(const Status &S) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::RStatus));
+  std::string Out = startFrame(Op::RStatus);
   putU8(Out, static_cast<uint8_t>(S.code()));
   putString(Out, S.message());
   return Out;
 }
 
 std::string seer::net::encodeResponseReply(const ServeResponse &R) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::RResponse));
+  std::string Out =
+      startFrame(Op::RResponse, ReplyScalarBytes + 8 * R.Y.size());
   putU64(Out, R.Selection.KernelIndex);
   putU8(Out, R.Selection.UsedGatheredModel ? 1 : 0);
   putF64(Out, R.Selection.FeatureCollectionMs);
@@ -345,7 +333,7 @@ std::string seer::net::encodeResponseReply(const ServeResponse &R) {
   putF64(Out, R.PreprocessMs);
   putF64(Out, R.ModeledPreprocessMs);
   putF64(Out, R.IterationMs);
-  putF64Vec(Out, R.Y);
+  putCounted(Out, R.Y);
   putU8(Out, R.OracleChecked ? 1 : 0);
   putU64(Out, R.OracleKernelIndex);
   putU8(Out, R.Mispredicted ? 1 : 0);
@@ -356,8 +344,10 @@ std::string seer::net::encodeResponseReply(const ServeResponse &R) {
 }
 
 std::string seer::net::encodeBatchReply(const BatchResponse &R) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Op::RBatch));
+  size_t YBytes = 0;
+  for (const std::vector<double> &Y : R.Y)
+    YBytes += 8 + 8 * Y.size();
+  std::string Out = startFrame(Op::RBatch, ReplyScalarBytes + YBytes);
   putU64(Out, R.Selection.KernelIndex);
   putU8(Out, R.Selection.UsedGatheredModel ? 1 : 0);
   putF64(Out, R.Selection.FeatureCollectionMs);
@@ -372,15 +362,14 @@ std::string seer::net::encodeBatchReply(const BatchResponse &R) {
   putF64(Out, R.IterationMs);
   putU64(Out, R.Y.size());
   for (const std::vector<double> &Y : R.Y)
-    putF64Vec(Out, Y);
+    putCounted(Out, Y);
   putF64(Out, R.ServiceMicros);
   putU8(Out, R.Degraded ? 1 : 0);
   return Out;
 }
 
 std::string seer::net::encodeTextReply(Op Kind, const std::string &Text) {
-  std::string Out;
-  putU8(Out, static_cast<uint8_t>(Kind));
+  std::string Out = startFrame(Kind);
   putString(Out, Text);
   return Out;
 }
@@ -399,47 +388,61 @@ Expected<uint32_t> seer::net::decodeHello(const std::string &Payload) {
   return Version;
 }
 
-Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
+Expected<OpenFrameView> seer::net::viewOpen(const std::string &Payload) {
   Reader R(Payload);
+  OpenFrameView V;
   if (Status S = expectOp(R, Op::Open); !S.ok())
     return S;
-  OpenRequest Out;
-  uint32_t Rows = 0, Cols = 0;
-  uint64_t Nnz = 0;
-  if (Status S = R.str(Out.Name); !S.ok())
+  if (Status S = R.strView(V.Name); !S.ok())
     return S;
-  if (Status S = R.u32(Rows); !S.ok())
+  if (Status S = R.u32(V.Rows); !S.ok())
     return S;
-  if (Status S = R.u32(Cols); !S.ok())
+  if (Status S = R.u32(V.Cols); !S.ok())
     return S;
-  if (Status S = R.u64(Nnz); !S.ok())
+  if (Status S = R.u64(V.Nnz); !S.ok())
     return S;
-  std::vector<uint64_t> Offsets;
-  std::vector<uint32_t> Columns;
-  std::vector<double> Values;
-  if (Status S = R.u64Vec(Offsets, uint64_t(Rows) + 1); !S.ok())
+  if (Status S = R.arrayImage(V.OffsetBytes, uint64_t(V.Rows) + 1,
+                              sizeof(uint64_t));
+      !S.ok())
     return S;
-  if (Status S = R.u32Vec(Columns, Nnz); !S.ok())
+  if (Status S = R.arrayImage(V.ColumnBytes, V.Nnz, sizeof(uint32_t));
+      !S.ok())
     return S;
-  if (Status S = R.f64Vec(Values, Nnz); !S.ok())
+  if (Status S = R.arrayImage(V.ValueBytes, V.Nnz, sizeof(double)); !S.ok())
     return S;
   if (Status S = R.finish(); !S.ok())
     return S;
+  return V;
+}
+
+Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
+  auto View = viewOpen(Payload);
+  if (!View.ok())
+    return View.status();
+  const uint64_t Nnz = View->Nnz;
+  std::vector<uint64_t> Offsets;
+  std::vector<uint32_t> Columns;
+  std::vector<double> Values;
+  copyArray(View->OffsetBytes, Offsets);
+  copyArray(View->ColumnBytes, Columns);
+  copyArray(View->ValueBytes, Values);
   // Validate the invariants fromArrays asserts, so a hostile frame gets a
   // typed error instead of tripping a debug assert (or building a matrix
-  // that violates kernel preconditions in release builds).
-  if (Values.size() != Nnz || Columns.size() != Nnz)
-    return Status::invalidArgument("CSR array sizes disagree with nnz");
-  if (Offsets.empty() || Offsets.front() != 0 || Offsets.back() != Nnz)
+  // that violates kernel preconditions in release builds). The view
+  // already matched the array lengths to the dimensions.
+  if (Offsets.front() != 0 || Offsets.back() != Nnz)
     return Status::invalidArgument("CSR row offsets malformed");
   for (size_t I = 0; I + 1 < Offsets.size(); ++I)
     if (Offsets[I] > Offsets[I + 1])
       return Status::invalidArgument("CSR row offsets not monotone");
   for (uint32_t Col : Columns)
-    if (Col >= Cols)
+    if (Col >= View->Cols)
       return Status::invalidArgument("CSR column index out of range");
-  Out.Matrix = CsrMatrix::fromArrays(Rows, Cols, std::move(Offsets),
-                                     std::move(Columns), std::move(Values));
+  OpenRequest Out;
+  Out.Name.assign(View->Name);
+  Out.Matrix =
+      CsrMatrix::fromArrays(View->Rows, View->Cols, std::move(Offsets),
+                            std::move(Columns), std::move(Values));
   std::string Why;
   if (!Out.Matrix.verify(&Why))
     return Status::invalidArgument("invalid CSR payload: " + Why);
@@ -484,7 +487,7 @@ Expected<ExecuteRequest> seer::net::decodeExecute(const std::string &Payload) {
     return S;
   if (Status S = R.u8(Verify); !S.ok())
     return S;
-  if (Status S = R.f64Vec(Out.Operand); !S.ok())
+  if (Status S = R.counted(Out.Operand); !S.ok())
     return S;
   if (Status S = R.finish(); !S.ok())
     return S;
@@ -613,7 +616,7 @@ seer::net::decodeResponseReply(const std::string &Payload) {
     return S;
   if (Status S = R.f64(Out.IterationMs); !S.ok())
     return S;
-  if (Status S = R.f64Vec(Out.Y); !S.ok())
+  if (Status S = R.counted(Out.Y); !S.ok())
     return S;
   if (Status S = R.u8(OracleChecked); !S.ok())
     return S;
@@ -679,7 +682,7 @@ seer::net::decodeBatchReply(const std::string &Payload) {
   Out.Y.reserve(static_cast<size_t>(Operands < 4096 ? Operands : 4096));
   for (uint64_t I = 0; I < Operands; ++I) {
     std::vector<double> Y;
-    if (Status S = R.f64Vec(Y); !S.ok())
+    if (Status S = R.counted(Y); !S.ok())
       return S;
     Out.Y.push_back(std::move(Y));
   }
@@ -728,9 +731,7 @@ Expected<uint64_t> seer::net::requestHandle(const std::string &Payload) {
   if (Payload.size() < 9)
     return Status::invalidArgument("frame too short for a handle");
   uint64_t Handle = 0;
-  for (int I = 0; I < 8; ++I)
-    Handle |= static_cast<uint64_t>(static_cast<uint8_t>(Payload[1 + I]))
-              << (8 * I);
+  std::memcpy(&Handle, Payload.data() + 1, sizeof(Handle));
   return Handle;
 }
 
@@ -738,7 +739,6 @@ Status seer::net::rewriteRequestHandle(std::string &Payload,
                                        uint64_t NewHandle) {
   if (auto Old = requestHandle(Payload); !Old)
     return Old.status();
-  for (int I = 0; I < 8; ++I)
-    Payload[1 + I] = static_cast<char>((NewHandle >> (8 * I)) & 0xff);
+  std::memcpy(&Payload[1], &NewHandle, sizeof(NewHandle));
   return Status::okStatus();
 }

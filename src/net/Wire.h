@@ -15,10 +15,12 @@
 /// Scalar encodings are fixed-width little-endian; doubles travel as their
 /// IEEE-754 bit patterns (u64), so every cost field and Y vector
 /// round-trips bit-exactly — the property the bit-identity gates in
-/// bench/serving_throughput.cpp rely on. Variable-length fields carry an
-/// explicit count and are bounds-checked against the frame before any
-/// allocation, so a hostile count cannot request memory the frame does not
-/// contain.
+/// bench/serving_throughput.cpp rely on. Arrays travel as their
+/// little-endian memory image, which is the host's own representation
+/// (only little-endian hosts build), so each is encoded and decoded with
+/// one bulk copy. Variable-length fields carry an explicit count and are
+/// bounds-checked against the frame before any allocation, so a hostile
+/// count cannot request memory the frame does not contain.
 ///
 /// ## Request opcodes (client -> server)
 ///
@@ -67,6 +69,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seer::net {
@@ -163,7 +166,28 @@ struct OpenReply {
   HandleInfo Info;
 };
 
+/// An Open frame's fields, viewed in place: the name and the three CSR
+/// arrays point into the payload as their little-endian images, at
+/// whatever alignment the name leaves them. Valid while the payload lives.
+struct OpenFrameView {
+  std::string_view Name;
+  uint32_t Rows = 0;
+  uint32_t Cols = 0;
+  uint64_t Nnz = 0;
+  std::string_view OffsetBytes; ///< Rows + 1 u64 row offsets
+  std::string_view ColumnBytes; ///< Nnz u32 column indices
+  std::string_view ValueBytes;  ///< Nnz f64 values
+};
+
 Expected<uint32_t> decodeHello(const std::string &Payload);
+/// The one parser of the Open layout. Checks only that the frame is well
+/// formed — the array lengths agree with the dimensions and nothing
+/// trails — not the CSR content: the balancer routes on this view
+/// (net/ShardRouter.h) and leaves content validation to the shard.
+Expected<OpenFrameView> viewOpen(const std::string &Payload);
+/// viewOpen, a copy of the arrays, then full CSR validation: monotone row
+/// offsets from 0 to nnz, columns below the column count, and
+/// CsrMatrix::verify().
 Expected<OpenRequest> decodeOpen(const std::string &Payload);
 Expected<uint64_t> decodeClose(const std::string &Payload);
 /// Select decodes to an ExecuteRequest with Verify/Operand defaulted.

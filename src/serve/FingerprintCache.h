@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving layer's content-addressed cache, reusing the fingerprint
-/// idiom of core/BenchmarkCache: a matrix is identified by an FNV-1a hash
-/// over its dimensions and all three CSR arrays, so a repeat matrix is
+/// The serving layer's content-addressed cache: a matrix is keyed by its
+/// xxHash64 fingerprint over its dimensions and all three CSR arrays
+/// (matrixFingerprint, core/ExecutionPlan.h), so a repeat matrix is
 /// recognized no matter which client sends it or what it is called.
 ///
 /// Each entry stores everything a request for that matrix might need more
@@ -66,9 +66,18 @@
 /// noteMutation() — and checked at compile time by Clang's
 /// -Wthread-safety analysis under -DSEER_THREAD_SAFETY=ON.
 ///
-/// Fingerprints are 64-bit content hashes: a collision between two
-/// distinct matrices is vanishingly unlikely (~2^-64 per pair) and would
-/// cost a suboptimal-but-valid kernel choice, never corruption.
+/// Fingerprints are unkeyed 64-bit content hashes, and a lookup trusts an
+/// equal fingerprint as equal content: it never compares the matrices. A
+/// collision is therefore a correctness defect, not a performance one:
+/// the second matrix reuses the first one's analysis and prepared kernel
+/// state, and a kernel that runs on its own preprocessed copy returns the
+/// *first* matrix's product. That has been reproduced: two 64-row
+/// diagonal matrices that differ only in their last two values collided
+/// under the earlier byte-wise FNV-1a fingerprint, and the second one's
+/// execute returned the first one's Y from the cached ELL,TM slabs.
+/// xxHash64 is just as unkeyed, so a generic 2^32-step birthday search
+/// still finds a pair. Exact identity (comparing the registered CSR on a
+/// fingerprint hit) is still open.
 ///
 //===----------------------------------------------------------------------===//
 

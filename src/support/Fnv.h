@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The 64-bit FNV-1a hasher behind every content-addressing scheme in the
-/// repository: the benchmark sweep cache key (core/BenchmarkCache) and the
-/// serving layer's matrix fingerprints (serve/FingerprintCache). One
-/// implementation so the recurrence can never drift between them.
+/// The 64-bit FNV-1a hasher for small trusted keys: the benchmark sweep
+/// cache key (core/BenchmarkCache) and the fault injector's seeded
+/// schedules. It mixes one byte per multiply, so whole matrices are
+/// hashed with support/XxHash64.h instead.
 ///
 //===----------------------------------------------------------------------===//
 

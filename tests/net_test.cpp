@@ -30,12 +30,17 @@
 #include "net/Wire.h"
 #include "serve/RequestTrace.h"
 #include "support/FaultInjector.h"
+#include "support/XxHash64.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
+
+#include <sys/socket.h>
+#include <sys/time.h>
 
 using namespace seer;
 using namespace seer::net;
@@ -263,44 +268,75 @@ TEST(WireCodec, RepliesRoundTrip) {
 // Malformed frames: typed errors, never misparses
 //===----------------------------------------------------------------------===//
 
+/// The decoder's and the balancer's verdicts on an Open frame.
+void expectOpenRejected(const std::string &Payload, const std::string &What) {
+  EXPECT_EQ(decodeOpen(Payload).status().code(), StatusCode::InvalidArgument)
+      << What;
+  EXPECT_EQ(openFrameFingerprint(Payload).status().code(),
+            StatusCode::InvalidArgument)
+      << What;
+}
+
+/// Overwrites the \p Bytes-wide little-endian field at \p At.
+void forgeField(std::string &Payload, size_t At, uint64_t Value, size_t Bytes) {
+  for (size_t I = 0; I < Bytes; ++I)
+    Payload[At + I] = static_cast<char>((Value >> (8 * I)) & 0xff);
+}
+
+// The bulk array copies trust the count checks alone, so every truncation
+// and every forged count must be a typed error before any copy.
 TEST(WireCodec, MalformedFramesAreTypedErrors) {
   // Empty payload and unknown opcode.
   EXPECT_EQ(frameOp("").status().code(), StatusCode::InvalidArgument);
   EXPECT_EQ(frameOp(std::string(1, '\x7f')).status().code(),
             StatusCode::InvalidArgument);
 
-  // Truncated body: drop the last byte of each well-formed request.
-  const CsrMatrix M = genMatrix(3);
+  // Truncated body: every proper prefix of each well-formed frame. The
+  // matrix has an odd nnz, so its column array ends mid-word.
+  const CsrMatrix M = CsrMatrix::fromArrays(
+      4, 6, {0, 2, 2, 4, 5}, {0, 3, 1, 5, 2}, {1.5, -2.0, 0.25, 3.0, -0.5});
+  ServeResponse Response;
+  Response.Y = trickyDoubles();
+  const std::string Open = encodeOpen("m", M);
+  const std::string Reply = encodeResponseReply(Response);
   const std::string Frames[] = {
-      encodeOpen("m", M), encodeClose(1), encodeSelect(1, 5),
+      Open, encodeClose(1), encodeSelect(1, 5),
       encodeExecute(1, 5, true, {1.0, 2.0}), encodeBatch(1, 8, 2),
-      encodeFault("clear")};
+      encodeFault("clear"), Reply};
   for (const std::string &Payload : Frames) {
-    const std::string Short = Payload.substr(0, Payload.size() - 1);
-    Status Worst = Status::okStatus();
-    switch (*frameOp(Payload)) {
-    case Op::Open:
-      Worst = decodeOpen(Short).status();
-      break;
-    case Op::Close:
-      Worst = decodeClose(Short).status();
-      break;
-    case Op::Select:
-      Worst = decodeSelect(Short).status();
-      break;
-    case Op::Execute:
-      Worst = decodeExecute(Short).status();
-      break;
-    case Op::Batch:
-      Worst = decodeBatch(Short).status();
-      break;
-    case Op::Fault:
-      Worst = decodeFault(Short).status();
-      break;
-    default:
-      FAIL() << "unexpected opcode";
+    const Op Kind = *frameOp(Payload);
+    for (size_t Len = 0; Len < Payload.size(); ++Len) {
+      const std::string Short = Payload.substr(0, Len);
+      Status Worst = Status::okStatus();
+      switch (Kind) {
+      case Op::Open:
+        expectOpenRejected(Short, "open prefix " + std::to_string(Len));
+        continue;
+      case Op::Close:
+        Worst = decodeClose(Short).status();
+        break;
+      case Op::Select:
+        Worst = decodeSelect(Short).status();
+        break;
+      case Op::Execute:
+        Worst = decodeExecute(Short).status();
+        break;
+      case Op::Batch:
+        Worst = decodeBatch(Short).status();
+        break;
+      case Op::Fault:
+        Worst = decodeFault(Short).status();
+        break;
+      case Op::RResponse:
+        Worst = decodeResponseReply(Short).status();
+        break;
+      default:
+        FAIL() << "unexpected opcode";
+      }
+      EXPECT_EQ(Worst.code(), StatusCode::InvalidArgument)
+          << "opcode " << unsigned(Kind) << " prefix " << Len << ": "
+          << Worst.toString();
     }
-    EXPECT_EQ(Worst.code(), StatusCode::InvalidArgument) << Worst.toString();
   }
 
   // Trailing bytes are rejected, not ignored.
@@ -317,6 +353,39 @@ TEST(WireCodec, MalformedFramesAreTypedErrors) {
   for (size_t I = 0; I < 8; ++I)
     Exec[Exec.size() - 1 - I] = '\xff';
   EXPECT_EQ(decodeExecute(Exec).status().code(), StatusCode::InvalidArgument);
+
+  // Forged dimensions, each larger and smaller than the arrays carry,
+  // including counts whose byte size wraps 64 bits.
+  const size_t RowsAt = 1 + 4 + 1, NnzAt = RowsAt + 8;
+  for (uint64_t Rows : {uint64_t(M.numRows()) + 1, uint64_t(M.numRows()) - 1,
+                        uint64_t(0), uint64_t(0xffffffffu)}) {
+    std::string Forged = Open;
+    forgeField(Forged, RowsAt, Rows, 4);
+    expectOpenRejected(Forged, "rows " + std::to_string(Rows));
+  }
+  for (uint64_t Nnz : {M.nnz() + 1, M.nnz() - 1, uint64_t(0),
+                       ~uint64_t(0), ~uint64_t(0) / 4 + 1}) {
+    std::string Forged = Open;
+    forgeField(Forged, NnzAt, Nnz, 8);
+    expectOpenRejected(Forged, "nnz " + std::to_string(Nnz));
+  }
+
+  // Forged operand counts in a request and Y counts in a reply. The
+  // count follows an execute frame's handle, iterations and verify flag,
+  // and a response's first 73 bytes.
+  const std::string Exec3 = encodeExecute(1, 5, false, {1.0, 2.0, 3.0});
+  for (uint64_t Count : {uint64_t(2), uint64_t(4), ~uint64_t(0) / 8 + 1}) {
+    std::string Forged = Exec3;
+    forgeField(Forged, 1 + 8 + 4 + 1, Count, 8);
+    EXPECT_EQ(decodeExecute(Forged).status().code(),
+              StatusCode::InvalidArgument)
+        << "operand count " << Count;
+    std::string ForgedReply = Reply;
+    forgeField(ForgedReply, 73, Count, 8);
+    EXPECT_EQ(decodeResponseReply(ForgedReply).status().code(),
+              StatusCode::InvalidArgument)
+        << "Y count " << Count;
+  }
 }
 
 TEST(WireCodec, FrameLengthValidation) {
@@ -376,6 +445,53 @@ TEST(WireCodec, HandleRewriteTouchesOnlyTheHandle) {
             StatusCode::InvalidArgument);
   std::string Short(1, static_cast<char>(Op::Close));
   EXPECT_EQ(requestHandle(Short).status().code(), StatusCode::InvalidArgument);
+}
+
+//===----------------------------------------------------------------------===//
+// Fingerprints: one function behind the shard and the balancer
+//===----------------------------------------------------------------------===//
+
+TEST(Fingerprint, XxHash64KnownAnswers) {
+  EXPECT_EQ(xxHash64(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxHash64("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxHash64("abc"), 0x44bc2cf5ad770999ull);
+}
+
+TEST(Fingerprint, MatrixAndOpenFrameEntryPointsAgree) {
+  std::vector<CsrMatrix> Shapes;
+  Shapes.push_back(CsrMatrix::fromArrays(0, 0, {0}, {}, {}));
+  Shapes.push_back(CsrMatrix::fromArrays(5, 5, {0, 0, 0, 0, 0, 0}, {}, {}));
+  Shapes.push_back(CsrMatrix::fromArrays(1, 1, {0, 1}, {0}, {2.5}));
+  // Odd nnz: the column array ends mid-word, so the values start at an
+  // offset the name's length and the columns both shift.
+  Shapes.push_back(CsrMatrix::fromArrays(3, 7, {0, 2, 3, 5},
+                                         {1, 6, 0, 2, 4},
+                                         {1.0, -0.0, 5e-324, 1.0 / 3.0, 7.0}));
+  auto Uniform = materializeMatrixInput(
+      GeneratorSpec{"uniform", {32768, 32768, 12, 0.5, 1}});
+  ASSERT_TRUE(Uniform) << Uniform.status().toString();
+  Shapes.push_back(std::move(*Uniform));
+
+  std::vector<uint64_t> Seen;
+  for (const CsrMatrix &M : Shapes) {
+    const uint64_t Expected = matrixFingerprint(M);
+    Seen.push_back(Expected);
+    // Names of length 0-8 shift the arrays through every alignment.
+    for (size_t NameLength = 0; NameLength <= 8; ++NameLength) {
+      const std::string Frame = encodeOpen(std::string(NameLength, 'n'), M);
+      const auto InFrame = openFrameFingerprint(Frame);
+      ASSERT_TRUE(InFrame) << InFrame.status().toString();
+      EXPECT_EQ(*InFrame, Expected)
+          << M.numRows() << " rows, name length " << NameLength;
+      const auto Decoded = decodeOpen(Frame);
+      ASSERT_TRUE(Decoded) << Decoded.status().toString();
+      EXPECT_EQ(matrixFingerprint(Decoded->Matrix), Expected);
+    }
+  }
+  // The dimensions are hashed too: 0x0 and 5x5-empty carry no array
+  // content beyond their offsets, yet fingerprint apart.
+  std::sort(Seen.begin(), Seen.end());
+  EXPECT_EQ(std::unique(Seen.begin(), Seen.end()), Seen.end());
 }
 
 //===----------------------------------------------------------------------===//
@@ -458,6 +574,67 @@ TEST(NetFaults, OversizedDeclaredLengthIsRejectedBeforeAllocation) {
   std::string Payload;
   const Status S = readFrame(Pair.Server, DefaultMaxFrameBytes, Payload);
   EXPECT_EQ(S.code(), StatusCode::InvalidArgument) << S.toString();
+}
+
+TEST(NetFaults, WriteFrameChecksTheWriteSiteOncePerFrame) {
+  DisarmGuard Guard;
+  SocketPair Pair = SocketPair::make();
+  // Every second check fails: with one check per frame the first frame
+  // goes out and the second fails; two checks per frame would fail the
+  // first.
+  armPlan("net.write every=2 status=UNAVAILABLE injected write fault");
+  ASSERT_TRUE(writeFrame(Pair.Client, encodeClose(7)).ok());
+  EXPECT_EQ(writeFrame(Pair.Client, encodeClose(8)).code(),
+            StatusCode::Unavailable);
+  FaultInjector::instance().disarm();
+  std::string Payload;
+  ASSERT_TRUE(readFrame(Pair.Server, DefaultMaxFrameBytes, Payload).ok());
+  EXPECT_EQ(Payload, encodeClose(7));
+}
+
+TEST(NetFaults, WriteFrameResumesShortWrites) {
+  SocketPair Pair = SocketPair::make();
+  // A blocking send returns short only when a signal or a send timeout
+  // interrupts it. Small socket buffers, a send timeout and a reader that
+  // drains slowly make the gathered sendmsg return partway, so the
+  // header and payload must be resumed mid-part.
+  const int Buffer = 32 << 10;
+  ASSERT_EQ(::setsockopt(Pair.Client.fd(), SOL_SOCKET, SO_SNDBUF, &Buffer,
+                         sizeof(Buffer)),
+            0);
+  ASSERT_EQ(::setsockopt(Pair.Server.fd(), SOL_SOCKET, SO_RCVBUF, &Buffer,
+                         sizeof(Buffer)),
+            0);
+  timeval Timeout{};
+  Timeout.tv_usec = 250000;
+  ASSERT_EQ(::setsockopt(Pair.Client.fd(), SOL_SOCKET, SO_SNDTIMEO, &Timeout,
+                         sizeof(Timeout)),
+            0);
+  std::string Big(8u << 20, '\0');
+  for (size_t I = 0; I < Big.size(); ++I)
+    Big[I] = static_cast<char>(I * 131 + (I >> 13));
+  std::string Got(4 + Big.size(), '\0');
+  Status ReadStatus = Status::okStatus();
+  std::thread Reader([&] {
+    const size_t Chunk = 16 << 10;
+    for (size_t At = 0; At < Got.size() && ReadStatus.ok(); At += Chunk) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ReadStatus =
+          Pair.Server.recvAll(&Got[At], std::min(Chunk, Got.size() - At));
+    }
+  });
+  const auto Start = std::chrono::steady_clock::now();
+  const Status Wrote = writeFrame(Pair.Client, Big);
+  const auto Elapsed = std::chrono::steady_clock::now() - Start;
+  Reader.join();
+  ASSERT_TRUE(Wrote.ok()) << Wrote.toString();
+  ASSERT_TRUE(ReadStatus.ok()) << ReadStatus.toString();
+  // Each sendmsg returns within the timeout, so a longer write took
+  // several calls: the premise of this test held.
+  EXPECT_GT(Elapsed, std::chrono::milliseconds(250));
+  std::string Framed;
+  appendFrame(Framed, Big);
+  EXPECT_TRUE(Got == Framed);
 }
 
 TEST(NetFaults, ReadAndWriteSitesInject) {
@@ -682,6 +859,83 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   ASSERT_TRUE(Stats);
   EXPECT_NE(Stats->find("# shard 0 127.0.0.1:"), std::string::npos);
   EXPECT_NE(Stats->find("# shard 1 127.0.0.1:"), std::string::npos);
+
+  LbServer->requestStop();
+  LbServer->join();
+  ServerA->requestStop();
+  ServerA->join();
+  ServerB->requestStop();
+  ServerB->join();
+}
+
+/// The protocol errors a shard's frame handler has counted.
+uint64_t protocolErrors(SeerService &Shard) {
+  return Shard.metrics().counter("seer_net_protocol_errors_total").value();
+}
+
+// The balancer checks only an Open frame's shape; CSR content is the
+// shard's to validate, and its typed error crosses the balancer verbatim.
+TEST(LbHandlerTest, ShardValidatesOpenContent) {
+  SeerService ShardA(tinyModels()), ShardB(tinyModels());
+  ServiceFrameHandler HandlerA(ShardA), HandlerB(ShardB);
+  auto ServerA = startLoopback(HandlerA);
+  auto ServerB = startLoopback(HandlerB);
+  LbHandler Lb({ShardEndpoint{"127.0.0.1", ServerA->port()},
+                ShardEndpoint{"127.0.0.1", ServerB->port()}});
+  auto LbServer = startLoopback(Lb);
+  auto Client = NetClient::connect("127.0.0.1", LbServer->port());
+  ASSERT_TRUE(Client.ok()) << Client.status().toString();
+
+  const auto CallStatus = [&](const std::string &Frame) {
+    auto Reply = Client->call(Frame);
+    EXPECT_TRUE(Reply.ok()) << Reply.status().toString();
+    Status Carried = Status::okStatus();
+    if (Reply.ok()) {
+      EXPECT_TRUE(decodeStatusReply(*Reply, Carried).ok());
+    }
+    return Carried;
+  };
+
+  const CsrMatrix M = genMatrix(20);
+  const std::string Valid = encodeOpen("m", M);
+  const size_t OffsetsAt = 1 + 4 + 1 + 4 + 4 + 8;
+  const size_t ColumnsAt = OffsetsAt + 8 * (size_t(M.numRows()) + 1);
+
+  std::string NonMonotone = Valid;
+  forgeField(NonMonotone, OffsetsAt + 8, M.nnz(), 8); // offsets[1] = nnz
+  const Status Monotone = CallStatus(NonMonotone);
+  EXPECT_EQ(Monotone.code(), StatusCode::InvalidArgument);
+  EXPECT_NE(Monotone.message().find("not monotone"), std::string::npos)
+      << Monotone.toString();
+
+  std::string WideColumn = Valid;
+  forgeField(WideColumn, ColumnsAt, M.numCols(), 4);
+  const Status Column = CallStatus(WideColumn);
+  EXPECT_EQ(Column.code(), StatusCode::InvalidArgument);
+  EXPECT_NE(Column.message().find("column index out of range"),
+            std::string::npos)
+      << Column.toString();
+  // Both reached a shard: the shards, not the balancer, counted them.
+  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 2u);
+
+  // The connection survives; a valid open on it succeeds.
+  const auto Open = Client->open("m", M);
+  ASSERT_TRUE(Open) << Open.status().toString();
+  EXPECT_EQ(Open->Info.Fingerprint, matrixFingerprint(M));
+  const uint64_t RegisteredA = ShardA.stats().Registrations;
+  const uint64_t RegisteredB = ShardB.stats().Registrations;
+  EXPECT_EQ(RegisteredA + RegisteredB, 1u);
+
+  // Lengths that disagree with the dimensions: the balancer's own
+  // rejection, which never reaches a shard.
+  std::string Short = Valid;
+  forgeField(Short, 1 + 4 + 1 + 8, M.nnz() + 1, 8);
+  EXPECT_EQ(CallStatus(Short).code(), StatusCode::InvalidArgument);
+  EXPECT_EQ(CallStatus(Valid.substr(0, Valid.size() - 1)).code(),
+            StatusCode::InvalidArgument);
+  EXPECT_EQ(ShardA.stats().Registrations, RegisteredA);
+  EXPECT_EQ(ShardB.stats().Registrations, RegisteredB);
+  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 2u);
 
   LbServer->requestStop();
   LbServer->join();

@@ -7,7 +7,10 @@
 // The scale-out front-end: listens on the binary wire protocol
 // (net/Wire.h) and forwards every session to a fleet of seer-serve
 // shards, routing each registered matrix by the consistent hash of its
-// content fingerprint (net/ShardRouter.h). Clients speak to the
+// content fingerprint, hashed over the `open` frame's arrays where they
+// lie (net/ShardRouter.h). The balancer checks only that a frame is well
+// formed; the owning shard validates the CSR content, and its typed error
+// reaches the client verbatim. Clients speak to the
 // balancer exactly as they would to a single server; behind it, each
 // shard's fingerprint-cache budget polices a disjoint slice of the
 // working set, so N shards give N times the cache capacity.
