@@ -4,13 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The perf-tracking harness for the parallel pipeline engine: times the
+// The thread-scaling harness for the parallel pipeline engine: times the
 // three hot stages of a from-scratch `seer-train` — the benchmark sweep,
 // the single-pass matrix analysis / feature collection, and model
 // training — at a ladder of thread counts, verifies that every parallel
 // run is bit-identical to the serial one (same CSVs, same serialized
 // trees, same generated headers), and writes a machine-readable
-// BENCH_pipeline.json so this and every future perf PR has a baseline.
+// BENCH_pipeline.json. The repository's benchmark of record is
+// perfbench/; this harness is its determinism gate and scaling record.
 //
 //   pipeline_scaling [--out FILE] [--threads LIST] [--variants N]
 //                    [--max-rows N]

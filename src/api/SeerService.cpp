@@ -283,8 +283,13 @@ Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
         Options.VerifyOracle = R.VerifyOracle;
         Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
         Options.Deadline = Deadline;
-        Promise->set_value(serveWithRetry(Reg->R, Options));
-        Reg.reset(); // return the pin before signaling idle
+        Expected<ServeResponse> Result = serveWithRetry(Reg->R, Options);
+        // Return the pin before the result is visible: a caller that
+        // gets the future and then releases the handle must find the
+        // registration's last reference in release(), so the unpin and
+        // the budget check it triggers run before release() returns.
+        Reg.reset();
+        Promise->set_value(std::move(Result));
         MutexLock Lock(AsyncMutex);
         if (--InFlight == 0)
           AsyncIdle.notify_all();

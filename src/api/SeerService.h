@@ -199,7 +199,8 @@ public:
   /// outcome — a response (possibly Degraded), or DEADLINE_EXCEEDED /
   /// a retry-exhausted transient error, with queue wait counted against
   /// R.DeadlineMs. The future may outlive release() of the handle but
-  /// not the service itself.
+  /// not the service itself. By the time it is ready the request holds
+  /// no pin, so a release() after get() unpins at once.
   Expected<std::future<Expected<ServeResponse>>> submit(Request R);
 
   /// Blocks until every admitted async submission has completed.

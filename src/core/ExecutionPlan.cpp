@@ -78,14 +78,13 @@ SelectionResult selectImpl(const SeerModels &Models,
                            double *ModeledOut) {
   SelectionResult Result;
   if (Models.compiled()) {
-    // Compiled path: branch-free flat trees over arena-backed feature
-    // scratch — zero heap allocation per selection, bit-identical
-    // decisions to the interpreted walk below (flat_tree_test fuzzes
-    // the equivalence; the serving bit-identity gates hold it end to
-    // end).
-    PlanArena &Arena = Planner::scratchArena();
-    PlanArena::Scope Scratch(Arena);
-    double *KnownVec = Arena.array<double>(features::KnownArity);
+    // Compiled path: branch-free flat trees over stack feature scratch —
+    // zero heap allocation per selection, bit-identical decisions to the
+    // interpreted walk below (flat_tree_test fuzzes the equivalence; the
+    // serving bit-identity tests hold it end to end).
+    // seer-hot-begin(select-compiled): tools/seer_lint.py forbids heap
+    // allocation and unordered-container iteration in this branch.
+    double KnownVec[features::KnownArity];
     features::knownVectorInto(Known, Iterations, KnownVec);
 
     const uint32_t Choice = Models.SelectorFlat.predict(KnownVec);
@@ -98,7 +97,7 @@ SelectionResult selectImpl(const SeerModels &Models,
         *ModeledOut = Collection.CollectionMs;
       Result.FeatureCollectionMs = Charge ? Collection.CollectionMs : 0.0;
       Result.InferenceMs += Planner::InferenceOverheadUs * 1e-3;
-      double *GatheredVec = Arena.array<double>(features::GatheredArity);
+      double GatheredVec[features::GatheredArity];
       features::gatheredVectorInto(Known, Collection.Features, Iterations,
                                    GatheredVec);
       Result.KernelIndex = Models.GatheredFlat.predict(GatheredVec);
@@ -110,6 +109,7 @@ SelectionResult selectImpl(const SeerModels &Models,
            "model predicted an out-of-range kernel");
     (void)Registry;
     return Result;
+    // seer-hot-end(select-compiled)
   }
 
   // Interpreted reference path: heap-walking DecisionTree::predict, kept
@@ -181,11 +181,6 @@ RouteDecision Planner::route(const KnownFeatures &Known,
         SeerModels::SelectGathered;
   }
   return R;
-}
-
-PlanArena &Planner::scratchArena() {
-  static thread_local PlanArena Arena;
-  return Arena;
 }
 
 FeatureCollectionResult Planner::collect(const AnalyzedMatrix &A) const {

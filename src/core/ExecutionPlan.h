@@ -55,7 +55,6 @@
 #ifndef SEER_CORE_EXECUTIONPLAN_H
 #define SEER_CORE_EXECUTIONPLAN_H
 
-#include "core/PlanArena.h"
 #include "kernels/FeatureKernels.h"
 #include "kernels/KernelRegistry.h"
 #include "sparse/MatrixStats.h"
@@ -298,12 +297,6 @@ public:
   }
   const KernelRegistry &registry() const { return Registry; }
   const GpuSimulator &simulator() const { return Sim; }
-
-  /// The calling thread's plan-scratch arena (core/PlanArena.h). The
-  /// selection stages draw their feature scratch from it; the serving
-  /// layer resets it once per request entry. One arena per thread, so no
-  /// locking; allocations never escape the stage that made them.
-  static PlanArena &scratchArena();
 
 private:
   const SeerModels *Models = nullptr;

@@ -21,8 +21,8 @@ std::vector<double> features::knownVector(const KnownFeatures &Known,
 
 // seer-hot-begin(features-vector-into): tools/seer_lint.py forbids heap
 // allocation and unordered-container iteration inside this region — the
-// *Into forms exist precisely so the serve hot path can fill arena or
-// stack scratch without touching the heap.
+// *Into forms exist precisely so the serve hot path can fill stack
+// scratch without touching the heap.
 void features::knownVectorInto(const KnownFeatures &Known, double Iterations,
                                double *Out) {
   Out[0] = static_cast<double>(Known.NumRows);

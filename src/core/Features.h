@@ -32,8 +32,8 @@
 namespace seer {
 namespace features {
 
-/// Fixed arities of the two layouts, so hot paths can use stack or arena
-/// scratch instead of a heap vector. knownNames().size() and
+/// Fixed arities of the two layouts, so hot paths can use stack scratch
+/// instead of a heap vector. knownNames().size() and
 /// gatheredNames().size() equal these by construction (feature_test
 /// asserts it).
 inline constexpr size_t KnownArity = 4;

@@ -24,9 +24,9 @@
 /// interpreted walk remains the reference oracle; flat_tree_test fuzzes
 /// the two against each other.
 ///
-/// predict() takes a raw `const double*` so callers can pass stack or
-/// arena scratch (core/PlanArena.h) instead of a heap-backed
-/// std::vector — the compiled select path does zero heap allocation.
+/// predict() takes a raw `const double*` so callers can pass stack
+/// scratch instead of a heap-backed std::vector — the compiled select
+/// path does zero heap allocation.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,11 +14,11 @@
 ///
 /// Scalar encodings are fixed-width little-endian; doubles travel as their
 /// IEEE-754 bit patterns (u64), so every cost field and Y vector
-/// round-trips bit-exactly — the property the bit-identity gates in
-/// bench/serving_throughput.cpp rely on. Arrays travel as their
-/// little-endian memory image, which is the host's own representation
-/// (only little-endian hosts build), so each is encoded and decoded with
-/// one bulk copy. Variable-length fields carry an explicit count and are
+/// round-trips bit-exactly — the property net_test's loopback tests and
+/// CI's loopback diff rely on. Arrays travel as their little-endian
+/// memory image, which is the host's own representation (only
+/// little-endian hosts build), so each is encoded and decoded with one
+/// bulk copy. Variable-length fields carry an explicit count and are
 /// bounds-checked against the frame before any allocation, so a hostile
 /// count cannot request memory the frame does not contain.
 ///

@@ -192,12 +192,6 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
       Planner::adopt(M, Entry->Stats, Registered.Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
 
-  // Per-entry reset of this thread's plan-scratch arena: every stage
-  // below draws its feature scratch from it, so on the repeat stream the
-  // whole select->execute path allocates nothing (flat_tree_test holds
-  // this with the operator-new counter).
-  Planner::scratchArena().reset();
-
   // Observability: when the SpanRecorder is armed, mint a request id
   // (inherited by every nested span, including the Planner-internal
   // ones) and time each stage into its histogram. Disarmed, all of this
@@ -480,9 +474,6 @@ Expected<BatchResponse> SeerServer::executeBatchRegistered(
   const AnalyzedMatrix A = Planner::adopt(M, Registered.Entry->Stats,
                                           Registered.Fingerprint);
   FaultInjector &Faults = FaultInjector::instance();
-
-  // Per-entry arena reset, as in handleRegistered.
-  Planner::scratchArena().reset();
 
   // Observability (see handleRegistered): one request id for the batch, one
   // serve.batch span enclosing every stage span it spawns.

@@ -287,8 +287,7 @@ private:
   // Cost-model error per stage: actual wall time over modeled cost
   // (dimensionless; 1.0 = the model nailed it). Armed-only, like the
   // stage timers, and recorded only when the stage really ran with a
-  // non-zero modeled cost — ROADMAP item 4 (retrain from serving
-  // telemetry) reads its evidence from exactly these.
+  // non-zero modeled cost.
   Histogram &CostErrorSelect =
       MetricsReg.histogram("seer_cost_model_error_select");
   Histogram &CostErrorPrepare =

@@ -563,6 +563,30 @@ TEST(SeerServiceTest, AsyncReleaseAfterSubmitStillCompletes) {
   EXPECT_EQ(Service.stats().PinnedMatrices, 0u);
 }
 
+TEST(SeerServiceTest, AsyncResultIsVisibleOnlyAfterItsPinIsReturned) {
+  // The wire's select and execute wait on submit()'s future, reply, and
+  // may then close the handle at once. That release() must drop the
+  // registration's last reference, so the unpin (and the budget check it
+  // triggers) never lands later on a pool thread.
+  SeerService Service(tinyModels());
+  const auto M = std::make_shared<const CsrMatrix>(requestPool()[2]);
+  size_t Leaked = 0;
+  for (int I = 0; I < 2000; ++I) {
+    auto Handle = Service.registerMatrix(M);
+    ASSERT_TRUE(Handle);
+    Request R;
+    R.Handle = *Handle;
+    R.Iterations = 5;
+    auto Future = Service.submit(std::move(R));
+    ASSERT_TRUE(Future);
+    ASSERT_TRUE(Future->get());
+    ASSERT_TRUE(Service.release(*Handle).ok());
+    Leaked += Service.stats().PinnedMatrices != 0;
+  }
+  EXPECT_EQ(Leaked, 0u) << "of 2000 iterations left a pin after release()";
+  Service.drain();
+}
+
 //===----------------------------------------------------------------------===//
 // Batched execution
 //===----------------------------------------------------------------------===//

@@ -314,6 +314,13 @@ TEST(ServeFaultTest, TransientFaultRecoveredByRetry) {
   EXPECT_EQ(Stats.Retries, 1u);
   EXPECT_EQ(Stats.RetriesExhausted, 0u);
   EXPECT_EQ(Stats.DegradedServes, 0u);
+
+  // The retried answer is the clean one, bit for bit (the nth=1 rule is
+  // spent, so this serve runs clean).
+  const auto Clean = Service.serve(R);
+  ASSERT_TRUE(Clean) << Clean.status().toString();
+  EXPECT_EQ(Response->Selection.KernelIndex, Clean->Selection.KernelIndex);
+  EXPECT_EQ(Response->Y, Clean->Y);
 }
 
 TEST(ServeFaultTest, RetryExhaustionSurfacesTheTypedError) {
@@ -383,15 +390,16 @@ TEST(ServeFaultTest, CacheInsertFaultServesUncachedButCorrect) {
   const CsrMatrix M = genUniformRandom(512, 512, 12.0, 0.5, 13);
 
   SeerService Clean(tinyModels());
-  const auto Expected = Clean.select(mustRegister(Clean, M), 5);
+  const auto Expected = Clean.execute(mustRegister(Clean, M), 5);
   ASSERT_TRUE(Expected) << Expected.status().toString();
 
   armPlan("cache.insert every=1 status=RESOURCE_EXHAUSTED cache full\n");
   SeerService Faulty(tinyModels());
-  const auto Got = Faulty.select(mustRegister(Faulty, M), 5);
+  const auto Got = Faulty.execute(mustRegister(Faulty, M), 5);
   ASSERT_TRUE(Got) << Got.status().toString();
   EXPECT_FALSE(Got->Degraded);
   EXPECT_EQ(Got->Selection.KernelIndex, Expected->Selection.KernelIndex);
+  EXPECT_EQ(Got->Y, Expected->Y);
 }
 
 TEST(ServeFaultTest, DeadlineExpiredAtAdmissionIsTerminal) {

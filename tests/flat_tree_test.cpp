@@ -1,4 +1,4 @@
-//===- tests/flat_tree_test.cpp - Compiled-tree and arena contracts -------===//
+//===- tests/flat_tree_test.cpp - Compiled-tree contracts -----------------===//
 //
 // Part of the Seer reproduction (CGO 2024).
 //
@@ -8,17 +8,16 @@
 // the interpreted DecisionTree::predict oracle over randomized trained
 // trees and parse()-built edge trees (single leaf, shared-child DAGs),
 // under fuzzed feature vectors including NaN, infinities and exact
-// thresholds; PlanArena bump/scope/overflow/reset semantics; the
-// zero-heap-allocation guarantee on the repeat-stream compiled select
-// path; and the single allocation (the product) of a prepared plan's run,
-// both asserted with the global operator-new counter idiom from
-// obs_test. The ASan/UBSan and TSan CI jobs both run this binary.
+// thresholds; the zero-heap-allocation guarantee on the repeat-stream
+// compiled select path; and the single allocation (the product) of a
+// prepared plan's run, both asserted with the global operator-new counter
+// idiom from obs_test. The ASan/UBSan and TSan CI jobs both run this
+// binary.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ExecutionPlan.h"
 #include "core/Features.h"
-#include "core/PlanArena.h"
 #include "core/SeerTrainer.h"
 #include "kernels/KernelRegistry.h"
 #include "ml/Dataset.h"
@@ -244,60 +243,6 @@ TEST(FlatTreeTest, NaNRoutesRightAtEveryLevelInBothForms) {
 }
 
 //===----------------------------------------------------------------------===//
-// PlanArena semantics
-//===----------------------------------------------------------------------===//
-
-TEST(PlanArenaTest, BumpAllocatesAlignedWithinBlock) {
-  PlanArena Arena(256);
-  char *A = Arena.array<char>(3);
-  double *B = Arena.array<double>(2);
-  ASSERT_NE(A, nullptr);
-  ASSERT_NE(B, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(B) % alignof(double), 0u);
-  // 3 bytes, pad to 8, then 16 bytes of doubles.
-  EXPECT_EQ(Arena.used(), 24u);
-  EXPECT_EQ(Arena.overflowCount(), 0u);
-  B[0] = 1.5;
-  B[1] = 2.5;
-  EXPECT_EQ(B[0] + B[1], 4.0);
-}
-
-TEST(PlanArenaTest, ScopeRewindsAndNests) {
-  PlanArena Arena(128);
-  Arena.array<double>(2);
-  const size_t Outer = Arena.used();
-  {
-    PlanArena::Scope S1(Arena);
-    Arena.array<double>(4);
-    {
-      PlanArena::Scope S2(Arena);
-      Arena.array<double>(4);
-      EXPECT_EQ(Arena.used(), Outer + 64u);
-    }
-    EXPECT_EQ(Arena.used(), Outer + 32u);
-  }
-  EXPECT_EQ(Arena.used(), Outer);
-}
-
-TEST(PlanArenaTest, OverflowFallsBackToHeapAndScopeFreesIt) {
-  PlanArena Arena(64);
-  {
-    PlanArena::Scope S(Arena);
-    double *Big = Arena.array<double>(100); // 800 bytes > 64
-    ASSERT_NE(Big, nullptr);
-    Big[99] = 42.0; // writable end to end
-    EXPECT_EQ(Big[99], 42.0);
-    EXPECT_EQ(Arena.overflowCount(), 1u);
-  }
-  EXPECT_EQ(Arena.overflowCount(), 0u);
-  Arena.array<double>(100);
-  EXPECT_EQ(Arena.overflowCount(), 1u);
-  Arena.reset();
-  EXPECT_EQ(Arena.overflowCount(), 0u);
-  EXPECT_EQ(Arena.used(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // Zero-allocation repeat-stream compiled selection
 //===----------------------------------------------------------------------===//
 
@@ -356,8 +301,7 @@ TEST(CompiledSelectTest, RepeatStreamSelectionDoesZeroHeapAllocation) {
   Gathered.MeanRowDensity = 0.01;
   Gathered.VarRowDensity = 0.002;
 
-  // Warm-up: first call materializes the thread's arena block (and any
-  // lazily initialized statics on the path).
+  // Warm-up: lazily initialized statics on the path.
   const SelectionResult WarmKnown = Plan.selectPrecollected(Small, Gathered, 1);
   const SelectionResult WarmGathered =
       Plan.selectPrecollected(Large, Gathered, 1);

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include <sys/socket.h>
@@ -866,6 +867,91 @@ TEST(LbHandlerTest, RoutesSessionsAcrossShardsBitIdentically) {
   ServerA->join();
   ServerB->requestStop();
   ServerB->join();
+}
+
+// At one fixed per-shard budget, N shards hold N budgets: each caches only
+// the fingerprints the ring routes to it, so a working set that churns one
+// shard fits a fleet and re-analyzes less.
+TEST(LbHandlerTest, ShardingCutsReanalysisAtAFixedBudget) {
+  const uint32_t IterationPattern[3] = {1, 5, 19};
+  std::vector<CsrMatrix> Set;
+  for (int I = 0; I < 24; ++I)
+    Set.push_back(genMatrix(100.0 + I));
+  const KernelRegistry Registry;
+  const GpuSimulator Sim(DeviceModel::mi100());
+  const SeerRuntime Reference(tinyModels(), Registry, Sim);
+  std::vector<SelectionResult> Direct;
+  for (size_t I = 0; I < Set.size(); ++I)
+    Direct.push_back(Reference.select(Set[I], IterationPattern[I % 3]));
+
+  // The select-only working set, measured on one unbudgeted service.
+  uint64_t WorkingSet = 0;
+  {
+    SeerService Unbounded(tinyModels());
+    for (size_t I = 0; I < Set.size(); ++I) {
+      const auto Handle = Unbounded.registerMatrix(Set[I]);
+      ASSERT_TRUE(Handle);
+      ASSERT_TRUE(Unbounded.select(*Handle, IterationPattern[I % 3]));
+      ASSERT_TRUE(Unbounded.release(*Handle).ok());
+    }
+    WorkingSet = Unbounded.stats().BytesCached;
+  }
+  // One cache lock shard: the budget splits evenly across lock shards, and
+  // a split slice this small could not hold one entry.
+  ServiceConfig Config;
+  Config.Server.CacheShards = 1;
+  Config.Server.CacheBudgetBytes = static_cast<size_t>(WorkingSet * 3 / 5);
+
+  uint64_t OneShardReanalyses = 0;
+  for (const size_t N : {size_t(1), size_t(2), size_t(4)}) {
+    std::vector<std::unique_ptr<SeerService>> Shards;
+    std::vector<std::unique_ptr<ServiceFrameHandler>> Handlers;
+    std::vector<std::unique_ptr<NetServer>> Servers;
+    std::vector<ShardEndpoint> Endpoints;
+    for (size_t S = 0; S < N; ++S) {
+      Shards.push_back(std::make_unique<SeerService>(tinyModels(), Config));
+      Handlers.push_back(std::make_unique<ServiceFrameHandler>(*Shards[S]));
+      Servers.push_back(startLoopback(*Handlers[S]));
+      Endpoints.push_back(ShardEndpoint{"127.0.0.1", Servers[S]->port()});
+    }
+    LbHandler Lb(Endpoints);
+    auto LbServer = startLoopback(Lb);
+    auto Client = NetClient::connect("127.0.0.1", LbServer->port());
+    ASSERT_TRUE(Client.ok()) << Client.status().toString();
+
+    for (int Pass = 0; Pass < 4; ++Pass)
+      for (size_t I = 0; I < Set.size(); ++I) {
+        // open -> select -> close: the close unpins the entry, so the
+        // shard's budget, not the handle table, decides what survives to
+        // the next pass.
+        const auto Open = Client->open("m", Set[I]);
+        ASSERT_TRUE(Open) << Open.status().toString();
+        const auto Remote =
+            Client->select(Open->Handle, IterationPattern[I % 3]);
+        ASSERT_TRUE(Remote) << Remote.status().toString();
+        EXPECT_EQ(Remote->Selection.KernelIndex, Direct[I].KernelIndex);
+        EXPECT_EQ(Remote->Selection.UsedGatheredModel,
+                  Direct[I].UsedGatheredModel);
+        ASSERT_TRUE(Client->close(Open->Handle).ok());
+        // The close's reply follows the unpin and the budget check it
+        // triggers, and no registration is live, so the budget holds
+        // exactly.
+        for (size_t S = 0; S < N; ++S)
+          EXPECT_LE(Shards[S]->stats().BytesCached,
+                    Config.Server.CacheBudgetBytes)
+              << N << " shards, shard " << S << ", pass " << Pass;
+      }
+
+    uint64_t Reanalyses = 0;
+    for (const auto &Shard : Shards)
+      Reanalyses += Shard->stats().Reanalyses;
+    if (N == 1) {
+      OneShardReanalyses = Reanalyses;
+      EXPECT_GT(Reanalyses, 0u) << "one shard must churn at this budget";
+    } else {
+      EXPECT_LT(Reanalyses, OneShardReanalyses) << N << " shards";
+    }
+  } // each fleet stops in reverse declaration order, balancer first
 }
 
 /// The protocol errors a shard's frame handler has counted.

@@ -424,17 +424,42 @@ TEST(SpanRecorderTest, ChromeTraceJsonRebasesAndTags) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObservabilityIntegrationTest, ServerStatsMatchesRegistry) {
-  SpanRecorder::instance().arm();
+  // One request sequence, served by a disarmed twin and then by the armed
+  // service under test: three executes (the first verified) and a select.
+  const auto Matrix =
+      std::make_shared<const CsrMatrix>(genBanded(1024, 8, 0.9, 7));
   ServiceConfig Config;
+  SeerService Twin(tinyModels(), Config);
   SeerService Service(tinyModels(), Config);
+  std::array<std::vector<ServeResponse>, 2> Responses;
+  for (const bool Armed : {false, true}) {
+    if (Armed)
+      SpanRecorder::instance().arm();
+    else
+      SpanRecorder::instance().disarm();
+    SeerService &Target = Armed ? Service : Twin;
+    const auto Handle = Target.registerMatrix(Matrix);
+    ASSERT_TRUE(Handle.ok());
+    for (int I = 0; I < 3; ++I) {
+      auto Executed = Target.execute(*Handle, 5, /*VerifyOracle=*/I == 0);
+      ASSERT_TRUE(Executed.ok());
+      Responses[Armed].push_back(std::move(*Executed));
+    }
+    auto Selected = Target.select(*Handle, 5);
+    ASSERT_TRUE(Selected.ok());
+    Responses[Armed].push_back(std::move(*Selected));
+  }
 
-  const auto Handle =
-      Service.registerMatrix(std::make_shared<const CsrMatrix>(
-          genBanded(1024, 8, 0.9, 7)));
-  ASSERT_TRUE(Handle.ok());
-  for (int I = 0; I < 3; ++I)
-    ASSERT_TRUE(Service.execute(*Handle, 5, /*VerifyOracle=*/I == 0).ok());
-  ASSERT_TRUE(Service.select(*Handle, 5).ok());
+  // Observation never changes what a request answers or is charged.
+  for (size_t I = 0; I < Responses[0].size(); ++I) {
+    const ServeResponse &Disarmed = Responses[0][I];
+    const ServeResponse &Armed = Responses[1][I];
+    EXPECT_EQ(Armed.Selection.KernelIndex, Disarmed.Selection.KernelIndex);
+    EXPECT_EQ(Armed.Selection.UsedGatheredModel,
+              Disarmed.Selection.UsedGatheredModel);
+    EXPECT_EQ(Armed.Y, Disarmed.Y);
+    EXPECT_EQ(Armed.totalMs(), Disarmed.totalMs()) << "request " << I;
+  }
 
   const ServerStats S = Service.stats();
   MetricsRegistry &Reg = Service.metrics();

@@ -162,56 +162,68 @@ TEST(SeerServerTest, SelectionsMatchRuntimeSerially) {
 
 TEST(SeerServerTest, ConcurrentClientsBitIdentical) {
   // >= 8 client threads hammer one server with interleaved repeat
-  // requests; every response must equal the serial one-shot answer.
+  // requests; every response must equal the serial one-shot answer, both
+  // select-only and executed with oracle verification.
   const std::vector<CsrMatrix> &Pool = requestPool();
   const KernelRegistry Registry;
   const GpuSimulator Sim(DeviceModel::mi100());
   const SeerRuntime Reference(tinyModels(), Registry, Sim);
   const uint32_t IterationPattern[3] = {1, 5, 19};
 
-  // Serial ground truth per (matrix, iterations).
+  // Serial ground truth per (matrix, iterations): the selection and the
+  // product of the all-ones operand the server uses by default.
   std::vector<std::vector<SelectionResult>> Direct(Pool.size());
+  std::vector<std::vector<std::vector<double>>> DirectY(Pool.size());
   for (size_t M = 0; M < Pool.size(); ++M)
-    for (uint32_t I : IterationPattern)
+    for (uint32_t I : IterationPattern) {
       Direct[M].push_back(Reference.select(Pool[M], I));
+      const std::vector<double> Ones(Pool[M].numCols(), 1.0);
+      DirectY[M].push_back(Reference.execute(Pool[M], Ones, I).Y);
+    }
 
-  SeerServer Server(tinyModels());
-  constexpr size_t NumClients = 8;
-  constexpr size_t RequestsPerClient = 60;
-  std::vector<std::string> Failures(NumClients);
-  std::vector<std::thread> Clients;
-  for (size_t C = 0; C < NumClients; ++C)
-    Clients.emplace_back([&, C] {
-      for (size_t R = 0; R < RequestsPerClient; ++R) {
-        const size_t MatrixIndex = (C + R) % Pool.size();
-        const size_t IterIndex = R % 3;
-        const ServeResponse Response = serveOnce(
-            Server, Pool[MatrixIndex], options(IterationPattern[IterIndex]));
-        const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
-        if (Response.Selection.KernelIndex != Expected.KernelIndex ||
-            Response.Selection.UsedGatheredModel !=
-                Expected.UsedGatheredModel)
-          Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) + " diverged";
-      }
-    });
-  for (std::thread &T : Clients)
-    T.join();
-  for (const std::string &Failure : Failures)
-    EXPECT_TRUE(Failure.empty()) << Failure;
+  for (const bool Execute : {false, true}) {
+    SeerServer Server(tinyModels());
+    constexpr size_t NumClients = 8;
+    constexpr size_t RequestsPerClient = 60;
+    std::vector<std::string> Failures(NumClients);
+    std::vector<std::thread> Clients;
+    for (size_t C = 0; C < NumClients; ++C)
+      Clients.emplace_back([&, C] {
+        for (size_t R = 0; R < RequestsPerClient; ++R) {
+          const size_t MatrixIndex = (C + R) % Pool.size();
+          const size_t IterIndex = R % 3;
+          const ServeResponse Response =
+              serveOnce(Server, Pool[MatrixIndex],
+                        options(IterationPattern[IterIndex], Execute,
+                                /*VerifyOracle=*/Execute));
+          const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
+          if (Response.Selection.KernelIndex != Expected.KernelIndex ||
+              Response.Selection.UsedGatheredModel !=
+                  Expected.UsedGatheredModel ||
+              (Execute && Response.Y != DirectY[MatrixIndex][IterIndex]))
+            Failures[C] = "client " + std::to_string(C) + " request " +
+                          std::to_string(R) + " diverged";
+        }
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    for (const std::string &Failure : Failures)
+      EXPECT_TRUE(Failure.empty()) << Failure;
 
-  const ServerStats Stats = Server.stats();
-  EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
-  EXPECT_EQ(Stats.Requests, Stats.CacheHits + Stats.CacheMisses);
-  EXPECT_EQ(Stats.Requests, Stats.KnownRoutes + Stats.GatheredRoutes);
-  EXPECT_EQ(Stats.CachedMatrices, Pool.size());
-  EXPECT_EQ(Stats.LatencySamples, Stats.Requests);
-  // Registration paid every analysis, so every request hit; every
-  // registration was released again.
-  EXPECT_EQ(Stats.CacheHits, Stats.Requests);
-  EXPECT_EQ(Stats.Registrations, NumClients * RequestsPerClient);
-  EXPECT_EQ(Stats.ActiveHandles, 0u);
-  EXPECT_EQ(Stats.Reanalyses, 0u);
+    const ServerStats Stats = Server.stats();
+    EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
+    EXPECT_EQ(Stats.Requests, Stats.CacheHits + Stats.CacheMisses);
+    EXPECT_EQ(Stats.Requests, Stats.KnownRoutes + Stats.GatheredRoutes);
+    EXPECT_EQ(Stats.CachedMatrices, Pool.size());
+    EXPECT_EQ(Stats.LatencySamples, Stats.Requests);
+    EXPECT_EQ(Stats.OracleChecks, Execute ? Stats.Requests : 0u);
+    // Registration paid every analysis, so every request hit; every
+    // registration was released again.
+    EXPECT_EQ(Stats.CacheHits, Stats.Requests);
+    EXPECT_EQ(Stats.Registrations, NumClients * RequestsPerClient);
+    EXPECT_EQ(Stats.ActiveHandles, 0u);
+    EXPECT_EQ(Stats.Reanalyses, 0u);
+  }
 }
 
 TEST(SeerServerTest, StatsNeverWrapUnderConcurrentLoad) {
@@ -674,52 +686,66 @@ TEST(CacheBudgetTest, ChurnStaysWithinBudgetAndBitIdentical) {
   const GpuSimulator Sim(DeviceModel::mi100());
   const SeerRuntime Reference(tinyModels(), Registry, Sim);
   std::vector<SelectionResult> Direct;
-  for (const CsrMatrix &M : Pool)
+  std::vector<std::vector<double>> DirectY;
+  for (const CsrMatrix &M : Pool) {
     Direct.push_back(Reference.select(M, 5));
-
-  // Size the budget from the measured working set: a third of it, so the
-  // six-matrix pool churns hard through the bounded server. Each entry's
-  // bytes bound what its live registration can pin.
-  uint64_t WorkingSet = 0;
-  std::vector<uint64_t> EntryBytes;
-  {
-    SeerServer Unbounded(tinyModels());
-    for (const CsrMatrix &M : Pool) {
-      serveOnce(Unbounded, M, options(5));
-      EntryBytes.push_back(Unbounded.stats().BytesCached - WorkingSet);
-      WorkingSet = Unbounded.stats().BytesCached;
-    }
+    DirectY.push_back(
+        Reference.execute(M, std::vector<double>(M.numCols(), 1.0), 5).Y);
   }
 
-  ServerConfig Config;
-  Config.CacheShards = 2;
-  Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
-  SeerServer Server(tinyModels(), Config);
-  for (int Pass = 0; Pass < 3; ++Pass)
-    for (size_t I = 0; I < Pool.size(); ++I) {
-      ServerStats Live;
-      const ServeResponse Response =
-          serveOnce(Server, Pool[I], options(5), &Live);
-      // Evicted-then-revisited matrices re-analyze deterministically: the
-      // kernel choice never changes.
-      EXPECT_EQ(Response.Selection.KernelIndex, Direct[I].KernelIndex);
-      EXPECT_EQ(Response.Selection.UsedGatheredModel,
-                Direct[I].UsedGatheredModel);
-      // Insertion polices the budget at once: while the registration is
-      // live only its own entry may overflow its shard's slice...
-      EXPECT_LE(Live.BytesCached,
-                Config.CacheBudgetBytes +
-                    pinnedOvershoot(Config, EntryBytes[I]));
-      // ...and once released the budget holds exactly.
-      EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
+  // Select-only, then executed with oracle verification.
+  for (const bool Execute : {false, true}) {
+    // Size the budget from the lean working set, what the pool's entries
+    // hold without oracle sweeps (all of a select-only entry): a third of
+    // it, so the six-matrix pool churns hard through the bounded server
+    // even once every recomputable byte is shed. A live entry over its
+    // shard's slice sheds its oracle bytes at once, so its lean bytes
+    // bound what its registration can pin.
+    uint64_t WorkingSet = 0;
+    std::vector<uint64_t> LeanBytes;
+    {
+      SeerServer Unbounded(tinyModels());
+      for (const CsrMatrix &M : Pool) {
+        serveOnce(Unbounded, M, options(5, Execute));
+        LeanBytes.push_back(Unbounded.stats().BytesCached - WorkingSet);
+        WorkingSet = Unbounded.stats().BytesCached;
+      }
     }
 
-  const ServerStats Stats = Server.stats();
-  EXPECT_EQ(Stats.CacheBudgetBytes, Config.CacheBudgetBytes);
-  EXPECT_GT(Stats.Evictions, 0u);
-  EXPECT_GT(Stats.BytesEvicted, 0u);
-  EXPECT_GT(Stats.Reanalyses, 0u);
-  EXPECT_LE(Stats.CachedMatrices, Pool.size());
+    ServerConfig Config;
+    Config.CacheShards = 2;
+    Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
+    SeerServer Server(tinyModels(), Config);
+    for (int Pass = 0; Pass < 3; ++Pass)
+      for (size_t I = 0; I < Pool.size(); ++I) {
+        ServerStats Live;
+        const ServeResponse Response = serveOnce(
+            Server, Pool[I], options(5, Execute, /*VerifyOracle=*/Execute),
+            &Live);
+        // Evicted-then-revisited matrices re-analyze deterministically:
+        // the kernel choice and the product never change.
+        EXPECT_EQ(Response.Selection.KernelIndex, Direct[I].KernelIndex);
+        EXPECT_EQ(Response.Selection.UsedGatheredModel,
+                  Direct[I].UsedGatheredModel);
+        if (Execute) {
+          EXPECT_EQ(Response.Y, DirectY[I]);
+        }
+        // Insertion polices the budget at once: while the registration is
+        // live only its own entry may overflow its shard's slice...
+        EXPECT_LE(Live.BytesCached,
+                  Config.CacheBudgetBytes +
+                      pinnedOvershoot(Config, LeanBytes[I]));
+        // ...and once released the budget holds exactly.
+        EXPECT_LE(Server.stats().BytesCached, Config.CacheBudgetBytes);
+      }
+
+    const ServerStats Stats = Server.stats();
+    EXPECT_EQ(Stats.CacheBudgetBytes, Config.CacheBudgetBytes);
+    EXPECT_GT(Stats.Evictions, 0u);
+    EXPECT_GT(Stats.BytesEvicted, 0u);
+    EXPECT_GT(Stats.Reanalyses, 0u);
+    EXPECT_LE(Stats.CachedMatrices, Pool.size());
+  }
 }
 
 TEST(CacheBudgetTest, EvictionRechargesPreprocessingPerResidency) {
@@ -881,68 +907,76 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
   const SeerRuntime Reference(tinyModels(), Registry, Sim);
   const uint32_t IterationPattern[3] = {1, 5, 19};
   std::vector<std::vector<SelectionResult>> Direct(Pool.size());
+  std::vector<std::vector<std::vector<double>>> DirectY(Pool.size());
   for (size_t M = 0; M < Pool.size(); ++M)
-    for (uint32_t I : IterationPattern)
+    for (uint32_t I : IterationPattern) {
       Direct[M].push_back(Reference.select(Pool[M], I));
-
-  // The largest entry any request leaves bounds what one live
-  // registration can pin.
-  uint64_t WorkingSet = 0, MaxEntryBytes = 0;
-  {
-    SeerServer Unbounded(tinyModels());
-    for (const CsrMatrix &M : Pool) {
-      for (uint32_t I : IterationPattern)
-        serveOnce(Unbounded, M, options(I));
-      const uint64_t Bytes = Unbounded.stats().BytesCached;
-      MaxEntryBytes = std::max(MaxEntryBytes, Bytes - WorkingSet);
-      WorkingSet = Bytes;
+      const std::vector<double> Ones(Pool[M].numCols(), 1.0);
+      DirectY[M].push_back(Reference.execute(Pool[M], Ones, I).Y);
     }
-  }
 
-  ServerConfig Config;
-  Config.CacheShards = 2;
-  Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
-  SeerServer Server(tinyModels(), Config);
-  constexpr size_t NumClients = 8;
-  constexpr size_t RequestsPerClient = 40;
-  std::vector<std::string> Failures(NumClients);
-  std::vector<std::thread> Clients;
-  for (size_t C = 0; C < NumClients; ++C)
-    Clients.emplace_back([&, C] {
-      for (size_t R = 0; R < RequestsPerClient; ++R) {
-        const size_t MatrixIndex = (C + R) % Pool.size();
-        const size_t IterIndex = R % 3;
-        ServerStats Live;
-        const ServeResponse Response =
-            serveOnce(Server, Pool[MatrixIndex],
-                      options(IterationPattern[IterIndex]), &Live);
-        const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
-        if (Response.Selection.KernelIndex != Expected.KernelIndex ||
-            Response.Selection.UsedGatheredModel !=
-                Expected.UsedGatheredModel)
-          Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) + " diverged under churn";
-        // Every shard over its slice holds only pinned entries, and the
-        // snapshot reads each shard's bytes and pin count together, so
-        // only the pinned entries may stand over the budget.
-        if (Live.BytesCached >
-            Config.CacheBudgetBytes + Live.PinnedMatrices * MaxEntryBytes)
-          Failures[C] = "client " + std::to_string(C) + " request " +
-                        std::to_string(R) +
-                        " saw unpinned bytes over the budget";
+  // Select-only, then executed with oracle verification.
+  for (const bool Execute : {false, true}) {
+    // The largest entry any request leaves bounds what one live
+    // registration can pin.
+    uint64_t WorkingSet = 0, MaxEntryBytes = 0;
+    {
+      SeerServer Unbounded(tinyModels());
+      for (const CsrMatrix &M : Pool) {
+        for (uint32_t I : IterationPattern)
+          serveOnce(Unbounded, M, options(I, Execute, Execute));
+        const uint64_t Bytes = Unbounded.stats().BytesCached;
+        MaxEntryBytes = std::max(MaxEntryBytes, Bytes - WorkingSet);
+        WorkingSet = Bytes;
       }
-    });
-  for (std::thread &T : Clients)
-    T.join();
-  for (const std::string &Failure : Failures)
-    EXPECT_TRUE(Failure.empty()) << Failure;
+    }
 
-  // Once every registration is released, the budget holds exactly.
-  const ServerStats Stats = Server.stats();
-  EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
-  EXPECT_EQ(Stats.PinnedMatrices, 0u);
-  EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
-  EXPECT_GT(Stats.Evictions, 0u);
+    ServerConfig Config;
+    Config.CacheShards = 2;
+    Config.CacheBudgetBytes = static_cast<size_t>(WorkingSet / 3);
+    SeerServer Server(tinyModels(), Config);
+    constexpr size_t NumClients = 8;
+    constexpr size_t RequestsPerClient = 40;
+    std::vector<std::string> Failures(NumClients);
+    std::vector<std::thread> Clients;
+    for (size_t C = 0; C < NumClients; ++C)
+      Clients.emplace_back([&, C] {
+        for (size_t R = 0; R < RequestsPerClient; ++R) {
+          const size_t MatrixIndex = (C + R) % Pool.size();
+          const size_t IterIndex = R % 3;
+          ServerStats Live;
+          const ServeResponse Response = serveOnce(
+              Server, Pool[MatrixIndex],
+              options(IterationPattern[IterIndex], Execute, Execute), &Live);
+          const SelectionResult &Expected = Direct[MatrixIndex][IterIndex];
+          if (Response.Selection.KernelIndex != Expected.KernelIndex ||
+              Response.Selection.UsedGatheredModel !=
+                  Expected.UsedGatheredModel ||
+              (Execute && Response.Y != DirectY[MatrixIndex][IterIndex]))
+            Failures[C] = "client " + std::to_string(C) + " request " +
+                          std::to_string(R) + " diverged under churn";
+          // Every shard over its slice holds only pinned entries, and the
+          // snapshot reads each shard's bytes and pin count together, so
+          // only the pinned entries may stand over the budget.
+          if (Live.BytesCached >
+              Config.CacheBudgetBytes + Live.PinnedMatrices * MaxEntryBytes)
+            Failures[C] = "client " + std::to_string(C) + " request " +
+                          std::to_string(R) +
+                          " saw unpinned bytes over the budget";
+        }
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    for (const std::string &Failure : Failures)
+      EXPECT_TRUE(Failure.empty()) << Failure;
+
+    // Once every registration is released, the budget holds exactly.
+    const ServerStats Stats = Server.stats();
+    EXPECT_EQ(Stats.Requests, NumClients * RequestsPerClient);
+    EXPECT_EQ(Stats.PinnedMatrices, 0u);
+    EXPECT_LE(Stats.BytesCached, Config.CacheBudgetBytes);
+    EXPECT_GT(Stats.Evictions, 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

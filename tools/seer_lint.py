@@ -50,7 +50,7 @@ REQUIRED_HOT_REGIONS = {
     "flat-tree-predict": "src/ml/FlatTree.h",
     "features-vector-into": "src/core/Features.cpp",
     "features-gathered-into": "src/core/Features.cpp",
-    "plan-arena-allocate": "src/core/PlanArena.h",
+    "select-compiled": "src/core/ExecutionPlan.cpp",
     "scoped-span-inline": "src/support/Tracing.h",
 }
 
