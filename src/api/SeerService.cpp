@@ -32,11 +32,52 @@ std::chrono::steady_clock::time_point deadlineFor(double DeadlineMs) {
              std::chrono::duration<double, std::milli>(DeadlineMs));
 }
 
-void backoffSleep(double Ms) {
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(Ms));
+/// The server-side options of \p R, borrowing its operand.
+ServeOptions optionsFor(const Request &R,
+                        std::chrono::steady_clock::time_point Deadline) {
+  ServeOptions Options;
+  Options.Iterations = R.Iterations;
+  Options.Execute = R.Execute;
+  Options.VerifyOracle = R.VerifyOracle;
+  Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
+  Options.Deadline = Deadline;
+  return Options;
+}
+
+/// True when an attempt's outcome is a failure worth another attempt.
+bool failedRetryably(const Status &S) { return !S.ok() && S.isRetryable(); }
+template <typename T> bool failedRetryably(const Expected<T> &E) {
+  return !E.ok() && E.status().isRetryable();
 }
 
 } // namespace
+
+template <typename AttemptFn>
+auto SeerService::withRetry(std::chrono::steady_clock::time_point Deadline,
+                            AttemptFn &&Attempt) -> decltype(Attempt()) {
+  auto Result = Attempt();
+  for (uint32_t N = 1; failedRetryably(Result) && N < Retry.MaxAttempts;
+       ++N) {
+    // A retry that cannot finish in budget is not worth starting; the
+    // standing retryable error is more honest than a DEADLINE_EXCEEDED
+    // manufactured by re-issuing doomed work.
+    if (deadlineExpired(Deadline))
+      break;
+    // The retry span covers the backoff *and* the reattempt: that is the
+    // extra latency the fault cost the caller.
+    ScopedSpan RetrySpan(spanname::ServeRetry);
+    RetrySpan.tag("attempt", static_cast<double>(N));
+    const double BackoffMs = Retry.backoffMs(N);
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(BackoffMs));
+    RetryBackoffMs.record(BackoffMs);
+    Retries.add();
+    Result = Attempt();
+  }
+  if (failedRetryably(Result))
+    RetriesExhausted.add();
+  return Result;
+}
 
 SeerService::~SeerService() { drain(); }
 
@@ -124,45 +165,14 @@ SeerService::resolve(MatrixHandle Handle, const Request &R) const {
   return Reg;
 }
 
-Expected<ServeResponse>
-SeerService::serveWithRetry(const RegisteredMatrix &Registered,
-                            const ServeOptions &Options) {
-  Expected<ServeResponse> Result = Server.handleRegistered(Registered, Options);
-  for (uint32_t Attempt = 1;
-       !Result && Result.status().isRetryable() && Attempt < Retry.MaxAttempts;
-       ++Attempt) {
-    // A retry that cannot finish in budget is not worth starting; the
-    // standing retryable error is more honest than a DEADLINE_EXCEEDED
-    // manufactured by re-issuing doomed work.
-    if (Options.hasDeadline() &&
-        std::chrono::steady_clock::now() >= Options.Deadline)
-      break;
-    // The retry span covers the backoff *and* the reattempt: that is the
-    // extra latency the fault cost the caller.
-    ScopedSpan RetrySpan(spanname::ServeRetry);
-    RetrySpan.tag("attempt", static_cast<double>(Attempt));
-    const double BackoffMs = Retry.backoffMs(Attempt);
-    backoffSleep(BackoffMs);
-    RetryBackoffMs.record(BackoffMs);
-    Retries.add();
-    Result = Server.handleRegistered(Registered, Options);
-  }
-  if (!Result && Result.status().isRetryable())
-    RetriesExhausted.add();
-  return Result;
-}
-
 Expected<ServeResponse> SeerService::serve(const Request &R) {
   auto Reg = resolve(R.Handle, R);
   if (!Reg)
     return Reg.status();
-  ServeOptions Options;
-  Options.Iterations = R.Iterations;
-  Options.Execute = R.Execute;
-  Options.VerifyOracle = R.VerifyOracle;
-  Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
-  Options.Deadline = deadlineFor(R.DeadlineMs);
-  return serveWithRetry((*Reg)->R, Options);
+  const ServeOptions Options = optionsFor(R, deadlineFor(R.DeadlineMs));
+  return withRetry(Options.Deadline, [&] {
+    return Server.handleRegistered((*Reg)->R, Options);
+  });
 }
 
 Expected<ServeResponse> SeerService::select(MatrixHandle Handle,
@@ -231,24 +241,8 @@ Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
   // admission and waiting in the queue is time the caller is waiting.
   const auto Deadline = deadlineFor(R.DeadlineMs);
 
-  Status Admission = tryAdmit();
-  for (uint32_t Attempt = 1; !Admission.ok() && Admission.isRetryable() &&
-                             Attempt < Retry.MaxAttempts;
-       ++Attempt) {
-    if (Deadline != std::chrono::steady_clock::time_point::min() &&
-        std::chrono::steady_clock::now() >= Deadline)
-      break;
-    ScopedSpan RetrySpan(spanname::ServeRetry);
-    RetrySpan.tag("attempt", static_cast<double>(Attempt));
-    const double BackoffMs = Retry.backoffMs(Attempt);
-    backoffSleep(BackoffMs);
-    RetryBackoffMs.record(BackoffMs);
-    Retries.add();
-    Admission = tryAdmit();
-  }
-  if (!Admission.ok()) {
-    if (Admission.isRetryable())
-      RetriesExhausted.add();
+  if (Status Admission = withRetry(Deadline, [&] { return tryAdmit(); });
+      !Admission.ok()) {
     AsyncRejected.add();
     return Admission;
   }
@@ -277,13 +271,10 @@ Expected<std::future<Expected<ServeResponse>>> SeerService::submit(Request R) {
                                           WaitNs,
                                           SpanRecorder::currentRequestId());
         }
-        ServeOptions Options;
-        Options.Iterations = R.Iterations;
-        Options.Execute = R.Execute;
-        Options.VerifyOracle = R.VerifyOracle;
-        Options.Operand = R.Operand.empty() ? nullptr : &R.Operand;
-        Options.Deadline = Deadline;
-        Expected<ServeResponse> Result = serveWithRetry(Reg->R, Options);
+        const ServeOptions Options = optionsFor(R, Deadline);
+        Expected<ServeResponse> Result = withRetry(Deadline, [&] {
+          return Server.handleRegistered(Reg->R, Options);
+        });
         // Return the pin before the result is visible: a caller that
         // gets the future and then releases the handle must find the
         // registration's last reference in release(), so the unpin and

@@ -44,6 +44,7 @@
 #include "serve/SeerServer.h"
 #include "support/ThreadAnnotations.h"
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -111,8 +112,8 @@ struct Request {
   std::vector<double> Operand;
   /// Time budget in milliseconds, measured from serve()/submit() entry —
   /// async queue wait counts against it. 0 means no deadline. Expired
-  /// work is rejected with DEADLINE_EXCEEDED at the admission checkpoint
-  /// and between pipeline stages rather than running to completion;
+  /// work is rejected with DEADLINE_EXCEEDED at admission, after
+  /// selection or before the run rather than running to completion;
   /// DEADLINE_EXCEEDED is terminal (never retried).
   double DeadlineMs = 0.0;
 };
@@ -181,8 +182,8 @@ public:
   /// handle). Per operand, the result is bit-identical to issuing the
   /// same execution through serve(); the batch just skips the
   /// per-request selection, ledger and telemetry costs N-1 times.
-  /// \p DeadlineMs (0 = none) bounds the whole batch, checked between
-  /// operands too; batches are not retried (re-running N operands on a
+  /// \p DeadlineMs (0 = none) bounds the whole batch, checked before
+  /// every operand's run too; batches are not retried (re-running N operands on a
   /// transient blip is the caller's call, not the service's).
   Expected<BatchResponse>
   executeBatch(MatrixHandle Handle,
@@ -262,12 +263,15 @@ private:
   Expected<std::shared_ptr<Registration>> resolve(MatrixHandle Handle,
                                                   const Request &R) const;
 
-  /// One server call under the RetryPolicy: re-issues \p Options against
-  /// \p Registered on retryable failure, with deterministic exponential
-  /// backoff, until the attempts are spent or the deadline expires.
-  /// Moves the Retries/RetriesExhausted counters.
-  Expected<ServeResponse> serveWithRetry(const RegisteredMatrix &Registered,
-                                         const ServeOptions &Options);
+  /// Runs \p Attempt (returning a Status or an Expected) under the
+  /// RetryPolicy: re-issues it on retryable failure, with deterministic
+  /// exponential backoff, until the attempts are spent or \p Deadline
+  /// (min() = none) expires. The one retry loop behind serve(), the
+  /// async task and submit()'s admission. Moves the
+  /// Retries/RetriesExhausted counters.
+  template <typename AttemptFn>
+  auto withRetry(std::chrono::steady_clock::time_point Deadline,
+                 AttemptFn &&Attempt) -> decltype(Attempt());
 
   /// One async admission attempt: the queue.admit fault site, then the
   /// bounded in-flight check. On OK the in-flight slot is held.

@@ -196,15 +196,6 @@ struct ExecutionPlan {
   double IterationMs = 0.0;
 
   size_t kernelIndex() const { return Selection.KernelIndex; }
-
-  /// Charged end-to-end cost of \p Operands operand executions at
-  /// \p IterationMs per iteration: the selection overhead and the
-  /// preprocessing are charged once per plan, the iterations per
-  /// operand — the batched-execution charging rule.
-  double chargedTotalMs(double IterationMs, size_t Operands = 1) const {
-    return Selection.overheadMs() + PreprocessMs +
-           static_cast<double>(Operands) * Iterations * IterationMs;
-  }
 };
 
 /// The one Fig. 3 pipeline, shared by every select->execute consumer.
@@ -290,7 +281,6 @@ public:
   SpmvRun run(const ExecutionPlan &Plan, const AnalyzedMatrix &A,
               const std::vector<double> &X) const;
 
-  bool hasModels() const { return Models != nullptr; }
   const SeerModels &models() const {
     assert(Models && "model-less planner");
     return *Models;

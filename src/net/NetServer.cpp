@@ -22,15 +22,6 @@
 using namespace seer;
 using namespace seer::net;
 
-namespace {
-
-/// Wire-side mirror of the trace parser's batch cap: the server builds
-/// Count operand vectors, so an unchecked count would let one frame
-/// request count*cols doubles.
-constexpr uint32_t MaxBatchOperands = 4096;
-
-} // namespace
-
 // -- Connection state ------------------------------------------------------
 
 /// One connection. Loop-thread-only except State, which rides

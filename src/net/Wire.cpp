@@ -6,8 +6,10 @@
 
 #include "net/Wire.h"
 
+#include "serve/RequestTrace.h"
 #include "support/FaultInjector.h"
 
+#include <algorithm>
 #include <cstring>
 
 using namespace seer;
@@ -679,7 +681,8 @@ seer::net::decodeBatchReply(const std::string &Payload) {
   if (Status S = R.u64(Operands); !S.ok())
     return S;
   Out.Y.resize(0);
-  Out.Y.reserve(static_cast<size_t>(Operands < 4096 ? Operands : 4096));
+  Out.Y.reserve(
+      static_cast<size_t>(std::min<uint64_t>(Operands, MaxBatchOperands)));
   for (uint64_t I = 0; I < Operands; ++I) {
     std::vector<double> Y;
     if (Status S = R.counted(Y); !S.ok())

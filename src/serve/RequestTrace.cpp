@@ -183,9 +183,10 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
     Out.Command = TraceCommand::Kind::Batch;
     Out.Name = Tokens[1];
     int64_t Count = 0;
-    if (!parseInt(Tokens[2], Count) || Count < 1 || Count > 4096)
+    if (!parseInt(Tokens[2], Count) || Count < 1 || Count > MaxBatchOperands)
       return Fail("bad batch operand count '" + Tokens[2] +
-                  "' (must be in [1, 4096])");
+                  "' (must be in [1, " + std::to_string(MaxBatchOperands) +
+                  "])");
     Out.BatchCount = static_cast<uint32_t>(Count);
     if (Tokens.size() == 4)
       if (const Status S = parseIterations(Tokens[3], Out.Iterations);

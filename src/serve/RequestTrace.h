@@ -91,6 +91,7 @@
 #include "sparse/CsrMatrix.h"
 #include "support/Tracing.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,11 @@ Expected<TraceScript> parseTrace(const std::string &Text);
 
 /// Reads and parses a trace file (NOT_FOUND / INVALID_ARGUMENT).
 Expected<TraceScript> readTraceFile(const std::string &Path);
+
+/// The most operands one batch may carry, in a trace and on the wire:
+/// the server builds COUNT operand vectors, so an unchecked count would
+/// let one command request COUNT * cols doubles.
+inline constexpr uint32_t MaxBatchOperands = 4096;
 
 /// The deterministic operand set of a `batch NAME COUNT` command:
 /// operand k (0-based) has \p Cols elements drawn uniform(-1, 1) from a

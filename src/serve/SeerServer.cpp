@@ -30,11 +30,6 @@ uint64_t msToNanos(double Ms) {
   return Ms > 0 ? static_cast<uint64_t>(Ms * 1e6) : 0;
 }
 
-bool deadlineExpired(std::chrono::steady_clock::time_point Deadline) {
-  return Deadline != std::chrono::steady_clock::time_point::min() &&
-         std::chrono::steady_clock::now() >= Deadline;
-}
-
 double microsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - Start)
@@ -84,6 +79,34 @@ private:
   double Us = 0.0;
   double ModeledMs = 0.0;
 };
+
+/// The stage error rule, written once for every pipeline stage: the
+/// stage's breaker admits it or degrades the request; a retryable
+/// injected fault returns typed, so the session layer's RetryPolicy can
+/// re-issue the request; a terminal fault or a bad_alloc degrades to the
+/// baseline kernel. A degraded request runs no further stage.
+template <typename StageFn>
+Status runStage(CircuitBreaker &Breaker, bool &Degraded, StageFn &&Stage) {
+  if (Degraded)
+    return Status::okStatus();
+  if (!Breaker.allow()) {
+    Degraded = true;
+    return Status::okStatus();
+  }
+  try {
+    Stage();
+    Breaker.recordSuccess();
+  } catch (const InjectedFaultError &E) {
+    Breaker.recordFailure();
+    if (E.status().isRetryable())
+      return E.status();
+    Degraded = true;
+  } catch (const std::bad_alloc &) {
+    Breaker.recordFailure();
+    Degraded = true;
+  }
+  return Status::okStatus();
+}
 
 } // namespace
 
@@ -160,14 +183,6 @@ bool SeerServer::preparePlan(
   return Reused;
 }
 
-SpmvRun SeerServer::runBaseline(const CsrMatrix &M, const MatrixStats &Stats,
-                                const std::vector<double> &X) const {
-  // Plain thread-mapped CSR: no preprocessing state, no Planner stages,
-  // no fault sites — a failure in the degraded path itself would mean the
-  // kernel registry is broken, which no fallback can paper over.
-  return Registry.kernel(Baseline).run(M, Stats, /*State=*/nullptr, X, Sim);
-}
-
 Status SeerServer::finishError(Status Error,
                                std::chrono::steady_clock::time_point Start) {
   assert(!Error.ok() && "finishError on success");
@@ -183,7 +198,44 @@ Status SeerServer::finishError(Status Error,
 
 Expected<ServeResponse>
 SeerServer::handleRegistered(const RegisteredMatrix &Registered,
-                             const ServeOptions &Request) {
+                             const ServeOptions &Options) {
+  ServeResponse R;
+  Job J;
+  J.Iterations = Options.Iterations;
+  // A select runs no operand; an execute runs one: the request's own, or
+  // the registration's ones vector.
+  J.Operands = Options.Operand ? Options.Operand : Registered.Ones.get();
+  J.Products = &R.Y;
+  J.Count = Options.Execute ? 1 : 0;
+  J.Verdict = Options.Execute && Options.VerifyOracle ? &R : nullptr;
+  J.Deadline = Options.Deadline;
+  if (Status S = runPipeline(Registered, J, R); !S.ok())
+    return S;
+  R.Executed = Options.Execute;
+  return R;
+}
+
+Expected<BatchResponse> SeerServer::executeBatchRegistered(
+    const RegisteredMatrix &Registered, uint32_t Iterations,
+    const std::vector<std::vector<double>> &Operands,
+    std::chrono::steady_clock::time_point Deadline) {
+  assert(!Operands.empty() && "empty batch");
+  BatchResponse B;
+  B.Y.resize(Operands.size());
+  Job J;
+  J.Iterations = Iterations;
+  J.Operands = Operands.data();
+  J.Products = B.Y.data();
+  J.Count = Operands.size();
+  J.Batch = true;
+  J.Deadline = Deadline;
+  if (Status S = runPipeline(Registered, J, B); !S.ok())
+    return S;
+  return B;
+}
+
+Status SeerServer::runPipeline(const RegisteredMatrix &Registered,
+                               const Job &J, ResponseBase &R) {
   assert(Registered.valid() && "request against an empty registration");
   const auto Start = std::chrono::steady_clock::now();
   const CsrMatrix &M = *Registered.Matrix;
@@ -204,62 +256,48 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
   StageTimer RunTimer(Obs, StageRunUs, &CostErrorRun);
   StageTimer OracleTimer(Obs, StageOracleUs);
   ScopedRequestId IdScope(RequestId);
-  ScopedSpan RequestSpan(spanname::Serve, RequestId);
+  ScopedSpan RequestSpan(J.Batch ? spanname::ServeBatch : spanname::Serve,
+                         RequestId);
+  if (J.Batch)
+    RequestSpan.tag("operands", static_cast<double>(J.Count));
 
   // Deadline checkpoint 1 — admission: queue wait (async submission) and
   // dequeue happen before this point, so an expired request is rejected
   // before any pipeline work runs on its behalf.
-  if (deadlineExpired(Request.Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired before selection"), Start);
+  if (deadlineExpired(J.Deadline))
+    return finishError(Status::deadlineExceeded(
+                           J.Batch ? "deadline expired at batch admission"
+                                   : "deadline expired before selection"),
+                       Start);
 
-  ServeResponse R;
-  R.Iterations = Request.Iterations ? Request.Iterations : 1;
+  R.Iterations = J.Iterations ? J.Iterations : 1;
   R.Fingerprint = Registered.Fingerprint;
   R.CacheHit = true; // registration paid the analysis
 
-  // Stage: route + collect + select. Registration paid the analysis, so
-  // the collection is never charged: the features come from the cache
-  // and the chosen kernel is bit-identical to the uncached path. A
-  // retryable failure propagates typed (the session layer's RetryPolicy
-  // re-issues); a terminal failure or an open breaker degrades to the
-  // baseline kernel.
+  // A batch first passes its own fault site, which no breaker guards.
   bool Degraded = false;
-  Status SelectFailure = Status::okStatus();
-  // Direct-initialized from the lambda so the hot path constructs the
-  // plan in place (guaranteed elision) instead of default-constructing
-  // and move-assigning — the select stage is on the sub-microsecond
-  // budget the select-micro bench gate holds.
-  ExecutionPlan Plan = [&]() -> ExecutionPlan {
-    if (!SelectBreaker.allow()) {
-      Degraded = true;
-      return {};
-    }
-    SelectTimer.start();
-    try {
-      if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
-        throw InjectedFaultError(std::move(F));
-      ExecutionPlan P =
-          Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
-      SelectBreaker.recordSuccess();
-      SelectTimer.stop(P.Selection.overheadMs());
-      return P;
-    } catch (const InjectedFaultError &E) {
-      SelectBreaker.recordFailure();
-      if (E.status().isRetryable())
-        SelectFailure = E.status();
-      else
-        Degraded = true;
-      return {};
-    } catch (const std::bad_alloc &) {
-      SelectBreaker.recordFailure();
-      Degraded = true;
-      return {};
-    }
-  }();
-  if (!SelectFailure.ok())
-    return finishError(std::move(SelectFailure), Start);
+  Status Failure = Status::okStatus();
+  if (J.Batch) {
+    CircuitBreaker Unguarded; // threshold 0: admits every call, never opens
+    Failure = runStage(Unguarded, Degraded, [&] {
+      Faults.checkOrThrow(faultsite::BatchExecute);
+    });
+  }
 
+  // Stage: route + collect + select, once for every operand.
+  // Registration paid the analysis, so the collection is never charged:
+  // the features come from the cache and the chosen kernel is
+  // bit-identical to the uncached path.
+  ExecutionPlan Plan;
+  if (Failure.ok())
+    Failure = runStage(SelectBreaker, Degraded, [&] {
+      SelectTimer.start();
+      Faults.checkOrThrow(faultsite::PlanSelect);
+      Plan = Pipeline.plan(A, R.Iterations, CollectionCharging::Precollected);
+      SelectTimer.stop(Plan.Selection.overheadMs());
+    });
+  if (!Failure.ok())
+    return finishError(std::move(Failure), Start);
   if (!Degraded) {
     R.Selection = Plan.Selection;
     R.ModeledCollectionMs = Plan.ModeledCollectionMs;
@@ -273,149 +311,89 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
 
   // Deadline checkpoint 2 — between the selection and execution stages:
   // expired work stops here instead of paying for preparation and runs.
-  if (deadlineExpired(Request.Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired after selection"), Start);
+  if (deadlineExpired(J.Deadline))
+    return finishError(Status::deadlineExceeded(
+                           J.Batch ? "deadline expired after batch selection"
+                                   : "deadline expired after selection"),
+                       Start);
 
-  // The operand is shared by the planned and the degraded execution path.
-  const std::vector<double> &X =
-      Request.Operand ? *Request.Operand : *Registered.Ones;
+  // Deadline checkpoint 3, before each operand's run: an expired request
+  // stops there instead of finishing its tail. Work already done is
+  // discarded — the caller asked for every product by a time, not for a
+  // prefix of them.
+  const auto RunExpired = [&](size_t Ran) {
+    return Status::deadlineExceeded(
+        J.Batch ? "deadline expired mid-batch after " + std::to_string(Ran) +
+                      " of " + std::to_string(J.Count) + " operands"
+                : std::string("deadline expired before the run"));
+  };
 
   bool PlanReused = false;
-  if (!Degraded && Request.Execute) {
-    assert(X.size() == M.numCols() && "operand length mismatch");
-
-    // Stage: prepare (the kernel.prepare fault site lives inside
-    // Planner::prepare and surfaces here as InjectedFaultError).
-    if (!PrepareBreaker.allow()) {
-      Degraded = true;
-    } else {
+  if (J.Count != 0) {
+    // Stage: prepare, once for every operand (the kernel.prepare fault
+    // site lives inside Planner::prepare and surfaces here as
+    // InjectedFaultError).
+    Failure = runStage(PrepareBreaker, Degraded, [&] {
       PrepareTimer.start();
-      try {
-        PlanReused = preparePlan(Plan, A, Entry);
-        PrepareBreaker.recordSuccess();
-        // Cost-model error only when this request actually ran the
-        // preprocess kernel — a ledger reuse's wall time measures a map
-        // lookup, not the modeled preprocessing.
-        PrepareTimer.stop((!PlanReused && !Plan.PreprocessAmortized)
-                              ? Plan.ModeledPreprocessMs
-                              : 0.0);
-      } catch (const InjectedFaultError &E) {
-        PrepareBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        PrepareBreaker.recordFailure();
-        Degraded = true;
-      }
-    }
-
+      PlanReused = preparePlan(Plan, A, Entry);
+      // Cost-model error only when this request actually ran the
+      // preprocess kernel — a ledger reuse's wall time measures a map
+      // lookup, not the modeled preprocessing.
+      PrepareTimer.stop((!PlanReused && !Plan.PreprocessAmortized)
+                            ? Plan.ModeledPreprocessMs
+                            : 0.0);
+    });
+    if (!Failure.ok())
+      return finishError(std::move(Failure), Start);
     if (!Degraded) {
       R.PreprocessAmortized = Plan.PreprocessAmortized;
       R.PreprocessMs = Plan.PreprocessMs;
       R.ModeledPreprocessMs = Plan.ModeledPreprocessMs;
       if (Plan.PreprocessAmortized)
         SavedPreprocessNs.add(msToNanos(Plan.ModeledPreprocessMs));
-
-      // Stage: run.
-      if (!RunBreaker.allow()) {
-        Degraded = true;
-      } else {
-        RunTimer.start();
-        try {
-          SpmvRun Run = Pipeline.run(Plan, A, X);
-          R.IterationMs = Run.Timing.TotalMs;
-          R.Y = std::move(Run.Y);
-          RunBreaker.recordSuccess();
-          RunTimer.stop(R.IterationMs);
-        } catch (const InjectedFaultError &E) {
-          RunBreaker.recordFailure();
-          if (E.status().isRetryable())
-            return finishError(E.status(), Start);
-          Degraded = true;
-        } catch (const std::bad_alloc &) {
-          RunBreaker.recordFailure();
-          Degraded = true;
-        }
-      }
     }
 
-    if (!Degraded && Request.VerifyOracle) {
-      // Online feedback: compare against the noise-free oracle, computed
-      // once per fingerprint and cached. Best-effort under injection: a
-      // fault here (the serve.oracle site, or kernel.prepare firing
-      // inside the probe sweep) skips verification and serves the
-      // response unverified rather than failing or degrading it.
-      OracleTimer.start();
-      ScopedSpan OracleSpan(spanname::ServeOracle);
-      try {
-        if (Status F = Faults.check(faultsite::ServeOracle); !F.ok())
-          throw InjectedFaultError(std::move(F));
-        std::vector<KernelMeasurement> Oracle;
-        {
-          MutexLock Lock(Entry->Mutex);
-          Oracle = Entry->Oracle;
-        }
-        if (Oracle.empty()) {
-          // The oracle sweep prepares one plan per registry kernel and
-          // reads the launch time each one simulated: no SpMV runs.
-          Oracle.resize(Registry.size());
-          std::vector<ExecutionPlan> Probes;
-          Probes.reserve(Registry.size());
-          for (size_t K = 0; K < Registry.size(); ++K) {
-            Probes.push_back(Pipeline.planForKernel(A, K));
-            Oracle[K].PreprocessMs = Probes[K].ModeledPreprocessMs;
-            Oracle[K].IterationMs = Probes[K].IterationMs;
-          }
-          bool Grew = false;
-          {
-            MutexLock Lock(Entry->Mutex);
-            if (Entry->Oracle.empty()) {
-              Entry->Oracle = Oracle;
-              Grew = true;
-            }
-            // Stash the sweep's by-product plans into empty ledger slots,
-            // unpaid: a later execution of that kernel reuses the state
-            // but still gets charged its one-time cost, and the
-            // byte-budgeted cache sheds these first under pressure.
-            for (size_t K = 0; K < Probes.size(); ++K) {
-              FingerprintCache::KernelSlot &Slot = Entry->Kernels[K];
-              if (!Slot.State && !Slot.Paid && Probes[K].State) {
-                Slot.State = std::move(Probes[K].State);
-                Slot.PreprocessMs = Probes[K].ModeledPreprocessMs;
-                Slot.IterationMs = Probes[K].IterationMs;
-                Grew = true;
-              }
-            }
-          }
-          if (Grew)
-            Cache.noteMutation(Entry);
-        }
-        size_t Best = 0;
-        for (size_t K = 1; K < Oracle.size(); ++K)
-          if (Oracle[K].totalMs(R.Iterations) <
-              Oracle[Best].totalMs(R.Iterations))
-            Best = K;
-        R.OracleChecked = true;
-        R.OracleKernelIndex = Best;
-        R.Mispredicted = Best != R.Selection.KernelIndex;
-        R.RegretMs = Oracle[R.Selection.KernelIndex].totalMs(R.Iterations) -
-                     Oracle[Best].totalMs(R.Iterations);
-      } catch (const InjectedFaultError &) {
-        // Verification skipped; the response itself is unaffected.
-      } catch (const std::bad_alloc &) {
+    // Stage: run every operand against the one prepared plan. A deadline
+    // that stops the loop ends the stage without a fault.
+    size_t Ran = 0;
+    Failure = runStage(RunBreaker, Degraded, [&] {
+      RunTimer.start();
+      for (; Ran < J.Count; ++Ran) {
+        if (deadlineExpired(J.Deadline))
+          return;
+        assert(J.Operands[Ran].size() == M.numCols() &&
+               "operand length mismatch");
+        SpmvRun Run = Pipeline.run(Plan, A, J.Operands[Ran]);
+        R.IterationMs = Run.Timing.TotalMs;
+        J.Products[Ran] = std::move(Run.Y);
       }
-      OracleTimer.stop();
-    }
+      // One wall sample for the whole operand loop; the modeled cost is
+      // the per-operand run scaled by the operand count.
+      RunTimer.stop(R.IterationMs * static_cast<double>(J.Count));
+    });
+    if (!Failure.ok())
+      return finishError(std::move(Failure), Start);
+    if (!Degraded && Ran < J.Count)
+      return finishError(RunExpired(Ran), Start);
+  }
+
+  if (J.Verdict && !Degraded) {
+    OracleTimer.start();
+    ScopedSpan OracleSpan(spanname::ServeOracle);
+    *J.Verdict = verifyOracle(A, Entry, R.Iterations, R.Selection.KernelIndex);
+    OracleTimer.stop();
   }
 
   if (Degraded) {
     // Graceful degradation: answer with the deterministic baseline CSR
-    // kernel. No model, no preprocessing, no cached state — and none of
-    // the fault sites above — so the fallback works precisely when the
-    // pipeline does not. The response is marked and charged as what it
-    // is: a baseline serve (zero selection overhead, zero preprocessing).
+    // kernel, run directly. No model, no preprocessing, no cached state,
+    // no Planner stage — and none of the fault sites above — so the
+    // fallback works precisely when the pipeline does not; a failure here
+    // would mean the kernel registry is broken, which no fallback can
+    // paper over. The response is marked and charged as what it is: a
+    // baseline serve (zero selection overhead, zero preprocessing). It
+    // recomputes every product, discarding partial planned ones, so all
+    // of a batch's operands come from the same kernel.
     R.Degraded = true;
     R.Selection = SelectionResult();
     R.Selection.KernelIndex = Baseline;
@@ -424,246 +402,117 @@ SeerServer::handleRegistered(const RegisteredMatrix &Registered,
     R.PreprocessMs = 0.0;
     R.ModeledPreprocessMs = 0.0;
     R.IterationMs = 0.0;
-    R.Y.clear();
-    R.OracleChecked = false;
     ScopedSpan DegradedSpan(spanname::ServeDegraded, RequestId);
-    if (Request.Execute) {
-      assert(X.size() == M.numCols() && "operand length mismatch");
-      SpmvRun Run = runBaseline(M, Entry->Stats, X);
+    for (size_t K = 0; K < J.Count; ++K) {
+      if (deadlineExpired(J.Deadline))
+        return finishError(RunExpired(K), Start);
+      assert(J.Operands[K].size() == M.numCols() && "operand length mismatch");
+      SpmvRun Run = Registry.kernel(Baseline).run(
+          M, Entry->Stats, /*State=*/nullptr, J.Operands[K], Sim);
       R.IterationMs = Run.Timing.TotalMs;
-      R.Y = std::move(Run.Y);
+      J.Products[K] = std::move(Run.Y);
     }
   }
-  R.Executed = Request.Execute;
 
   R.ServiceMicros = microsSince(Start);
 
   // Commit telemetry before returning so stats() is consistent once the
-  // caller has its response.
+  // caller has its response. A batch is one request (one hit, one route,
+  // one preprocessing charge, one plan) executing N operands.
   Requests.add();
   CacheHits.add();
   if (R.Selection.UsedGatheredModel)
     GatheredRoutes.add();
-  if (R.Executed)
-    Executions.add();
-  if (R.Executed && !R.Degraded) {
+  if (J.Count != 0) {
+    Executions.add(J.Count);
     // The degraded path charges no preprocessing and builds no plan, so
     // it moves neither the amortization nor the plan-cache counters.
-    (R.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
-    (PlanReused ? PlansReused : PlansBuilt).add();
+    if (!R.Degraded) {
+      (R.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
+      (PlanReused ? PlansReused : PlansBuilt).add();
+    }
   }
-  if (R.OracleChecked) {
+  if (J.Verdict && J.Verdict->OracleChecked) {
     OracleChecks.add();
-    if (R.Mispredicted)
+    if (J.Verdict->Mispredicted)
       Mispredictions.add();
   }
   if (R.Degraded)
     DegradedServes.add();
+  if (J.Batch) {
+    BatchRequests.add();
+    BatchedOperands.add(J.Count);
+  }
   Latency.record(R.ServiceMicros);
-  return R;
+  return Status::okStatus();
 }
 
-Expected<BatchResponse> SeerServer::executeBatchRegistered(
-    const RegisteredMatrix &Registered, uint32_t Iterations,
-    const std::vector<std::vector<double>> &Operands,
-    std::chrono::steady_clock::time_point Deadline) {
-  assert(Registered.valid() && "batch against an empty registration");
-  assert(!Operands.empty() && "empty batch");
-  const auto Start = std::chrono::steady_clock::now();
-  const CsrMatrix &M = *Registered.Matrix;
-  const AnalyzedMatrix A = Planner::adopt(M, Registered.Entry->Stats,
-                                          Registered.Fingerprint);
-  FaultInjector &Faults = FaultInjector::instance();
-
-  // Observability (see handleRegistered): one request id for the batch, one
-  // serve.batch span enclosing every stage span it spawns.
-  const bool Obs = SpanRecorder::instance().armed();
-  const uint64_t RequestId =
-      Obs ? NextRequestId.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
-  StageTimer SelectTimer(Obs, StageSelectUs, &CostErrorSelect);
-  StageTimer PrepareTimer(Obs, StagePrepareUs, &CostErrorPrepare);
-  StageTimer RunTimer(Obs, StageRunUs, &CostErrorRun);
-  ScopedRequestId IdScope(RequestId);
-  ScopedSpan BatchSpan(spanname::ServeBatch, RequestId);
-  BatchSpan.tag("operands", static_cast<double>(Operands.size()));
-
-  if (deadlineExpired(Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired at batch admission"),
-        Start);
-
-  BatchResponse B;
-  B.Iterations = Iterations ? Iterations : 1;
-  B.Fingerprint = Registered.Fingerprint;
-  B.CacheHit = true; // registration paid the analysis
-
-  bool Degraded = false;
+OracleVerdict SeerServer::verifyOracle(
+    const AnalyzedMatrix &A,
+    const std::shared_ptr<FingerprintCache::Entry> &Entry,
+    uint32_t Iterations, size_t Chosen) {
+  // Online feedback: compare against the noise-free oracle, computed once
+  // per fingerprint and cached. Best-effort under injection: a fault here
+  // (the serve.oracle site, or kernel.prepare firing inside the probe
+  // sweep) skips verification and serves the response unverified rather
+  // than failing or degrading it.
+  OracleVerdict V;
   try {
-    if (Status F = Faults.check(faultsite::BatchExecute); !F.ok())
-      throw InjectedFaultError(std::move(F));
-  } catch (const InjectedFaultError &E) {
-    if (E.status().isRetryable())
-      return finishError(E.status(), Start);
-    Degraded = true;
-  } catch (const std::bad_alloc &) {
-    Degraded = true;
-  }
-
-  // One plan for the whole batch: routing, selection and preprocessing
-  // are charged once; each operand pays only its iterations. Stage
-  // failures follow the single-request rules (typed when retryable,
-  // degraded otherwise) applied once per batch.
-  ExecutionPlan Plan;
-  if (!Degraded) {
-    if (!SelectBreaker.allow()) {
-      Degraded = true;
-    } else {
-      SelectTimer.start();
-      try {
-        if (Status F = Faults.check(faultsite::PlanSelect); !F.ok())
-          throw InjectedFaultError(std::move(F));
-        Plan = Pipeline.plan(A, B.Iterations, CollectionCharging::Precollected);
-        SelectBreaker.recordSuccess();
-        SelectTimer.stop(Plan.Selection.overheadMs());
-      } catch (const InjectedFaultError &E) {
-        SelectBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        SelectBreaker.recordFailure();
-        Degraded = true;
-      }
+    FaultInjector::instance().checkOrThrow(faultsite::ServeOracle);
+    std::vector<KernelMeasurement> Oracle;
+    {
+      MutexLock Lock(Entry->Mutex);
+      Oracle = Entry->Oracle;
     }
-  }
-
-  if (!Degraded) {
-    B.Selection = Plan.Selection;
-    B.ModeledCollectionMs = Plan.ModeledCollectionMs;
-    if (Plan.Selection.UsedGatheredModel)
-      SavedCollectionNs.add(msToNanos(Plan.ModeledCollectionMs));
-  }
-
-  if (deadlineExpired(Deadline))
-    return finishError(
-        Status::deadlineExceeded("deadline expired after batch selection"),
-        Start);
-
-  bool PlanReused = false;
-  if (!Degraded) {
-    if (!PrepareBreaker.allow()) {
-      Degraded = true;
-    } else {
-      PrepareTimer.start();
-      try {
-        PlanReused = preparePlan(Plan, A, Registered.Entry);
-        PrepareBreaker.recordSuccess();
-        PrepareTimer.stop((!PlanReused && !Plan.PreprocessAmortized)
-                              ? Plan.ModeledPreprocessMs
-                              : 0.0);
-      } catch (const InjectedFaultError &E) {
-        PrepareBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        PrepareBreaker.recordFailure();
-        Degraded = true;
+    if (Oracle.empty()) {
+      // The oracle sweep prepares one plan per registry kernel and reads
+      // the launch time each one simulated: no SpMV runs.
+      Oracle.resize(Registry.size());
+      std::vector<ExecutionPlan> Probes;
+      Probes.reserve(Registry.size());
+      for (size_t K = 0; K < Registry.size(); ++K) {
+        Probes.push_back(Pipeline.planForKernel(A, K));
+        Oracle[K].PreprocessMs = Probes[K].ModeledPreprocessMs;
+        Oracle[K].IterationMs = Probes[K].IterationMs;
       }
-    }
-  }
-
-  if (!Degraded) {
-    B.PreprocessAmortized = Plan.PreprocessAmortized;
-    B.PreprocessMs = Plan.PreprocessMs;
-    B.ModeledPreprocessMs = Plan.ModeledPreprocessMs;
-    if (Plan.PreprocessAmortized)
-      SavedPreprocessNs.add(msToNanos(Plan.ModeledPreprocessMs));
-
-    B.Y.reserve(Operands.size());
-    if (!RunBreaker.allow()) {
-      Degraded = true;
-    } else {
-      RunTimer.start();
-      try {
-        for (const std::vector<double> &X : Operands) {
-          // The per-operand deadline checkpoint: an expired batch stops
-          // here instead of finishing its tail. Work already done is
-          // discarded — the caller asked for the whole batch by a time,
-          // not a prefix of it.
-          if (deadlineExpired(Deadline))
-            return finishError(Status::deadlineExceeded(
-                                   "deadline expired mid-batch after " +
-                                   std::to_string(B.Y.size()) + " of " +
-                                   std::to_string(Operands.size()) +
-                                   " operands"),
-                               Start);
-          assert(X.size() == M.numCols() && "operand length mismatch");
-          SpmvRun Run = Pipeline.run(Plan, A, X);
-          B.IterationMs = Run.Timing.TotalMs;
-          B.Y.push_back(std::move(Run.Y));
+      bool Grew = false;
+      {
+        MutexLock Lock(Entry->Mutex);
+        if (Entry->Oracle.empty()) {
+          Entry->Oracle = Oracle;
+          Grew = true;
         }
-        RunBreaker.recordSuccess();
-        // One wall sample for the whole operand loop; the modeled cost
-        // is the per-operand run scaled by the batch size.
-        RunTimer.stop(B.IterationMs * static_cast<double>(Operands.size()));
-      } catch (const InjectedFaultError &E) {
-        RunBreaker.recordFailure();
-        if (E.status().isRetryable())
-          return finishError(E.status(), Start);
-        Degraded = true;
-      } catch (const std::bad_alloc &) {
-        RunBreaker.recordFailure();
-        Degraded = true;
+        // Stash the sweep's by-product plans into empty ledger slots,
+        // unpaid: a later execution of that kernel reuses the state but
+        // still gets charged its one-time cost, and the byte-budgeted
+        // cache sheds these first under pressure.
+        for (size_t K = 0; K < Probes.size(); ++K) {
+          FingerprintCache::KernelSlot &Slot = Entry->Kernels[K];
+          if (!Slot.State && !Slot.Paid && Probes[K].State) {
+            Slot.State = std::move(Probes[K].State);
+            Slot.PreprocessMs = Probes[K].ModeledPreprocessMs;
+            Slot.IterationMs = Probes[K].IterationMs;
+            Grew = true;
+          }
+        }
       }
+      if (Grew)
+        Cache.noteMutation(Entry);
     }
+    size_t Best = 0;
+    for (size_t K = 1; K < Oracle.size(); ++K)
+      if (Oracle[K].totalMs(Iterations) < Oracle[Best].totalMs(Iterations))
+        Best = K;
+    V.OracleChecked = true;
+    V.OracleKernelIndex = Best;
+    V.Mispredicted = Best != Chosen;
+    V.RegretMs =
+        Oracle[Chosen].totalMs(Iterations) - Oracle[Best].totalMs(Iterations);
+  } catch (const InjectedFaultError &) {
+    // Verification skipped; the response itself is unaffected.
+  } catch (const std::bad_alloc &) {
   }
-
-  if (Degraded) {
-    // The whole batch falls back to the baseline kernel: partial planned
-    // results are discarded so every Y[k] comes from the same kernel
-    // (the per-operand bit-identity contract).
-    B.Degraded = true;
-    B.Selection = SelectionResult();
-    B.Selection.KernelIndex = Baseline;
-    B.ModeledCollectionMs = 0.0;
-    B.PreprocessAmortized = false;
-    B.PreprocessMs = 0.0;
-    B.ModeledPreprocessMs = 0.0;
-    B.Y.clear();
-    B.Y.reserve(Operands.size());
-    ScopedSpan DegradedSpan(spanname::ServeDegraded, RequestId);
-    for (const std::vector<double> &X : Operands) {
-      if (deadlineExpired(Deadline))
-        return finishError(
-            Status::deadlineExceeded("deadline expired mid-batch (degraded)"),
-            Start);
-      assert(X.size() == M.numCols() && "operand length mismatch");
-      SpmvRun Run = runBaseline(M, Registered.Entry->Stats, X);
-      B.IterationMs = Run.Timing.TotalMs;
-      B.Y.push_back(std::move(Run.Y));
-    }
-  }
-
-  B.ServiceMicros = microsSince(Start);
-
-  // Telemetry: a batch is one request (one hit, one route, one
-  // preprocessing charge, one plan) executing N operands.
-  Requests.add();
-  CacheHits.add();
-  if (B.Selection.UsedGatheredModel)
-    GatheredRoutes.add();
-  Executions.add(Operands.size());
-  if (!B.Degraded) {
-    (B.PreprocessAmortized ? AmortizedPreprocesses : PaidPreprocesses).add();
-    (PlanReused ? PlansReused : PlansBuilt).add();
-  } else {
-    DegradedServes.add();
-  }
-  BatchRequests.add();
-  BatchedOperands.add(Operands.size());
-  Latency.record(B.ServiceMicros);
-  return B;
+  return V;
 }
 
 ServerStats SeerServer::stats() const {

@@ -28,7 +28,8 @@
 /// fingerprinting and analysis once and pins the cache entry for the
 /// registration's lifetime; handleRegistered() and
 /// executeBatchRegistered() then serve selection/execution with no
-/// per-request hashing or cache lookup at all. The ergonomic,
+/// per-request hashing or cache lookup at all, both through one request
+/// pipeline in which a request is a set of operands. The ergonomic,
 /// Status-typed client surface over this (sessions, opaque handles,
 /// async submission) lives in api/SeerService.h.
 ///
@@ -131,13 +132,14 @@ public:
   /// registration, so CacheHit is always true in the response).
   /// Thread-safe.
   ///
-  /// Failure semantics (PR 6): DEADLINE_EXCEEDED when Options.Deadline
-  /// expired at admission or between pipeline stages; a *retryable*
-  /// injected/transient stage failure (UNAVAILABLE, RESOURCE_EXHAUSTED)
-  /// propagates typed so the session layer's RetryPolicy can re-issue;
-  /// any *terminal* stage failure (or an open circuit breaker) degrades
-  /// to the deterministic baseline CSR kernel instead — the response
-  /// comes back OK with Degraded set, never a crash.
+  /// Failure semantics: DEADLINE_EXCEEDED when Options.Deadline expired
+  /// at admission, after selection or before the operand's run; a
+  /// *retryable* injected/transient stage failure (UNAVAILABLE,
+  /// RESOURCE_EXHAUSTED) propagates typed so the session layer's
+  /// RetryPolicy can re-issue; any *terminal* stage failure (or an open
+  /// circuit breaker) degrades to the deterministic baseline CSR kernel
+  /// instead — the response comes back OK with Degraded set, never a
+  /// crash.
   Expected<ServeResponse> handleRegistered(const RegisteredMatrix &Registered,
                                            const ServeOptions &Options);
 
@@ -145,13 +147,12 @@ public:
   /// preprocessing are charged once for the batch, then every operand
   /// runs \p Iterations SpMVs against the shared prepared plan. Each
   /// operand must have numCols() elements; Operands must be non-empty.
-  /// Bit-identical per operand to issuing the same executions one by one
-  /// (the plan the single path rebuilds per request is this one).
-  /// Thread-safe; concurrent batches share the cached plan through the
-  /// same ledger as single requests. Same failure semantics as
-  /// handleRegistered(); \p Deadline (min() = none) is additionally
-  /// checked between operands, so an expired batch stops instead of
-  /// finishing its tail.
+  /// Bit-identical per operand to issuing the same executions one by one:
+  /// both entry points drive the one request pipeline, a single execute
+  /// being a batch of one. Thread-safe; concurrent batches share the
+  /// cached plan through the same ledger as single requests. Same failure
+  /// semantics as handleRegistered(), with \p Deadline (min() = none)
+  /// checked before every operand's run.
   Expected<BatchResponse> executeBatchRegistered(
       const RegisteredMatrix &Registered, uint32_t Iterations,
       const std::vector<std::vector<double>> &Operands,
@@ -182,7 +183,6 @@ public:
   void resetStats();
 
   const KernelRegistry &registry() const { return Registry; }
-  const GpuSimulator &simulator() const { return Sim; }
 
   /// Registry index of the degraded-fallback kernel: plain thread-mapped
   /// CSR ("CSR,TM"), which needs no model, no preprocessing and no cached
@@ -190,10 +190,39 @@ public:
   size_t baselineKernel() const { return Baseline; }
 
 private:
-  /// Runs one baseline-kernel SpMV directly (no Planner stages, no fault
-  /// sites, no preprocessing) — the degraded execution path.
-  SpmvRun runBaseline(const CsrMatrix &M, const MatrixStats &Stats,
-                      const std::vector<double> &X) const;
+  /// One request as the pipeline serves it: a set of operands against one
+  /// registration — none for a select, one for an execute, N for a batch.
+  struct Job {
+    uint32_t Iterations = 1;
+    /// Count operands, and one product slot for each.
+    const std::vector<double> *Operands = nullptr;
+    std::vector<double> *Products = nullptr;
+    size_t Count = 0;
+    /// A batch: the serve.batch span, the batch.execute fault site, the
+    /// batch counters and "mid-batch" deadline messages.
+    bool Batch = false;
+    /// Where an oracle-verified execute's verdict goes; null skips the
+    /// oracle.
+    OracleVerdict *Verdict = nullptr;
+    std::chrono::steady_clock::time_point Deadline =
+        std::chrono::steady_clock::time_point::min();
+  };
+
+  /// The one request pipeline behind both entry points: select, prepare
+  /// once, run every operand, fall back to the baseline kernel when a
+  /// stage degrades, and commit the request's telemetry. Fills \p R and
+  /// the job's product slots, or returns the request's typed failure.
+  Status runPipeline(const RegisteredMatrix &Registered, const Job &J,
+                     ResponseBase &R);
+
+  /// The oracle stage: the noise-free best kernel for \p A at
+  /// \p Iterations, computed once per fingerprint and cached in \p Entry,
+  /// against the \p Chosen kernel. Best-effort: a fault leaves the verdict
+  /// unchecked and the response unaffected.
+  OracleVerdict verifyOracle(
+      const AnalyzedMatrix &A,
+      const std::shared_ptr<FingerprintCache::Entry> &Entry,
+      uint32_t Iterations, size_t Chosen);
 
   /// Finishes a request that failed with \p Error: records latency (and
   /// the deadline counter when applicable) and returns the typed status.

@@ -16,9 +16,11 @@
 /// it (the paper's multi-iteration amortization of Sec. IV-E, extended
 /// across requests).
 ///
-/// `ServerStats` is the typed telemetry snapshot read from the metrics
-/// registry: request/hit/route counters, online-feedback misprediction
-/// counts, cache residency, and service-latency percentiles.
+/// `BatchResponse` is the same answer over N operands; both share
+/// `ResponseBase`, the plan and its charges. `ServerStats` is the typed
+/// telemetry snapshot read from the metrics registry: request/hit/route
+/// counters, online-feedback misprediction counts, cache residency, and
+/// service-latency percentiles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +28,6 @@
 #define SEER_SERVE_SERVETYPES_H
 
 #include "core/SeerRuntime.h"
-#include "support/Metrics.h"
 
 #include <chrono>
 #include <cstdint>
@@ -51,39 +52,41 @@ struct ServeOptions {
   const std::vector<double> *Operand = nullptr;
   /// Absolute deadline; time_point::min() (the default) means none. The
   /// server checks it when the request reaches the pipeline (so queue
-  /// wait counts against it) and again between the selection and
-  /// execution stages, answering DEADLINE_EXCEEDED instead of running
+  /// wait counts against it), again after selection and before the
+  /// operand's run, answering DEADLINE_EXCEEDED instead of running
   /// expired work to completion. Computed from Request::DeadlineMs at
   /// submission time by the session layer.
   std::chrono::steady_clock::time_point Deadline =
       std::chrono::steady_clock::time_point::min();
-
-  bool hasDeadline() const {
-    return Deadline != std::chrono::steady_clock::time_point::min();
-  }
 };
 
-/// The server's answer. Cost fields are *charged* costs for this request,
-/// not intrinsic ones: cached work is charged at zero. The Modeled*
-/// fields carry the intrinsic one-shot costs regardless of charging, so
-/// clients (seer-predict, the examples) can report the Fig. 3 breakdown
-/// even when the serving layer amortized everything away.
-struct ServeResponse {
-  /// Selection outcome. On a cache hit FeatureCollectionMs is 0 even when
-  /// the gathered model was used — the features came from the cache.
+/// True once \p Deadline has passed; time_point::min() means no deadline.
+inline bool deadlineExpired(std::chrono::steady_clock::time_point Deadline) {
+  return Deadline != std::chrono::steady_clock::time_point::min() &&
+         std::chrono::steady_clock::now() >= Deadline;
+}
+
+/// What a single request and a batch have in common: the plan's
+/// selection and the costs actually *charged* for it, not intrinsic ones
+/// (cached work is charged at zero). The Modeled* fields carry the
+/// intrinsic one-shot costs regardless of charging, so clients
+/// (seer-predict, the examples) can report the Fig. 3 breakdown even when
+/// the serving layer amortized everything away.
+struct ResponseBase {
+  /// Selection outcome, charged once per request or batch. On a cache hit
+  /// FeatureCollectionMs is 0 even when the gathered model was used — the
+  /// features came from the cache.
   SelectionResult Selection;
   /// Intrinsic modeled collection cost of the gathered route (0 on the
   /// known route), whether or not this request was charged for it.
   double ModeledCollectionMs = 0.0;
   /// Content fingerprint of the request matrix.
   uint64_t Fingerprint = 0;
-  /// True when the matrix's features were already cached.
+  /// True when the matrix's features were already cached (always, on the
+  /// registered-handle path).
   bool CacheHit = false;
-  /// Iterations the costs below are quoted for.
+  /// Iterations the costs are quoted for, per operand.
   uint32_t Iterations = 1;
-
-  /// Execution results (valid when Executed).
-  bool Executed = false;
   /// True when this (fingerprint, kernel) pair's preprocessing was paid by
   /// an earlier request; PreprocessMs is then 0.
   bool PreprocessAmortized = false;
@@ -92,12 +95,31 @@ struct ServeResponse {
   /// Intrinsic modeled preprocessing cost (equal to PreprocessMs unless
   /// amortized; 0 when not executed).
   double ModeledPreprocessMs = 0.0;
-  /// Per-iteration runtime of the chosen kernel.
+  /// Per-iteration runtime of the chosen kernel (identical across
+  /// operands: the schedule depends on the matrix, not the operand).
   double IterationMs = 0.0;
-  /// The product vector (one iteration's y = A * x).
-  std::vector<double> Y;
+  /// Host wall-clock time spent serving the request, microseconds.
+  double ServiceMicros = 0.0;
+  /// True when a pipeline-stage failure (or an open circuit breaker) was
+  /// absorbed by falling back to the deterministic baseline CSR kernel:
+  /// Selection names the baseline, no preprocessing is charged, and every
+  /// product is the baseline kernel's exact one (bit-identical across
+  /// runs, though generally not to the unfaulted selection's). Costs and
+  /// oracle fields describe the fallback, not the model's pick.
+  bool Degraded = false;
 
-  /// Online feedback (valid when OracleChecked).
+protected:
+  /// The batched-charge rule: selection overhead and preprocessing once,
+  /// iterations per operand.
+  double chargedMs(size_t Operands) const {
+    return Selection.overheadMs() + PreprocessMs +
+           static_cast<double>(Operands) * Iterations * IterationMs;
+  }
+};
+
+/// The online-feedback verdict of an oracle-verified execute.
+struct OracleVerdict {
+  /// True when the verdict below was computed.
   bool OracleChecked = false;
   /// Fastest kernel by noise-free simulated total at this iteration count.
   size_t OracleKernelIndex = 0;
@@ -105,85 +127,34 @@ struct ServeResponse {
   bool Mispredicted = false;
   /// Modeled regret: chosen total minus oracle total, ms (>= 0).
   double RegretMs = 0.0;
+};
 
-  /// Host wall-clock time spent serving the request, microseconds.
-  double ServiceMicros = 0.0;
-
-  /// True when a pipeline-stage failure (or an open circuit breaker) was
-  /// absorbed by falling back to the deterministic baseline CSR kernel:
-  /// Selection names the baseline, no preprocessing is charged, and Y —
-  /// when executed — is the baseline kernel's exact product (bit-identical
-  /// across runs, though generally not to the unfaulted selection's Y).
-  /// Costs and oracle fields describe the fallback, not the model's pick.
-  bool Degraded = false;
+/// The server's answer to one request: a selection and, when executed,
+/// one product.
+struct ServeResponse : ResponseBase, OracleVerdict {
+  /// Execution results (Y, IterationMs and the preprocessing fields are
+  /// valid when Executed).
+  bool Executed = false;
+  /// The product vector (one iteration's y = A * x).
+  std::vector<double> Y;
 
   /// Charged end-to-end cost at the quoted iteration count.
-  double totalMs() const {
-    return Selection.overheadMs() + PreprocessMs + Iterations * IterationMs;
-  }
+  double totalMs() const { return chargedMs(1); }
 };
 
 /// The server's answer to a batched execution: one ExecutionPlan —
 /// routing, selection and preprocessing charged once — run over N
 /// independent operands. Per-operand work is only the SpMV iterations,
-/// which is the point of batching (the batched-charge rule:
-/// selection overhead and preprocessing per batch, iterations per
-/// operand).
-struct BatchResponse {
-  /// Selection outcome, charged once for the whole batch.
-  SelectionResult Selection;
-  /// Intrinsic modeled collection cost (see ServeResponse).
-  double ModeledCollectionMs = 0.0;
-  /// Content fingerprint of the batch's matrix.
-  uint64_t Fingerprint = 0;
-  /// True when the matrix's features were already cached (always, on the
-  /// registered-handle path that batches require).
-  bool CacheHit = false;
-  /// Iterations each operand was executed for.
-  uint32_t Iterations = 1;
-  /// True when preprocessing was paid by an earlier plan; charged once
-  /// for the batch otherwise.
-  bool PreprocessAmortized = false;
-  /// Charged one-time preprocessing cost (once per batch).
-  double PreprocessMs = 0.0;
-  /// Intrinsic modeled preprocessing cost.
-  double ModeledPreprocessMs = 0.0;
-  /// Per-iteration runtime of the chosen kernel (identical across
-  /// operands: the schedule depends on the matrix, not the operand).
-  double IterationMs = 0.0;
+/// which is the point of batching.
+struct BatchResponse : ResponseBase {
   /// One product vector per operand, in operand order.
   std::vector<std::vector<double>> Y;
-  /// Host wall-clock time spent serving the whole batch, microseconds.
-  double ServiceMicros = 0.0;
-  /// True when the whole batch fell back to the baseline CSR kernel after
-  /// a pipeline-stage failure (see ServeResponse::Degraded).
-  bool Degraded = false;
 
   size_t operands() const { return Y.size(); }
 
   /// Charged end-to-end cost of the batch: overhead + preprocessing once,
   /// iterations per operand.
-  double totalMs() const {
-    return Selection.overheadMs() + PreprocessMs +
-           static_cast<double>(operands()) * Iterations * IterationMs;
-  }
-};
-
-/// Bounded, lock-free latency recorder: the generic geometric
-/// `Histogram` from support/Metrics.h under its historical
-/// microsecond-flavored interface (0.01 us .. ~1e8 us range). Kept as a
-/// distinct type so serving code reads in latency vocabulary; all
-/// mechanics — bucket layout, rejection of non-finite samples, the
-/// interpolated percentile estimate — live in the one Histogram
-/// implementation the MetricsRegistry exports.
-class LatencyHistogram : public Histogram {
-public:
-  /// Mean recorded latency, microseconds (0 with no samples).
-  double meanMicros() const { return mean(); }
-
-  /// Approximate \p P-quantile (0 < P < 1) in microseconds (see
-  /// Histogram::percentile). Returns 0 with no samples.
-  double percentileMicros(double P) const { return percentile(P); }
+  double totalMs() const { return chargedMs(operands()); }
 };
 
 /// Monotone telemetry snapshot of a SeerServer.

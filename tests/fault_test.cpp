@@ -426,27 +426,32 @@ TEST(ServeFaultTest, DeadlineExpiredAtAdmissionIsTerminal) {
 }
 
 TEST(ServeFaultTest, DeadlineExpiredBetweenStagesIsCaught) {
-  // An injected 30 ms stall inside the selection stage blows a 5 ms
-  // budget: the between-stages checkpoint must refuse to execute.
-  DisarmGuard Guard;
-  SeerService Service(tinyModels());
-  const CsrMatrix M = genBanded(1024, 8, 0.9, 7);
-  const MatrixHandle Handle = mustRegister(Service, M);
+  // An injected 30 ms stall inside the selection stage, or inside the
+  // prepare stage, blows a 5 ms budget: the checkpoint after selection,
+  // or the one before the operand's run, must refuse to execute.
+  for (const char *Stall : {"plan.select nth=1 latency-ms=30\n",
+                            "kernel.prepare nth=1 latency-ms=30\n"}) {
+    DisarmGuard Guard;
+    SeerService Service(tinyModels());
+    const CsrMatrix M = genBanded(1024, 8, 0.9, 7);
+    const MatrixHandle Handle = mustRegister(Service, M);
 
-  armPlan("plan.select nth=1 latency-ms=30\n");
-  Request R;
-  R.Handle = Handle;
-  R.Iterations = 5;
-  R.Execute = true;
-  R.DeadlineMs = 5.0;
-  const auto Response = Service.serve(R);
-  ASSERT_FALSE(Response);
-  EXPECT_EQ(Response.status().code(), StatusCode::DeadlineExceeded);
-  EXPECT_EQ(Service.stats().DeadlineExceeded, 1u);
+    armPlan(Stall);
+    Request R;
+    R.Handle = Handle;
+    R.Iterations = 5;
+    R.Execute = true;
+    R.DeadlineMs = 5.0;
+    const auto Response = Service.serve(R);
+    ASSERT_FALSE(Response) << Stall;
+    EXPECT_EQ(Response.status().code(), StatusCode::DeadlineExceeded)
+        << Stall;
+    EXPECT_EQ(Service.stats().DeadlineExceeded, 1u) << Stall;
 
-  // Without the stall the same budget is plenty.
-  const auto Fast = Service.serve(R);
-  ASSERT_TRUE(Fast) << Fast.status().toString();
+    // Without the stall the same budget is plenty.
+    const auto Fast = Service.serve(R);
+    ASSERT_TRUE(Fast) << Stall << Fast.status().toString();
+  }
 }
 
 TEST(ServeFaultTest, BatchDeadlineExpiresMidOperands) {

@@ -715,6 +715,10 @@ TEST(NetServerTest, EpollLoopbackBitIdentity) {
     ASSERT_EQ(RemoteBatch->Y.size(), LocalBatch->Y.size());
     for (size_t I = 0; I < RemoteBatch->Y.size(); ++I)
       EXPECT_TRUE(bitsEqual(RemoteBatch->Y[I], LocalBatch->Y[I]));
+    // One operand past the cap is refused before any operand is built.
+    const auto TooMany = Client->batch(Open->Handle, MaxBatchOperands + 1, 19);
+    ASSERT_FALSE(TooMany);
+    EXPECT_EQ(TooMany.status().code(), StatusCode::InvalidArgument);
 
     EXPECT_TRUE(Client->close(Open->Handle).ok());
     EXPECT_TRUE(Local.release(*LocalHandle).ok());

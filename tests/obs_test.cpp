@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <thread>
 #include <vector>
@@ -138,14 +139,23 @@ TEST(HistogramTest, RecordsSumAndRejects) {
   H.record(-1.0);                                        // negative: rejected
   H.record(std::numeric_limits<double>::quiet_NaN());    // rejected
   H.record(std::numeric_limits<double>::infinity());     // rejected
+  H.record(-std::numeric_limits<double>::infinity());    // rejected
   EXPECT_EQ(H.samples(), 2u);
-  EXPECT_EQ(H.rejected(), 3u);
+  EXPECT_EQ(H.rejected(), 4u);
   EXPECT_NEAR(H.sum(), 12.0, 1e-9);
   EXPECT_NEAR(H.mean(), 6.0, 1e-9);
+  // Rejected samples move no percentile: the estimates match a histogram
+  // that only ever saw the good samples.
+  Histogram Clean;
+  Clean.record(2.0);
+  Clean.record(10.0);
+  for (const double P : {0.01, 0.5, 0.99})
+    EXPECT_EQ(H.percentile(P), Clean.percentile(P)) << "p" << P;
   H.reset();
   EXPECT_EQ(H.samples(), 0u);
   EXPECT_EQ(H.rejected(), 0u);
   EXPECT_EQ(H.mean(), 0.0);
+  EXPECT_EQ(H.percentile(0.5), 0.0);
 }
 
 TEST(HistogramTest, PercentileInterpolatesWithinBucket) {

@@ -18,6 +18,7 @@
 #include "core/Seer.h"
 #include "serve/RequestTrace.h"
 #include "serve/SeerServer.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -103,6 +103,24 @@ ServeResponse serveOnce(SeerServer &Server, const CsrMatrix &M,
   Server.releaseMatrix(Reg);
   EXPECT_TRUE(Response) << Response.status().toString();
   return Response ? std::move(*Response) : ServeResponse();
+}
+
+/// A single execute and a batch agree in every field they share but the
+/// host's service time.
+void expectSameSharedFields(const ResponseBase &A, const ResponseBase &B) {
+  EXPECT_EQ(A.Selection.KernelIndex, B.Selection.KernelIndex);
+  EXPECT_EQ(A.Selection.UsedGatheredModel, B.Selection.UsedGatheredModel);
+  EXPECT_EQ(A.Selection.FeatureCollectionMs, B.Selection.FeatureCollectionMs);
+  EXPECT_EQ(A.Selection.InferenceMs, B.Selection.InferenceMs);
+  EXPECT_EQ(A.ModeledCollectionMs, B.ModeledCollectionMs);
+  EXPECT_EQ(A.Fingerprint, B.Fingerprint);
+  EXPECT_EQ(A.CacheHit, B.CacheHit);
+  EXPECT_EQ(A.Iterations, B.Iterations);
+  EXPECT_EQ(A.PreprocessAmortized, B.PreprocessAmortized);
+  EXPECT_EQ(A.PreprocessMs, B.PreprocessMs);
+  EXPECT_EQ(A.ModeledPreprocessMs, B.ModeledPreprocessMs);
+  EXPECT_EQ(A.IterationMs, B.IterationMs);
+  EXPECT_EQ(A.Degraded, B.Degraded);
 }
 
 /// How far \p Config's budget can give way while one live registration
@@ -548,12 +566,6 @@ TEST(PlannerTest, PreparedPlanReuseChargesPerPayment) {
   const SpmvRun ChargedRun = P.run(Charged, A, X);
   EXPECT_EQ(ChargedRun.Y, FreshRun.Y);
   EXPECT_EQ(ChargedRun.Timing.TotalMs, FreshRun.Timing.TotalMs);
-
-  // The batched-charge rule: overhead and preprocessing once per plan,
-  // iterations per operand.
-  EXPECT_EQ(Fresh.chargedTotalMs(0.25, 4),
-            Fresh.Selection.overheadMs() + Fresh.PreprocessMs +
-                4.0 * 19 * 0.25);
 }
 
 TEST(PlannerTest, RouteFlipsWithIterationCount) {
@@ -638,6 +650,10 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
   for (const ServeResponse &R : Singles)
     SingleTotalMs += R.totalMs();
   EXPECT_LT(B.totalMs(), SingleTotalMs);
+  // The batched-charge rule, exactly: overhead and preprocessing once per
+  // plan, iterations per operand.
+  EXPECT_EQ(B.totalMs(), B.Selection.overheadMs() + B.PreprocessMs +
+                             6.0 * 5 * B.IterationMs);
 
   // Telemetry: one request, one route, one preprocessing charge, one
   // plan — N operand executions.
@@ -661,6 +677,37 @@ TEST(SeerServerTest, BatchExecutionBitIdenticalToSingleRequests) {
   EXPECT_EQ(Batched.stats().PlansReused, 1u);
   EXPECT_EQ(Batched.stats().PlansBuilt, 1u);
   Batched.releaseMatrix(Reg);
+
+  // A batch of one is a single execute: on a fresh server it pays what
+  // the first single request paid and returns the same product.
+  SeerServer One(tinyModels());
+  const RegisteredMatrix RegOne = registerAliased(One, M);
+  const std::vector<std::vector<double>> First = {Operands[0]};
+  const BatchResponse OneBatch = *One.executeBatchRegistered(RegOne, 5, First);
+  expectSameSharedFields(OneBatch, Singles[0]);
+  ASSERT_EQ(OneBatch.operands(), 1u);
+  EXPECT_EQ(OneBatch.Y[0], Singles[0].Y);
+  EXPECT_EQ(OneBatch.totalMs(), Singles[0].totalMs());
+
+  // So is a degraded one: with every selection failing terminally, both
+  // fall back to the baseline kernel with the same charges and product.
+  struct DisarmGuard {
+    ~DisarmGuard() { FaultInjector::instance().disarm(); }
+  } Guard;
+  const auto Plan = FaultPlan::parse("plan.select every=1 status=INTERNAL\n");
+  ASSERT_TRUE(Plan) << Plan.status().toString();
+  ASSERT_TRUE(FaultInjector::instance().arm(*Plan).ok());
+  ServeOptions Exec = options(5, true);
+  Exec.Operand = &Operands[0];
+  const ServeResponse DegradedSingle = *One.handleRegistered(RegOne, Exec);
+  const BatchResponse DegradedBatch =
+      *One.executeBatchRegistered(RegOne, 5, First);
+  EXPECT_TRUE(DegradedSingle.Degraded);
+  expectSameSharedFields(DegradedBatch, DegradedSingle);
+  ASSERT_EQ(DegradedBatch.operands(), 1u);
+  EXPECT_EQ(DegradedBatch.Y[0], DegradedSingle.Y);
+  EXPECT_EQ(DegradedBatch.totalMs(), DegradedSingle.totalMs());
+  One.releaseMatrix(RegOne);
 }
 
 //===----------------------------------------------------------------------===//
@@ -980,53 +1027,6 @@ TEST(CacheBudgetTest, ConcurrentChurnRespectsBudgetAndStaysBitIdentical) {
 }
 
 //===----------------------------------------------------------------------===//
-// Latency histogram
-//===----------------------------------------------------------------------===//
-
-TEST(LatencyHistogramTest, PercentilesApproximateTheSamples) {
-  LatencyHistogram H;
-  for (int I = 1; I <= 100; ++I)
-    H.record(static_cast<double>(I)); // 1..100 us, uniform
-  EXPECT_EQ(H.samples(), 100u);
-  EXPECT_NEAR(H.meanMicros(), 50.5, 0.1);
-  // Geometric buckets are ~20% wide; percentiles land within one bucket.
-  EXPECT_NEAR(H.percentileMicros(0.50), 50.0, 12.0);
-  EXPECT_NEAR(H.percentileMicros(0.99), 99.0, 25.0);
-  EXPECT_LE(H.percentileMicros(0.50), H.percentileMicros(0.99));
-  H.reset();
-  EXPECT_EQ(H.samples(), 0u);
-  EXPECT_EQ(H.percentileMicros(0.5), 0.0);
-}
-
-TEST(LatencyHistogramTest, RejectsNonFiniteAndNegativeSamples) {
-  // NaN and negative durations used to land in bucket 0 and drag p50
-  // toward the floor while meanMicros diverged from the bucket counts.
-  LatencyHistogram H;
-  H.record(std::numeric_limits<double>::quiet_NaN());
-  H.record(-5.0);
-  H.record(std::numeric_limits<double>::infinity());
-  H.record(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(H.samples(), 0u);
-  EXPECT_EQ(H.rejected(), 4u);
-  EXPECT_EQ(H.meanMicros(), 0.0);
-  EXPECT_EQ(H.percentileMicros(0.5), 0.0);
-
-  // Good samples around 100us: the rejected garbage must not have shifted
-  // the percentiles or the mean.
-  for (int I = 0; I < 10; ++I)
-    H.record(100.0);
-  H.record(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(H.samples(), 10u);
-  EXPECT_EQ(H.rejected(), 5u);
-  EXPECT_NEAR(H.meanMicros(), 100.0, 0.1);
-  EXPECT_NEAR(H.percentileMicros(0.5), 100.0, 25.0);
-  EXPECT_NEAR(H.percentileMicros(0.99), 100.0, 25.0);
-
-  H.reset();
-  EXPECT_EQ(H.rejected(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // Trace protocol
 //===----------------------------------------------------------------------===//
 
@@ -1075,6 +1075,10 @@ TEST(RequestTraceTest, ParsesBatchCommands) {
   EXPECT_FALSE(parseTraceLine("batch web", Command).ok());
   EXPECT_FALSE(parseTraceLine("batch web 0", Command).ok());
   EXPECT_FALSE(parseTraceLine("batch web 5000", Command).ok());
+  // The cap itself parses; one operand past it does not.
+  ASSERT_TRUE(parseTraceLine("batch web 4096", Command).ok());
+  EXPECT_EQ(Command.BatchCount, MaxBatchOperands);
+  EXPECT_FALSE(parseTraceLine("batch web 4097", Command).ok());
   EXPECT_FALSE(parseTraceLine("batch web many", Command).ok());
   EXPECT_FALSE(parseTraceLine("batch web 4 5 verify", Command).ok());
 

@@ -7,9 +7,9 @@
 // Replays a scripted request trace against a networked seer-serve (or a
 // seer-lb front-end) through the binary wire protocol (net/Wire.h),
 // printing the same response lines an in-process single-client replay of
-// the same trace prints. That byte-identity is the point: the CI
-// loopback smoke job and the serving bench both diff this tool's output
-// against `seer-serve --trace` to prove the transport neither perturbs
+// the same trace prints. That byte-identity is the point: CI's loopback
+// and wire-chaos steps diff this tool's output against
+// `seer-serve --trace` to prove the transport neither perturbs
 // selections nor loses precision (doubles travel as IEEE-754 bit
 // patterns).
 //
@@ -22,8 +22,9 @@
 // is the chaos gate of seer-serve carried over the wire: error lines,
 // exhausted retry budgets, or breaker opens (summed over every shard
 // section of the stats snapshot), or a shard section seer-lb could not
-// fill, fail the run. `--shutdown` sends the wire Shutdown op
-// at the end — how the bench tears down the shard fleet it spawned.
+// fill, fail the run. `--shutdown` sends the wire Shutdown op at the
+// end. Sent to a shard it stops that shard; sent to seer-lb it stops
+// only the balancer, and the shards behind it keep running.
 //
 //===----------------------------------------------------------------------===//
 
