@@ -335,3 +335,25 @@ std::string SeerService::metricsStatLines() {
   (void)stats();
   return Server.metrics().statLines();
 }
+
+Expected<TraceHandle> ServiceTraceBackend::open(const std::string &,
+                                                MatrixInput Source) {
+  const auto Handle = Service.registerMatrix(std::move(Source));
+  if (!Handle)
+    return Handle.status();
+  const auto Info = Service.describe(*Handle);
+  if (!Info)
+    return Info.status();
+  return TraceHandle{Handle->Id, Info->NumRows, Info->NumCols, Info->Nnz};
+}
+
+Expected<BatchResponse> ServiceTraceBackend::batch(uint64_t Handle,
+                                                   uint32_t Count,
+                                                   uint32_t Iterations) {
+  const auto Info = Service.describe(MatrixHandle{Handle});
+  if (!Info)
+    return Info.status();
+  return Service.executeBatch(MatrixHandle{Handle},
+                              buildBatchOperands(Count, Info->NumCols),
+                              Iterations);
+}

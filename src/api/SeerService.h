@@ -41,6 +41,7 @@
 
 #include "api/MatrixInput.h"
 #include "api/Status.h"
+#include "serve/RequestTrace.h"
 #include "serve/SeerServer.h"
 #include "support/ThreadAnnotations.h"
 
@@ -309,6 +310,46 @@ private:
   Histogram &QueueWaitUs = Server.metrics().histogram("seer_queue_wait_us");
   Histogram &RetryBackoffMs =
       Server.metrics().histogram("seer_retry_backoff_ms");
+};
+
+/// The in-process TraceBackend (serve/RequestTrace.h): each operation is
+/// one direct SeerService call, so an in-process replay never touches the
+/// wire codec, and a replay's registrations adopt its parsed matrices
+/// without copying them. Thread-safe like the service, so the clients of a
+/// replay share one. `spans` drains the recorder into \p Spans.
+class ServiceTraceBackend final : public TraceBackend {
+public:
+  ServiceTraceBackend(SeerService &Service, SpanSink &Spans)
+      : Service(Service), Spans(Spans) {}
+
+  Expected<TraceHandle> open(const std::string &Name,
+                             MatrixInput Source) override;
+  Status close(uint64_t Handle) override {
+    return Service.release(MatrixHandle{Handle});
+  }
+  Expected<ServeResponse> serve(uint64_t Handle, uint32_t Iterations,
+                                bool Execute, bool Verify) override {
+    return Execute ? Service.execute(MatrixHandle{Handle}, Iterations, Verify)
+                   : Service.select(MatrixHandle{Handle}, Iterations);
+  }
+  Expected<BatchResponse> batch(uint64_t Handle, uint32_t Count,
+                                uint32_t Iterations) override;
+  Status fault(const std::string &Spec) override {
+    return applyFaultSpec(Spec);
+  }
+  Expected<std::string> metrics() override {
+    return Service.metricsPrometheus();
+  }
+  Expected<std::string> stats() override {
+    return Service.metricsStatLines();
+  }
+  std::string spans(uint32_t Count) override {
+    return Spans.spanLines(Count);
+  }
+
+private:
+  SeerService &Service;
+  SpanSink &Spans;
 };
 
 } // namespace seer

@@ -46,7 +46,9 @@ Planner::Planner(const KernelRegistry &Registry, const GpuSimulator &Sim)
 
 Planner::Planner(const SeerModels &Models, const KernelRegistry &Registry,
                  const GpuSimulator &Sim)
-    : Models(&Models), Registry(Registry), Sim(Sim) {
+    : KnownTree(Models.Known.compile()),
+      GatheredTree(Models.Gathered.compile()),
+      SelectorTree(Models.Selector.compile()), Registry(Registry), Sim(Sim) {
   assert(Models.KernelNames.size() == Registry.size() &&
          "models were trained for a different kernel registry");
 }
@@ -62,64 +64,24 @@ KnownFeatures knownOf(const CsrMatrix &M) {
   return Known;
 }
 
-/// Shared body of the selection entry points; \p Collect produces the
-/// gathered features (and their modeled cost) only when the selector
-/// routes to the gathered path. Templated so the common known path stays
-/// allocation-free — selection is the overhead the paper models as
-/// negligible, so it must not pay for a std::function it never calls.
-/// \p Charge decides whether the gathered route's modeled collection
-/// cost is charged to the result; \p ModeledOut (may be null) receives
-/// the intrinsic cost either way.
+} // namespace
+
 template <typename CollectFn>
-SelectionResult selectImpl(const SeerModels &Models,
-                           const KernelRegistry &Registry,
-                           const KnownFeatures &Known, uint32_t Iterations,
-                           const CollectFn &Collect, bool Charge,
-                           double *ModeledOut) {
+SelectionResult Planner::selectImpl(const KnownFeatures &Known,
+                                    uint32_t Iterations,
+                                    const CollectFn &Collect, bool Charge,
+                                    double *ModeledOut) const {
   SelectionResult Result;
-  if (Models.compiled()) {
-    // Compiled path: branch-free flat trees over stack feature scratch —
-    // zero heap allocation per selection, bit-identical decisions to the
-    // interpreted walk below (flat_tree_test fuzzes the equivalence; the
-    // serving bit-identity tests hold it end to end).
-    // seer-hot-begin(select-compiled): tools/seer_lint.py forbids heap
-    // allocation and unordered-container iteration in this branch.
-    double KnownVec[features::KnownArity];
-    features::knownVectorInto(Known, Iterations, KnownVec);
+  // Branch-free flat trees over stack feature scratch: zero heap
+  // allocation per selection (flat_tree_test holds both this and the
+  // bit-identity with the trees' own predict).
+  // seer-hot-begin(select-compiled): tools/seer_lint.py forbids heap
+  // allocation and unordered-container iteration in this region.
+  double KnownVec[features::KnownArity];
+  features::knownVectorInto(Known, Iterations, KnownVec);
 
-    const uint32_t Choice = Models.SelectorFlat.predict(KnownVec);
-    Result.InferenceMs = Planner::InferenceOverheadUs * 1e-3;
-
-    if (Choice == SeerModels::SelectGathered) {
-      const FeatureCollectionResult Collection = Collect();
-      Result.UsedGatheredModel = true;
-      if (ModeledOut)
-        *ModeledOut = Collection.CollectionMs;
-      Result.FeatureCollectionMs = Charge ? Collection.CollectionMs : 0.0;
-      Result.InferenceMs += Planner::InferenceOverheadUs * 1e-3;
-      double GatheredVec[features::GatheredArity];
-      features::gatheredVectorInto(Known, Collection.Features, Iterations,
-                                   GatheredVec);
-      Result.KernelIndex = Models.GatheredFlat.predict(GatheredVec);
-    } else {
-      Result.InferenceMs += Planner::InferenceOverheadUs * 1e-3;
-      Result.KernelIndex = Models.KnownFlat.predict(KnownVec);
-    }
-    assert(Result.KernelIndex < Registry.size() &&
-           "model predicted an out-of-range kernel");
-    (void)Registry;
-    return Result;
-    // seer-hot-end(select-compiled)
-  }
-
-  // Interpreted reference path: heap-walking DecisionTree::predict, kept
-  // as the oracle the compiled path is verified against.
-  // Trivially known features are free: they ship with the input.
-  const std::vector<double> KnownVec =
-      features::knownVector(Known, Iterations);
-
-  const uint32_t Choice = Models.Selector.predict(KnownVec);
-  Result.InferenceMs = Planner::InferenceOverheadUs * 1e-3;
+  const uint32_t Choice = SelectorTree.predict(KnownVec);
+  Result.InferenceMs = InferenceOverheadUs * 1e-3;
 
   if (Choice == SeerModels::SelectGathered) {
     // Pay for the collection kernels, then ask the gathered model.
@@ -128,20 +90,20 @@ SelectionResult selectImpl(const SeerModels &Models,
     if (ModeledOut)
       *ModeledOut = Collection.CollectionMs;
     Result.FeatureCollectionMs = Charge ? Collection.CollectionMs : 0.0;
-    Result.InferenceMs += Planner::InferenceOverheadUs * 1e-3;
-    Result.KernelIndex = Models.Gathered.predict(features::gatheredVector(
-        Known, Collection.Features, Iterations));
+    Result.InferenceMs += InferenceOverheadUs * 1e-3;
+    double GatheredVec[features::GatheredArity];
+    features::gatheredVectorInto(Known, Collection.Features, Iterations,
+                                 GatheredVec);
+    Result.KernelIndex = GatheredTree.predict(GatheredVec);
   } else {
-    Result.InferenceMs += Planner::InferenceOverheadUs * 1e-3;
-    Result.KernelIndex = Models.Known.predict(KnownVec);
+    Result.InferenceMs += InferenceOverheadUs * 1e-3;
+    Result.KernelIndex = KnownTree.predict(KnownVec);
   }
   assert(Result.KernelIndex < Registry.size() &&
          "model predicted an out-of-range kernel");
-  (void)Registry;
   return Result;
+  // seer-hot-end(select-compiled)
 }
-
-} // namespace
 
 AnalyzedMatrix Planner::analyze(const CsrMatrix &M,
                                 bool WithFingerprint) const {
@@ -166,20 +128,13 @@ AnalyzedMatrix Planner::adopt(const CsrMatrix &M, const MatrixStats &Stats,
 
 RouteDecision Planner::route(const KnownFeatures &Known,
                              uint32_t Iterations) const {
-  assert(Models && "route() needs a trained model triple");
+  assert(!SelectorTree.empty() && "route() needs a trained model triple");
   ScopedSpan Span(spanname::PlanRoute);
   RouteDecision R;
   R.InferenceMs = InferenceOverheadUs * 1e-3;
-  if (Models->compiled()) {
-    double KnownVec[features::KnownArity];
-    features::knownVectorInto(Known, Iterations, KnownVec);
-    R.UseGathered = Models->SelectorFlat.predict(KnownVec) ==
-                    SeerModels::SelectGathered;
-  } else {
-    R.UseGathered =
-        Models->Selector.predict(features::knownVector(Known, Iterations)) ==
-        SeerModels::SelectGathered;
-  }
+  double KnownVec[features::KnownArity];
+  features::knownVectorInto(Known, Iterations, KnownVec);
+  R.UseGathered = SelectorTree.predict(KnownVec) == SeerModels::SelectGathered;
   return R;
 }
 
@@ -193,24 +148,23 @@ FeatureCollectionResult Planner::collect(const AnalyzedMatrix &A) const {
 
 ExecutionPlan Planner::plan(const AnalyzedMatrix &A, uint32_t Iterations,
                             CollectionCharging Charging) const {
-  assert(Models && "plan() needs a trained model triple");
+  assert(!SelectorTree.empty() && "plan() needs a trained model triple");
   ScopedSpan Span(spanname::PlanSelect);
   ExecutionPlan Plan;
   Plan.Iterations = Iterations;
-  Plan.Selection = selectImpl(*Models, Registry, A.Stats.Known, Iterations,
-                              [&] { return collect(A); },
-                              Charging == CollectionCharging::Charged,
-                              &Plan.ModeledCollectionMs);
+  Plan.Selection = selectImpl(
+      A.Stats.Known, Iterations, [&] { return collect(A); },
+      Charging == CollectionCharging::Charged, &Plan.ModeledCollectionMs);
   Span.tag("modeled_ms", Plan.Selection.overheadMs());
   return Plan;
 }
 
 SelectionResult Planner::select(const CsrMatrix &M,
                                 uint32_t Iterations) const {
-  assert(Models && "select() needs a trained model triple");
+  assert(!SelectorTree.empty() && "select() needs a trained model triple");
   ScopedSpan Span(spanname::PlanSelect);
   SelectionResult Result =
-      selectImpl(*Models, Registry, knownOf(M), Iterations,
+      selectImpl(knownOf(M), Iterations,
                  [&] { return collectGatheredFeatures(M, Sim); },
                  /*Charge=*/true, /*ModeledOut=*/nullptr);
   Span.tag("modeled_ms", Result.overheadMs());
@@ -221,10 +175,11 @@ SelectionResult
 Planner::selectPrecollected(const KnownFeatures &Known,
                             const GatheredFeatures &Gathered,
                             uint32_t Iterations) const {
-  assert(Models && "selectPrecollected() needs a trained model triple");
+  assert(!SelectorTree.empty() &&
+         "selectPrecollected() needs a trained model triple");
   ScopedSpan Span(spanname::PlanSelect);
   SelectionResult Result =
-      selectImpl(*Models, Registry, Known, Iterations,
+      selectImpl(Known, Iterations,
                  [&] {
                    FeatureCollectionResult Collection;
                    Collection.Features = Gathered;

@@ -57,6 +57,7 @@
 
 #include "kernels/FeatureKernels.h"
 #include "kernels/KernelRegistry.h"
+#include "ml/FlatTree.h"
 #include "sparse/MatrixStats.h"
 
 #include <cassert>
@@ -214,7 +215,10 @@ public:
   /// route/select/plan assert.
   Planner(const KernelRegistry &Registry, const GpuSimulator &Sim);
 
-  /// The full planner over a trained model triple.
+  /// The full planner over a trained model triple. Compiles the three
+  /// trees once, here, and keeps only the compiled forms (ml/FlatTree.h):
+  /// every selection predicts through them, bit-identical to the trees'
+  /// own predict, and \p Models need not outlive the planner.
   Planner(const SeerModels &Models, const KernelRegistry &Registry,
           const GpuSimulator &Sim);
 
@@ -281,15 +285,23 @@ public:
   SpmvRun run(const ExecutionPlan &Plan, const AnalyzedMatrix &A,
               const std::vector<double> &X) const;
 
-  const SeerModels &models() const {
-    assert(Models && "model-less planner");
-    return *Models;
-  }
   const KernelRegistry &registry() const { return Registry; }
   const GpuSimulator &simulator() const { return Sim; }
 
 private:
-  const SeerModels *Models = nullptr;
+  /// Shared body of the selection entry points. \p Collect runs only on
+  /// the gathered route (templated, so the known route never pays for a
+  /// std::function); \p Charge decides whether its modeled cost is
+  /// charged, and \p ModeledOut (may be null) receives it either way.
+  template <typename CollectFn>
+  SelectionResult selectImpl(const KnownFeatures &Known, uint32_t Iterations,
+                             const CollectFn &Collect, bool Charge,
+                             double *ModeledOut) const;
+
+  /// The compiled model triple (empty in a model-less planner).
+  FlatTree KnownTree;
+  FlatTree GatheredTree;
+  FlatTree SelectorTree;
   const KernelRegistry &Registry;
   const GpuSimulator &Sim;
 };

@@ -89,9 +89,6 @@ seer::loadModelBundle(const std::string &Directory,
       !S.ok())
     return S;
   Models.KernelNames = std::move(KernelNames);
-  // Compile at load: everything downstream of a bundle load serves from
-  // the flat forms (ml/FlatTree.h).
-  Models.compile();
   return Models;
 }
 

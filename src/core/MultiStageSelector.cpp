@@ -124,11 +124,7 @@ double tierPathCost(const MultiStageModels &Models,
     CollectionMs = Bench.Base.FeatureCollectionMs;
     break;
   }
-  // Route through the compiled form when available (bit-identical to
-  // the interpreted walk; see ml/FlatTree.h).
-  const uint32_t Pick = Models.compiled()
-                            ? Models.TierFlat[Tier].predict(Row.data())
-                            : Models.TierModels[Tier].predict(Row);
+  const uint32_t Pick = Models.TierModels[Tier].predict(Row);
   assert(Pick < Bench.Base.PerKernel.size() && "tier model out of range");
   if (PickOut)
     *PickOut = Pick;
@@ -223,7 +219,6 @@ MultiStageModels seer::trainMultiStageModels(
                               FoldData.Costs.begin(), FoldData.Costs.end());
   }
   Models.Selector = DecisionTree::train(SelectorData, SelectorConfig);
-  Models.compile();
   return Models;
 }
 
@@ -234,8 +229,7 @@ seer::evaluateMultiStageCase(const MultiStageModels &Models,
   MultiStageOutcome Outcome;
   const std::vector<double> KnownVec =
       features::knownVector(Bench.Base.Known, Iterations);
-  Outcome.Tier = Models.compiled() ? Models.SelectorFlat.predict(KnownVec.data())
-                                   : Models.Selector.predict(KnownVec);
+  Outcome.Tier = Models.Selector.predict(KnownVec);
   assert(Outcome.Tier < MultiStageModels::NumTiers && "bad tier label");
   size_t Pick = 0;
   Outcome.TotalMs =

@@ -35,32 +35,13 @@
 
 namespace seer {
 
-/// The trained three-tier model set. Like SeerModels, each tree also
-/// exists in compiled FlatTree form (trainMultiStageModels returns them
-/// compiled); evaluation routes through the flat forms when present,
-/// with bit-identical outcomes.
+/// The trained three-tier model set.
 struct MultiStageModels {
   /// Kernel classifiers, indexed by tier (0 = known, 1 = cheap, 2 = full).
   DecisionTree TierModels[3];
   /// 3-class tier selector over the known features.
   DecisionTree Selector;
   std::vector<std::string> KernelNames;
-
-  /// Compiled forms; empty until compile().
-  FlatTree TierFlat[3];
-  FlatTree SelectorFlat;
-
-  /// (Re)compiles the four trees. Idempotent.
-  void compile() {
-    for (uint32_t Tier = 0; Tier < NumTiers; ++Tier)
-      TierFlat[Tier] = TierModels[Tier].compile();
-    SelectorFlat = Selector.compile();
-  }
-
-  bool compiled() const {
-    return !SelectorFlat.empty() && !TierFlat[0].empty() &&
-           !TierFlat[1].empty() && !TierFlat[2].empty();
-  }
 
   static constexpr uint32_t TierKnown = 0;
   static constexpr uint32_t TierCheap = 1;

@@ -81,8 +81,6 @@ public:
   ExecutionReport execute(const CsrMatrix &M, const std::vector<double> &X,
                           uint32_t Iterations) const;
 
-  const SeerModels &models() const { return Pipeline.models(); }
-
   /// The underlying pipeline, for callers that drive the stages
   /// explicitly.
   const Planner &planner() const { return Pipeline; }

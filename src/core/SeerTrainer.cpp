@@ -186,7 +186,6 @@ seer::trainSeerModels(const std::vector<MatrixBenchmark> &Benchmarks,
   for (const Dataset &FoldData : FoldDatasets)
     appendDataset(SelectorData, FoldData);
   Models.Selector = DecisionTree::train(SelectorData, SelectorTree);
-  Models.compile();
   return Models;
 }
 

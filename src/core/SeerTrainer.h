@@ -30,7 +30,6 @@
 #include "core/Benchmarker.h"
 #include "core/Features.h"
 #include "ml/DecisionTree.h"
-#include "ml/FlatTree.h"
 
 #include <optional>
 #include <string>
@@ -38,48 +37,15 @@
 
 namespace seer {
 
-/// The trained model triple plus the label vocabulary.
-///
-/// Each tree exists in two forms: the interpreted DecisionTree (the
-/// training artifact and the reference oracle) and its compiled FlatTree
-/// (ml/FlatTree.h), which the Planner's hot select path consults.
-/// trainSeerModels() and loadModelBundle() return compiled models; the
-/// two forms are bit-identical for every input, so compiling is purely a
-/// performance property.
+/// The trained model triple plus the label vocabulary. These trees are
+/// the training artifact; the Planner compiles its own flat copies
+/// (ml/FlatTree.h) once, at construction, and selects through those.
 struct SeerModels {
   DecisionTree Known;
   DecisionTree Gathered;
   DecisionTree Selector;
   /// Kernel names, in label-index order.
   std::vector<std::string> KernelNames;
-
-  /// Compiled forms of the three trees; empty until compile().
-  FlatTree KnownFlat;
-  FlatTree GatheredFlat;
-  FlatTree SelectorFlat;
-
-  /// (Re)compiles the three trees into their flat forms. Idempotent.
-  void compile() {
-    KnownFlat = Known.compile();
-    GatheredFlat = Gathered.compile();
-    SelectorFlat = Selector.compile();
-  }
-
-  /// Drops the compiled forms, forcing consumers back onto the
-  /// interpreted walk — the reference configuration the bit-identity
-  /// gates compare the compiled path against.
-  void clearCompiled() {
-    KnownFlat = FlatTree();
-    GatheredFlat = FlatTree();
-    SelectorFlat = FlatTree();
-  }
-
-  /// True when the flat forms are available (the Planner then routes
-  /// every predict through them).
-  bool compiled() const {
-    return !SelectorFlat.empty() && !KnownFlat.empty() &&
-           !GatheredFlat.empty();
-  }
 
   /// Selector output classes.
   static constexpr uint32_t SelectKnown = 0;

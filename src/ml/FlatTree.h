@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled form of a trained DecisionTree, built once by
-/// DecisionTree::compile() and consumed on every hot-path inference.
+/// The compiled form of a trained DecisionTree, built once per Planner by
+/// DecisionTree::compile() and consumed on every selection it makes.
 /// Where the interpreted tree walks heap-allocated TreeNode structs
 /// (pointer-chasing a 40-byte node per level), the flat form stores the
 /// per-node fields in structure-of-arrays vectors laid out level by

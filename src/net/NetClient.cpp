@@ -6,6 +6,8 @@
 
 #include "net/NetClient.h"
 
+#include "api/MatrixInput.h"
+
 using namespace seer;
 using namespace seer::net;
 
@@ -139,4 +141,25 @@ Status NetClient::shutdownServer() {
   if (!ReplyOr.ok())
     return ReplyOr.status();
   return ackOf(*ReplyOr);
+}
+
+Expected<TraceHandle> NetTraceBackend::open(const std::string &Name,
+                                            MatrixInput Source) {
+  // A replay's parsed matrix goes out as it is; any other form is
+  // materialized first, as the in-process service would.
+  using SharedCsr = std::shared_ptr<const CsrMatrix>;
+  SharedCsr Matrix;
+  if (const auto *Shared = std::get_if<SharedCsr>(&Source))
+    Matrix = *Shared;
+  if (!Matrix) {
+    auto Built = materializeMatrixInput(std::move(Source));
+    if (!Built)
+      return Built.status();
+    Matrix = std::make_shared<const CsrMatrix>(std::move(*Built));
+  }
+  const auto Reply = Client.open(Name, *Matrix);
+  if (!Reply)
+    return Reply.status();
+  return TraceHandle{Reply->Handle, Reply->Info.NumRows, Reply->Info.NumCols,
+                     Reply->Info.Nnz};
 }

@@ -31,6 +31,7 @@
 
 #include "net/Socket.h"
 #include "net/Wire.h"
+#include "serve/RequestTrace.h"
 
 #include <cstdint>
 #include <string>
@@ -89,6 +90,40 @@ private:
 
   Socket Sock;
   size_t MaxFrameBytes;
+};
+
+/// The wire TraceBackend (serve/RequestTrace.h): each operation is one
+/// round trip over \p Client, so a replay through it prints what the
+/// in-process backend prints unless the transport changed a byte. Not
+/// thread-safe, like the client. `spans` has no wire op and answers with
+/// the disarmed-recorder form.
+class NetTraceBackend final : public TraceBackend {
+public:
+  explicit NetTraceBackend(NetClient &Client) : Client(Client) {}
+
+  Expected<TraceHandle> open(const std::string &Name,
+                             MatrixInput Source) override;
+  Status close(uint64_t Handle) override { return Client.close(Handle); }
+  Expected<ServeResponse> serve(uint64_t Handle, uint32_t Iterations,
+                                bool Execute, bool Verify) override {
+    return Execute ? Client.execute(Handle, Iterations, Verify, {})
+                   : Client.select(Handle, Iterations);
+  }
+  Expected<BatchResponse> batch(uint64_t Handle, uint32_t Count,
+                                uint32_t Iterations) override {
+    return Client.batch(Handle, Count, Iterations);
+  }
+  Status fault(const std::string &Spec) override {
+    return Client.fault(Spec);
+  }
+  Expected<std::string> metrics() override { return Client.metricsText(); }
+  Expected<std::string> stats() override { return Client.statsText(); }
+  std::string spans(uint32_t Count) override {
+    return formatSpanLines({}, Count);
+  }
+
+private:
+  NetClient &Client;
 };
 
 } // namespace seer::net

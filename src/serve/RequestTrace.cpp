@@ -8,7 +8,6 @@
 
 #include "api/MatrixInput.h"
 #include "kernels/KernelRegistry.h"
-#include "sparse/MatrixMarket.h"
 #include "support/FaultInjector.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
@@ -19,6 +18,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 using namespace seer;
@@ -222,19 +222,10 @@ Status seer::parseTraceLine(const std::string &Line, TraceCommand &Out) {
   return Fail("unknown command '" + Verb + "'");
 }
 
-Expected<CsrMatrix> seer::buildTraceMatrix(const TraceCommand &Command) {
-  // The gen validation (dimension caps, integral checks, seed range) is
-  // shared with the registration API: a protocol line and a GeneratorSpec
-  // are the same thing.
-  return buildGeneratorMatrix(GeneratorSpec{Command.GenFamily,
-                                            Command.GenArgs});
-}
-
-size_t TraceScript::matrixIndex(const std::string &Name) const {
-  for (size_t I = 0; I < Matrices.size(); ++I)
-    if (Matrices[I].first == Name)
-      return I;
-  return npos;
+MatrixInput seer::traceMatrixSource(const TraceCommand &Command) {
+  if (Command.Command == TraceCommand::Kind::Load)
+    return MatrixMarketSource{Command.Path};
+  return GeneratorSpec{Command.GenFamily, Command.GenArgs};
 }
 
 Expected<TraceScript> seer::parseTrace(const std::string &Text) {
@@ -244,16 +235,16 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
   };
 
   TraceScript Script;
+  const auto Defined = [&Script](const std::string &Name) {
+    return std::any_of(Script.Matrices.begin(), Script.Matrices.end(),
+                       [&Name](const auto &M) { return M.first == Name; });
+  };
   bool SawCommand = false;
   const std::vector<std::string> Lines = splitString(Text, '\n');
   for (size_t LineNo = 1; LineNo <= Lines.size(); ++LineNo) {
     TraceCommand Command;
     if (const Status S = parseTraceLine(Lines[LineNo - 1], Command); !S.ok())
       return Fail(LineNo, S.message());
-
-    const auto RequireDefined = [&]() -> size_t {
-      return Script.matrixIndex(Command.Name);
-    };
 
     switch (Command.Command) {
     case TraceCommand::Kind::Blank:
@@ -266,36 +257,11 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
     case TraceCommand::Kind::Stats:
     case TraceCommand::Kind::Quit:
       return Fail(LineNo, "control commands are not allowed in traces");
-    case TraceCommand::Kind::Fault: {
-      TraceScript::Op Op;
-      Op.Command = TraceScript::Op::Kind::Fault;
-      Op.FaultSpec = Command.FaultSpec;
-      Script.Ops.push_back(Op);
-      break;
-    }
-    case TraceCommand::Kind::Metrics:
-    case TraceCommand::Kind::Spans: {
-      TraceScript::Op Op;
-      Op.Command = Command.Command == TraceCommand::Kind::Metrics
-                       ? TraceScript::Op::Kind::Metrics
-                       : TraceScript::Op::Kind::Spans;
-      Op.SpanCount = Command.SpanCount;
-      Script.Ops.push_back(Op);
-      break;
-    }
-    case TraceCommand::Kind::Load: {
-      if (Script.matrixIndex(Command.Name) != TraceScript::npos)
-        return Fail(LineNo, "duplicate matrix name '" + Command.Name + "'");
-      auto M = readMatrixMarketFile(Command.Path);
-      if (!M)
-        return Fail(LineNo, M.status().message());
-      Script.Matrices.emplace_back(Command.Name, std::move(*M));
-      break;
-    }
+    case TraceCommand::Kind::Load:
     case TraceCommand::Kind::Gen: {
-      if (Script.matrixIndex(Command.Name) != TraceScript::npos)
+      if (Defined(Command.Name))
         return Fail(LineNo, "duplicate matrix name '" + Command.Name + "'");
-      auto M = buildTraceMatrix(Command);
+      auto M = materializeMatrixInput(traceMatrixSource(Command));
       if (!M)
         return Fail(LineNo, M.status().message());
       Script.Matrices.emplace_back(Command.Name, std::move(*M));
@@ -303,37 +269,17 @@ Expected<TraceScript> seer::parseTrace(const std::string &Text) {
     }
     case TraceCommand::Kind::Open:
     case TraceCommand::Kind::Close:
-    case TraceCommand::Kind::Batch: {
-      const size_t Index = RequireDefined();
-      if (Index == TraceScript::npos)
-        return Fail(LineNo, "unknown matrix '" + Command.Name + "'");
-      TraceScript::Op Op;
-      Op.Command = Command.Command == TraceCommand::Kind::Open
-                       ? TraceScript::Op::Kind::Open
-                       : Command.Command == TraceCommand::Kind::Close
-                             ? TraceScript::Op::Kind::Close
-                             : TraceScript::Op::Kind::Batch;
-      Op.MatrixIndex = Index;
-      Op.Iterations = Command.Iterations;
-      Op.BatchCount = Command.BatchCount;
-      Script.Ops.push_back(Op);
-      break;
-    }
     case TraceCommand::Kind::Select:
-    case TraceCommand::Kind::Execute: {
-      const size_t Index = RequireDefined();
-      if (Index == TraceScript::npos)
+    case TraceCommand::Kind::Execute:
+    case TraceCommand::Kind::Batch:
+      if (!Defined(Command.Name))
         return Fail(LineNo, "unknown matrix '" + Command.Name + "'");
-      TraceScript::Op Op;
-      Op.Command = Command.Command == TraceCommand::Kind::Select
-                       ? TraceScript::Op::Kind::Select
-                       : TraceScript::Op::Kind::Execute;
-      Op.MatrixIndex = Index;
-      Op.Iterations = Command.Iterations;
-      Op.Verify = Command.Verify;
-      Script.Ops.push_back(Op);
+      [[fallthrough]];
+    case TraceCommand::Kind::Fault:
+    case TraceCommand::Kind::Metrics:
+    case TraceCommand::Kind::Spans:
+      Script.Ops.push_back(std::move(Command));
       break;
-    }
     }
     SawCommand = true;
   }
@@ -468,4 +414,232 @@ std::string seer::formatErrorLine(const Status &Error) {
   assert(!Error.ok() && "error line for an OK status");
   return std::string("error ") + statusCodeName(Error.code()) + " " +
          Error.message();
+}
+
+//===----------------------------------------------------------------------===//
+// The session
+//===----------------------------------------------------------------------===//
+
+void SpanSink::drain() {
+  const std::vector<TraceSpan> Fresh = SpanRecorder::instance().drain();
+  Spans.insert(Spans.end(), Fresh.begin(), Fresh.end());
+  std::sort(Spans.begin(), Spans.end(),
+            [](const TraceSpan &A, const TraceSpan &B) {
+              return A.StartNs != B.StartNs ? A.StartNs < B.StartNs
+                                            : A.Seq < B.Seq;
+            });
+}
+
+namespace {
+
+/// Kernel names for response lines. Every registry holds the same zoo in
+/// the same order, so one serves every session and backend.
+const KernelRegistry &kernelNames() {
+  static const KernelRegistry Registry;
+  return Registry;
+}
+
+/// The one interpreter of the line protocol: runs parsed commands against
+/// a TraceBackend, tracks each defined name's handle, and returns the
+/// lines to print. The file comment of RequestTrace.h lists what its two
+/// modes do differently. A session that does not print (a silent client
+/// of a multi-client replay) still runs every command and counts its
+/// errors, but formats nothing and skips `metrics`.
+class TraceSession {
+public:
+  enum class Mode { Interactive, Replay };
+
+  TraceSession(TraceBackend &Backend, Mode SessionMode, bool Print)
+      : Backend(Backend), SessionMode(SessionMode), Print(Print) {}
+
+  /// Defines \p Name over \p Source and opens it: the `load` and `gen`
+  /// commands, and how a replay registers its script's matrices.
+  std::string define(const std::string &Name, MatrixInput Source) {
+    if (find(Name))
+      return fail(
+          Status::alreadyExists("duplicate matrix name '" + Name + "'"));
+    Matrices.push_back(NamedMatrix{Name, std::move(Source), 0});
+    std::string Lines = open(Matrices.back());
+    if (SessionMode == Mode::Interactive && Matrices.back().Handle == 0)
+      Matrices.pop_back();
+    return Lines;
+  }
+
+  /// Runs one command and returns its lines, each newline-terminated.
+  /// `quit` is the caller's to act on.
+  std::string run(const TraceCommand &Command) {
+    switch (Command.Command) {
+    case TraceCommand::Kind::Blank:
+    case TraceCommand::Kind::Quit:
+      return {};
+    case TraceCommand::Kind::Version:
+      return ack("ok seer-trace v2"); // the session API is always v2
+    case TraceCommand::Kind::Stats:
+      return text(Backend.stats());
+    case TraceCommand::Kind::Metrics:
+      // A point-in-time observation, not a response.
+      return Print ? text(Backend.metrics()) : std::string();
+    case TraceCommand::Kind::Spans:
+      // Drained either way, so the rings do not overwrite under load.
+      return text(Backend.spans(Command.SpanCount));
+    case TraceCommand::Kind::Fault:
+      // Fault directives mutate process-wide state; a chaos trace runs
+      // with one client so they land deterministically between requests.
+      if (const Status S = Backend.fault(Command.FaultSpec); !S.ok())
+        return fail(S);
+      return Print ? "ok fault " + Command.FaultSpec + "\n" : std::string();
+    case TraceCommand::Kind::Load:
+    case TraceCommand::Kind::Gen:
+      return define(Command.Name, traceMatrixSource(Command));
+    case TraceCommand::Kind::Open:
+    case TraceCommand::Kind::Close:
+    case TraceCommand::Kind::Select:
+    case TraceCommand::Kind::Execute:
+    case TraceCommand::Kind::Batch:
+      break;
+    }
+
+    NamedMatrix *M = find(Command.Name);
+    if (!M)
+      return fail(Status::notFound("unknown matrix '" + Command.Name + "'"));
+    if (Command.Command == TraceCommand::Kind::Open)
+      return open(*M);
+    // One guard for every handle command, answered here: a server would
+    // name the dead handle, and each transport names it differently.
+    if (M->Handle == 0)
+      return fail(Status::failedPrecondition("matrix '" + M->Name +
+                                             "' is closed (open it first)"));
+    if (Command.Command == TraceCommand::Kind::Close) {
+      const Status S = Backend.close(M->Handle);
+      M->Handle = 0;
+      return S.ok() ? ack("ok closed " + M->Name) : fail(S);
+    }
+    if (Command.Command == TraceCommand::Kind::Batch) {
+      const auto Response =
+          Backend.batch(M->Handle, Command.BatchCount, Command.Iterations);
+      if (!Response)
+        return fail(Response.status());
+      return Print ? formatBatchResponseLine(M->Name, *Response,
+                                             kernelNames()) +
+                         "\n"
+                   : std::string();
+    }
+    const auto Response =
+        Backend.serve(M->Handle, Command.Iterations,
+                      Command.Command == TraceCommand::Kind::Execute,
+                      Command.Verify);
+    if (!Response)
+      return fail(Response.status());
+    return Print ? formatResponseLine(M->Name, *Response, kernelNames()) +
+                       "\n"
+                 : std::string();
+  }
+
+  /// Closes every open name, in definition order, printing nothing.
+  void closeAll() {
+    for (NamedMatrix &M : Matrices)
+      if (M.Handle != 0) {
+        (void)Backend.close(M.Handle);
+        M.Handle = 0;
+      }
+  }
+
+  uint64_t errors() const { return Errors; }
+
+private:
+  struct NamedMatrix {
+    std::string Name;
+    /// Registered anew on every open.
+    MatrixInput Source;
+    /// 0 while closed.
+    uint64_t Handle = 0;
+  };
+
+  NamedMatrix *find(const std::string &Name) {
+    for (NamedMatrix &M : Matrices)
+      if (M.Name == Name)
+        return &M;
+    return nullptr;
+  }
+
+  /// Registers \p M unless it is open already.
+  std::string open(NamedMatrix &M) {
+    if (M.Handle != 0)
+      return SessionMode == Mode::Interactive
+                 ? fail(Status::alreadyExists("matrix '" + M.Name +
+                                              "' is already open"))
+                 : std::string();
+    const Expected<TraceHandle> Handle = Backend.open(M.Name, M.Source);
+    if (!Handle)
+      return fail(Handle.status());
+    M.Handle = Handle->Id;
+    return ack("ok " + M.Name + " " + std::to_string(Handle->NumRows) + "x" +
+               std::to_string(Handle->NumCols) + " " +
+               std::to_string(Handle->Nnz) +
+               " nnz handle=" + std::to_string(Handle->Id));
+  }
+
+  /// An interactive acknowledgement line (nothing in a replay).
+  std::string ack(const std::string &Line) const {
+    return SessionMode == Mode::Interactive && Print ? Line + "\n"
+                                                      : std::string();
+  }
+
+  /// A backend's text answer, or its error line.
+  std::string text(const Expected<std::string> &Text) {
+    if (!Text)
+      return fail(Text.status());
+    return Print ? *Text : std::string();
+  }
+
+  /// Counts an error and returns its line.
+  std::string fail(const Status &Error) {
+    ++Errors;
+    return Print ? formatErrorLine(Error) + "\n" : std::string();
+  }
+
+  TraceBackend &Backend;
+  const Mode SessionMode;
+  const bool Print;
+  std::vector<NamedMatrix> Matrices;
+  uint64_t Errors = 0;
+};
+
+} // namespace
+
+uint64_t seer::replayTrace(const TraceScript &Script, TraceBackend &Backend,
+                           unsigned Repeat, const TracePrinter &Out) {
+  TraceSession Session(Backend, TraceSession::Mode::Replay,
+                       static_cast<bool>(Out));
+  const auto Emit = [&Out](const std::string &Lines) {
+    if (!Lines.empty()) // a session without a printer returns none
+      Out(Lines);
+  };
+  // The script outlives the session, so each registration shares the
+  // parsed matrix through a non-owning pointer instead of copying it.
+  for (const auto &[Name, Matrix] : Script.Matrices)
+    Emit(Session.define(Name, std::shared_ptr<const CsrMatrix>(
+                                  std::shared_ptr<void>(), &Matrix)));
+  for (unsigned K = 0; K < Repeat; ++K)
+    for (const TraceCommand &Command : Script.Ops)
+      Emit(Session.run(Command));
+  Session.closeAll();
+  return Session.errors();
+}
+
+void seer::runInteractive(std::istream &In, TraceBackend &Backend,
+                          const TracePrinter &Out) {
+  TraceSession Session(Backend, TraceSession::Mode::Interactive,
+                       /*Print=*/true);
+  std::string Line;
+  while (std::getline(In, Line)) {
+    TraceCommand Command;
+    if (const Status S = parseTraceLine(Line, Command); !S.ok()) {
+      Out(formatErrorLine(S) + "\n");
+      continue;
+    }
+    if (Command.Command == TraceCommand::Kind::Quit)
+      return;
+    Out(Session.run(Command));
+  }
 }

@@ -9,6 +9,11 @@
 /// and the interactive stdin mode. One command per line; `#` starts a
 /// comment; blank lines are ignored.
 ///
+/// One interpreter runs it: a session (replayTrace, runInteractive) turns
+/// each command into calls on a TraceBackend, in process
+/// (api/SeerService.h) or over the wire (net/NetClient.h), and returns
+/// the lines to print.
+///
 /// ## Protocol v2
 ///
 /// The protocol maps onto the session-based serving API
@@ -18,9 +23,11 @@
 ///   open NAME                        re-register NAME after a close
 ///   close NAME                       release NAME's handle
 ///
-/// Requests against a closed name are answered with a typed error line
-/// (see below) instead of a response line; the replay continues. A trace
-/// may open with the versioned header
+/// A request, `batch` or `close` against a closed name is answered with
+/// `error FAILED_PRECONDITION matrix 'NAME' is closed (open it first)`
+/// without reaching the server, so the line is the same over every
+/// transport; the session continues. A trace may open with the versioned
+/// header
 ///
 ///   seer-trace v2
 ///
@@ -81,17 +88,31 @@
 ///
 /// where CODE is the upper-case StatusCode name (api/Status.h).
 ///
+/// ## Interactive and replay sessions
+///
+/// The interactive (stdin) session, runInteractive, differs from a
+/// replay, replayTrace, in exactly three ways: it acknowledges
+/// the header, each definition or `open` (`ok NAME RxC N nnz handle=H`)
+/// and each `close` (`ok closed NAME`); it answers an `open` of an open
+/// name with ALREADY_EXISTS, where a replay treats it as a no-op; and it
+/// forgets a name whose registration failed, where a replay keeps the
+/// name, closed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEER_SERVE_REQUESTTRACE_H
 #define SEER_SERVE_REQUESTTRACE_H
 
+#include "api/MatrixInput.h"
 #include "api/Status.h"
 #include "serve/ServeTypes.h"
 #include "sparse/CsrMatrix.h"
+#include "support/ThreadAnnotations.h"
 #include "support/Tracing.h"
 
 #include <cstdint>
+#include <functional>
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -141,45 +162,19 @@ struct TraceCommand {
 /// blank/comment lines parse as Kind::Blank.
 Status parseTraceLine(const std::string &Line, TraceCommand &Out);
 
-/// Materializes a Gen command into a matrix. INVALID_ARGUMENT on an
-/// unknown family or bad arguments.
-Expected<CsrMatrix> buildTraceMatrix(const TraceCommand &Command);
+/// The matrix a Load or Gen command defines, as a registration input: a
+/// MatrixMarketSource or a GeneratorSpec (validated when materialized).
+MatrixInput traceMatrixSource(const TraceCommand &Command);
 
 /// A fully parsed trace: the named matrices (in definition order) and
-/// the operation sequence.
+/// the commands to replay.
 struct TraceScript {
-  /// One replayable operation.
-  struct Op {
-    enum class Kind {
-      Open,
-      Close,
-      Select,
-      Execute,
-      Batch,
-      Fault,
-      Metrics,
-      Spans
-    };
-    Kind Command = Kind::Select;
-    /// Index into Matrices (not used by Fault/Metrics/Spans).
-    size_t MatrixIndex = 0;
-    /// Request parameters (Select/Execute/Batch).
-    uint32_t Iterations = 1;
-    bool Verify = false;
-    /// Operand count (Batch).
-    uint32_t BatchCount = 0;
-    /// Span count to print (Spans).
-    uint32_t SpanCount = 0;
-    /// Fault directive (Fault): a FaultPlan rule, `seed N`, or `clear`.
-    std::string FaultSpec;
-  };
-
   std::vector<std::pair<std::string, CsrMatrix>> Matrices;
-  std::vector<Op> Ops;
-
-  /// Index of the matrix named \p Name, or npos.
-  static constexpr size_t npos = static_cast<size_t>(-1);
-  size_t matrixIndex(const std::string &Name) const;
+  /// Every other command in trace order, as parseTraceLine produced it:
+  /// open, close, select, execute and batch (each naming a defined
+  /// matrix), fault, metrics and spans. A replay registers the matrices
+  /// first, then runs these.
+  std::vector<TraceCommand> Ops;
 };
 
 /// Parses a whole trace (optional header + setup + operations). Control
@@ -232,6 +227,92 @@ std::string formatSpanLines(const std::vector<TraceSpan> &Spans,
 /// Formats a failure as a protocol error line: `error CODE message`.
 /// \p Error must not be OK.
 std::string formatErrorLine(const Status &Error);
+
+/// Accumulates drained spans so the `spans` command (which empties the
+/// recorder's rings) and an exit-time export see one timeline. Thread-
+/// safe: the clients of a replay drain from their own threads.
+class SpanSink {
+public:
+  /// The `spans N` answer: the newest \p Count spans seen so far.
+  std::string spanLines(uint32_t Count) {
+    MutexLock Lock(M);
+    drain();
+    return formatSpanLines(Spans, Count);
+  }
+
+  /// Every span seen so far as Chrome trace-event JSON.
+  std::string chromeJson() {
+    MutexLock Lock(M);
+    drain();
+    return SpanRecorder::chromeTraceJson(Spans);
+  }
+
+private:
+  /// Moves the recorder's spans in, keeping the global (StartNs, Seq)
+  /// order.
+  void drain() SEER_REQUIRES(M);
+
+  seer::Mutex M;
+  std::vector<TraceSpan> Spans SEER_GUARDED_BY(M);
+};
+
+/// What TraceBackend::open reports: the handle (never 0) and the shape.
+struct TraceHandle {
+  uint64_t Id = 0;
+  uint32_t NumRows = 0;
+  uint32_t NumCols = 0;
+  uint64_t Nnz = 0;
+};
+
+/// The server side of the line protocol: the eight operations a command
+/// can reach. ServiceTraceBackend (api/SeerService.h) calls a SeerService
+/// in process; NetTraceBackend (net/NetClient.h) makes one wire round
+/// trip per call.
+class TraceBackend {
+public:
+  TraceBackend() = default;
+  TraceBackend(const TraceBackend &) = delete;
+  TraceBackend &operator=(const TraceBackend &) = delete;
+  virtual ~TraceBackend() = default;
+
+  /// Registers \p Source under \p Name.
+  virtual Expected<TraceHandle> open(const std::string &Name,
+                                     MatrixInput Source) = 0;
+  /// Releases a handle open() returned.
+  virtual Status close(uint64_t Handle) = 0;
+  /// A `select` or, with \p Execute, an `execute` request.
+  virtual Expected<ServeResponse> serve(uint64_t Handle, uint32_t Iterations,
+                                        bool Execute, bool Verify) = 0;
+  /// A `batch` over the first \p Count buildBatchOperands operands.
+  virtual Expected<BatchResponse> batch(uint64_t Handle, uint32_t Count,
+                                        uint32_t Iterations) = 0;
+  /// Applies a validated `fault` directive.
+  virtual Status fault(const std::string &Spec) = 0;
+  /// The Prometheus exposition.
+  virtual Expected<std::string> metrics() = 0;
+  /// The `stat NAME VALUE` snapshot.
+  virtual Expected<std::string> stats() = 0;
+  /// The `spans N` lines, trailer included.
+  virtual std::string spans(uint32_t Count) = 0;
+};
+
+/// Receives a session's output, one command's lines at a time.
+using TracePrinter = std::function<void(const std::string &)>;
+
+/// One client's replay of \p Script: a replay-mode session over
+/// \p Backend registers the script's matrices (sharing the parsed CSR,
+/// never copying it), runs its commands \p Repeat times, then closes
+/// what is still open. Lines go to \p Out; with an empty \p Out nothing
+/// is formatted, but errors still count. \returns the number of
+/// commands answered with an error line.
+uint64_t replayTrace(const TraceScript &Script, TraceBackend &Backend,
+                     unsigned Repeat, const TracePrinter &Out);
+
+/// The stdin session: an interactive-mode session over \p Backend reads
+/// protocol lines from \p In until EOF or `quit` and sends each line's
+/// answer (a parse error's line included) to \p Out, once per line.
+void runInteractive(std::istream &In, TraceBackend &Backend,
+                    const TracePrinter &Out);
 
 } // namespace seer
 

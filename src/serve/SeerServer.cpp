@@ -16,8 +16,7 @@
 using namespace seer;
 
 SeerServer::SeerServer(SeerModels Models, ServerConfig Config)
-    : Models(std::move(Models)), Registry(), Sim(Config.Device),
-      Pipeline(this->Models, Registry, Sim),
+    : Registry(), Sim(Config.Device), Pipeline(Models, Registry, Sim),
       Cache(Config.CacheShards, Config.CacheBudgetBytes),
       Baseline(Registry.indexOf("CSR,TM")),
       SelectBreaker(Config.BreakerThreshold, Config.BreakerCooldown),

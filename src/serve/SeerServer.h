@@ -106,8 +106,8 @@ struct RegisteredMatrix {
 /// A concurrent kernel-selection service over one trained model triple.
 class SeerServer {
 public:
-  /// Takes ownership of \p Models; builds the kernel registry and the
-  /// simulator for Config.Device internally so the server is
+  /// Compiles \p Models into its planner; builds the kernel registry and
+  /// the simulator for Config.Device internally so the server is
   /// self-contained (load models once, serve forever).
   explicit SeerServer(SeerModels Models, ServerConfig Config = ServerConfig());
 
@@ -240,8 +240,7 @@ private:
                    const std::shared_ptr<FingerprintCache::Entry> &E);
 
   /// Declaration order is load-bearing: Pipeline holds references to
-  /// Models, Registry and Sim.
-  SeerModels Models;
+  /// Registry and Sim.
   KernelRegistry Registry;
   GpuSimulator Sim;
   Planner Pipeline;

@@ -9,7 +9,8 @@
 // the same fingerprint), the register -> serve -> release handle
 // lifecycle under concurrency (use-after-release is a typed error, never
 // a crash; refcount-pinned entries survive eviction pressure), and the
-// async submission path with admission-queue backpressure. The
+// async submission path with admission-queue backpressure, and the
+// interactive line-protocol session over the in-process backend. The
 // concurrency tests run real std::thread clients so the ThreadSanitizer
 // and AddressSanitizer CI jobs exercise them.
 //
@@ -28,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 using namespace seer;
@@ -776,4 +778,67 @@ TEST(SeerServiceTest, AsyncQueueAppliesBackpressure) {
   EXPECT_EQ(Stats.AsyncAccepted, 3u);
   EXPECT_EQ(Stats.AsyncRejected, 1u);
   EXPECT_TRUE(Service.release(*Handle).ok());
+}
+
+//===----------------------------------------------------------------------===//
+// The interactive (stdin) session over the in-process backend
+//===----------------------------------------------------------------------===//
+
+TEST(TraceSessionTest, InteractiveTranscript) {
+  SeerService Service(tinyModels());
+  SpanSink Spans;
+  ServiceTraceBackend Backend(Service, Spans);
+  std::istringstream In("seer-trace v2\n"
+                        "gen web banded 512 4 0.9 1\n"
+                        "gen web diagonal 64 1\n"
+                        "open web\n"
+                        "select nosuch 5\n"
+                        "frobnicate web\n"
+                        "\n"
+                        "select web 5\n"
+                        "close web\n"
+                        "close web\n"
+                        "open web\n"
+                        "load bad /nonexistent/matrix.mtx\n"
+                        "select bad 1\n"
+                        "stats\n"
+                        "quit\n"
+                        "select web 5\n");
+  std::vector<std::string> Answers;
+  runInteractive(In, Backend, [&Answers](const std::string &Lines) {
+    Answers.push_back(Lines);
+  });
+
+  const auto Web =
+      materializeMatrixInput(GeneratorSpec{"banded", {512, 4, 0.9, 1}});
+  ASSERT_TRUE(Web) << Web.status().toString();
+  const auto Ack = [&](uint64_t Handle) {
+    return "ok web 512x512 " + std::to_string(Web->nnz()) +
+           " nnz handle=" + std::to_string(Handle) + "\n";
+  };
+  // One answer per line up to `quit`, which ends the session.
+  ASSERT_EQ(Answers.size(), 14u);
+  EXPECT_EQ(Answers[0], "ok seer-trace v2\n");
+  EXPECT_EQ(Answers[1], Ack(1));
+  EXPECT_EQ(Answers[2], "error ALREADY_EXISTS duplicate matrix name 'web'\n");
+  EXPECT_EQ(Answers[3], "error ALREADY_EXISTS matrix 'web' is already open\n");
+  EXPECT_EQ(Answers[4], "error NOT_FOUND unknown matrix 'nosuch'\n");
+  EXPECT_EQ(Answers[5],
+            "error INVALID_ARGUMENT unknown command 'frobnicate'\n");
+  EXPECT_EQ(Answers[6], "");
+  EXPECT_EQ(Answers[7].rfind("web kernel=", 0), 0u) << Answers[7];
+  EXPECT_EQ(Answers[8], "ok closed web\n");
+  // A close of a closed name is answered without reaching the service.
+  EXPECT_EQ(Answers[9],
+            "error FAILED_PRECONDITION matrix 'web' is closed (open it "
+            "first)\n");
+  EXPECT_EQ(Answers[10], Ack(2));
+  // A definition whose registration fails is forgotten...
+  EXPECT_EQ(Answers[11].rfind("error NOT_FOUND ", 0), 0u) << Answers[11];
+  EXPECT_EQ(Answers[12], "error NOT_FOUND unknown matrix 'bad'\n");
+  // ...and `stats` prints the registry's stat lines.
+  EXPECT_NE(Answers[13].find("stat requests 1\n"), std::string::npos);
+  EXPECT_NE(Answers[13].find("stat registrations 2\n"), std::string::npos);
+  EXPECT_NE(Answers[13].find("stat active_handles 1\n"), std::string::npos);
+  EXPECT_EQ(Service.stats().Requests, 1u);
 }

@@ -249,7 +249,7 @@ TEST(FlatTreeTest, NaNRoutesRightAtEveryLevelInBothForms) {
 /// Models whose selector splits on rows at ~500: small matrices route
 /// known, large ones gathered, so the repeat stream below exercises both
 /// compiled routes deterministically.
-SeerModels syntheticCompiledModels(const KernelRegistry &Registry) {
+SeerModels syntheticModels(const KernelRegistry &Registry) {
   std::mt19937 Rng(99);
   SeerModels Models;
   Models.KernelNames = Registry.names();
@@ -276,15 +276,13 @@ SeerModels syntheticCompiledModels(const KernelRegistry &Registry) {
                            : SeerModels::SelectKnown);
   }
   Models.Selector = DecisionTree::train(Selector, Config);
-  Models.compile();
   return Models;
 }
 
 TEST(CompiledSelectTest, RepeatStreamSelectionDoesZeroHeapAllocation) {
   const KernelRegistry Registry;
   const GpuSimulator Sim(DeviceModel::mi100());
-  const SeerModels Models = syntheticCompiledModels(Registry);
-  ASSERT_TRUE(Models.compiled());
+  const SeerModels Models = syntheticModels(Registry);
   const Planner Plan(Models, Registry, Sim);
 
   KnownFeatures Small;
@@ -346,18 +344,19 @@ TEST(PreparedRunTest, RunAllocatesOnlyTheProduct) {
 }
 
 TEST(CompiledSelectTest, CompiledAndInterpretedSelectionsAreBitIdentical) {
+  // The Planner selects through the flat trees it compiled at
+  // construction; the reference is the Fig. 3 rule walked here with the
+  // interpreted DecisionTree::predict.
   const KernelRegistry Registry;
   const GpuSimulator Sim(DeviceModel::mi100());
-  const SeerModels Compiled = syntheticCompiledModels(Registry);
-  SeerModels Interpreted = Compiled;
-  Interpreted.clearCompiled();
-  ASSERT_FALSE(Interpreted.compiled());
-  const Planner Fast(Compiled, Registry, Sim);
-  const Planner Oracle(Interpreted, Registry, Sim);
+  const SeerModels Models = syntheticModels(Registry);
+  const Planner Fast(Models, Registry, Sim);
+  const double ConsultMs = Planner::InferenceOverheadUs * 1e-3;
 
   std::mt19937 Rng(123);
   std::uniform_int_distribution<uint32_t> Dim(1, 2000);
   std::uniform_real_distribution<double> Density(0.0, 1.0);
+  size_t GatheredRoutes = 0;
   for (int I = 0; I < 200; ++I) {
     KnownFeatures Known;
     Known.NumRows = Dim(Rng);
@@ -371,13 +370,25 @@ TEST(CompiledSelectTest, CompiledAndInterpretedSelectionsAreBitIdentical) {
     const uint32_t Iterations = 1 + (I % 40);
     const SelectionResult A =
         Fast.selectPrecollected(Known, Gathered, Iterations);
-    const SelectionResult B =
-        Oracle.selectPrecollected(Known, Gathered, Iterations);
-    ASSERT_EQ(A.KernelIndex, B.KernelIndex);
-    ASSERT_EQ(A.UsedGatheredModel, B.UsedGatheredModel);
-    ASSERT_EQ(A.InferenceMs, B.InferenceMs);
-    ASSERT_EQ(A.FeatureCollectionMs, B.FeatureCollectionMs);
+
+    const std::vector<double> KnownVec =
+        features::knownVector(Known, Iterations);
+    const bool UseGathered =
+        Models.Selector.predict(KnownVec) == SeerModels::SelectGathered;
+    const uint32_t Kernel =
+        UseGathered ? Models.Gathered.predict(features::gatheredVector(
+                          Known, Gathered, Iterations))
+                    : Models.Known.predict(KnownVec);
+    GatheredRoutes += UseGathered;
+    ASSERT_EQ(A.KernelIndex, Kernel);
+    ASSERT_EQ(A.UsedGatheredModel, UseGathered);
+    ASSERT_EQ(A.InferenceMs, ConsultMs + ConsultMs); // selector + model
+    ASSERT_EQ(A.FeatureCollectionMs, 0.0); // precollected: never charged
+    ASSERT_EQ(Fast.route(Known, Iterations).UseGathered, UseGathered);
   }
+  // Both routes were exercised.
+  EXPECT_GT(GatheredRoutes, 0u);
+  EXPECT_LT(GatheredRoutes, 200u);
 }
 
 } // namespace

@@ -14,9 +14,10 @@
 // net.frame sites, short reads, mid-stream drops) surface as the typed
 // Status the fault plan or the transport dictates, a loopback
 // NetServer+NetClient session produces responses bit-identical to the
-// in-process API in both serve modes, and the consistent-hash shard
-// router is deterministic, covering, and honored end-to-end by the
-// balancer handler.
+// in-process API in both serve modes, the consistent-hash shard router
+// is deterministic, covering, and honored end-to-end by the balancer
+// handler, and a trace replayed through the balancer prints the lines an
+// in-process replay prints.
 //
 //===----------------------------------------------------------------------===//
 
@@ -956,6 +957,83 @@ TEST(LbHandlerTest, ShardingCutsReanalysisAtAFixedBudget) {
       EXPECT_LT(Reanalyses, OneShardReanalyses) << N << " shards";
     }
   } // each fleet stops in reverse declaration order, balancer first
+}
+
+// The one protocol interpreter over both backends: a script replayed in
+// process and through a 2-shard balancer prints the same lines, closed-
+// name errors included (they are answered before any backend call).
+TEST(LbHandlerTest, ReplayPrintsTheSameLinesInProcessAndThroughTheBalancer) {
+  DisarmGuard Guard;
+  const auto Script = parseTrace("seer-trace v2\n"
+                                 "gen web powerlaw 2048 1.8 1 256 11\n"
+                                 "gen road banded 4096 4 0.95 7\n"
+                                 "gen mesh banded 1024 6 0.8 3\n"
+                                 "select web 5\n"
+                                 "select web 5\n"
+                                 "execute road 19 verify\n"
+                                 "batch web 8 5\n"
+                                 "batch road 4 19\n"
+                                 "execute mesh 5\n"
+                                 "select mesh 19\n"
+                                 "close web\n"
+                                 "close web\n"
+                                 "select web 5\n"
+                                 "open web\n"
+                                 "open web\n"
+                                 "execute web 5 verify\n"
+                                 "fault seed 7\n"
+                                 "spans 2\n");
+  ASSERT_TRUE(Script) << Script.status().toString();
+  const auto Replay = [&Script](TraceBackend &Backend, std::string &Out) {
+    return replayTrace(*Script, Backend, 1,
+                       [&Out](const std::string &Lines) { Out += Lines; });
+  };
+
+  SeerService Local(tinyModels());
+  SpanSink Spans;
+  ServiceTraceBackend InProcess(Local, Spans);
+  std::string LocalLines;
+  const uint64_t LocalErrors = Replay(InProcess, LocalLines);
+
+  SeerService ShardA(tinyModels()), ShardB(tinyModels());
+  ServiceFrameHandler HandlerA(ShardA), HandlerB(ShardB);
+  auto ServerA = startLoopback(HandlerA);
+  auto ServerB = startLoopback(HandlerB);
+  LbHandler Lb({ShardEndpoint{"127.0.0.1", ServerA->port()},
+                ShardEndpoint{"127.0.0.1", ServerB->port()}});
+  auto LbServer = startLoopback(Lb);
+  auto Client = NetClient::connect("127.0.0.1", LbServer->port());
+  ASSERT_TRUE(Client.ok()) << Client.status().toString();
+  NetTraceBackend Wire(*Client);
+  std::string WireLines;
+  const uint64_t WireErrors = Replay(Wire, WireLines);
+
+  EXPECT_EQ(WireLines, LocalLines);
+  // The second close and the select after it.
+  EXPECT_EQ(LocalErrors, 2u);
+  EXPECT_EQ(WireErrors, 2u);
+  const std::string Closed =
+      "error FAILED_PRECONDITION matrix 'web' is closed (open it first)\n";
+  const size_t First = LocalLines.find(Closed);
+  ASSERT_NE(First, std::string::npos) << LocalLines;
+  EXPECT_NE(LocalLines.find(Closed, First + 1), std::string::npos)
+      << LocalLines;
+  EXPECT_NE(LocalLines.find("\nok fault seed 7\nok spans 0\n"),
+            std::string::npos)
+      << LocalLines;
+  // Every request reached a server: four kinds of response line.
+  for (const char *Needle : {"web kernel=", "road kernel=", "mesh kernel=",
+                             " batch=8 ", " oracle="})
+    EXPECT_NE(LocalLines.find(Needle), std::string::npos) << Needle;
+  // The replay closed everything it opened.
+  EXPECT_EQ(Local.stats().ActiveHandles, 0u);
+
+  LbServer->requestStop();
+  LbServer->join();
+  ServerA->requestStop();
+  ServerA->join();
+  ServerB->requestStop();
+  ServerB->join();
 }
 
 /// The protocol errors a shard's frame handler has counted.

@@ -1087,7 +1087,7 @@ TEST(RequestTraceTest, ParsesBatchCommands) {
                                  "batch a 4 5\n");
   ASSERT_TRUE(Script) << Script.status().toString();
   ASSERT_EQ(Script->Ops.size(), 1u);
-  EXPECT_EQ(Script->Ops[0].Command, TraceScript::Op::Kind::Batch);
+  EXPECT_EQ(Script->Ops[0].Command, TraceCommand::Kind::Batch);
   EXPECT_EQ(Script->Ops[0].BatchCount, 4u);
   EXPECT_EQ(Script->Ops[0].Iterations, 5u);
 }
@@ -1117,23 +1117,24 @@ TEST(RequestTraceTest, ParsesWholeTraceAndServesIt) {
   ASSERT_TRUE(Script) << Script.status().toString();
   EXPECT_EQ(Script->Matrices.size(), 2u);
   ASSERT_EQ(Script->Ops.size(), 3u);
-  EXPECT_EQ(Script->Ops[0].MatrixIndex, 0u);
-  EXPECT_EQ(Script->Ops[0].Command, TraceScript::Op::Kind::Select);
-  EXPECT_EQ(Script->Ops[1].Command, TraceScript::Op::Kind::Execute);
+  EXPECT_EQ(Script->Ops[0].Name, "a");
+  EXPECT_EQ(Script->Ops[0].Command, TraceCommand::Kind::Select);
+  EXPECT_EQ(Script->Ops[1].Command, TraceCommand::Kind::Execute);
   EXPECT_EQ(Script->Ops[1].Iterations, 19u);
 
   SeerServer Server(tinyModels());
   std::vector<RegisteredMatrix> Registered;
   for (const auto &Named : Script->Matrices)
     Registered.push_back(registerAliased(Server, Named.second));
-  for (const TraceScript::Op &Op : Script->Ops) {
+  for (const TraceCommand &Op : Script->Ops) {
+    const size_t Index = Op.Name == "a" ? 0 : 1;
+    ASSERT_EQ(Script->Matrices[Index].first, Op.Name);
     const auto Response = Server.handleRegistered(
-        Registered[Op.MatrixIndex],
-        options(Op.Iterations, Op.Command == TraceScript::Op::Kind::Execute));
+        Registered[Index],
+        options(Op.Iterations, Op.Command == TraceCommand::Kind::Execute));
     ASSERT_TRUE(Response) << Response.status().toString();
-    const std::string Line = formatResponseLine(
-        Script->Matrices[Op.MatrixIndex].first, *Response,
-        Server.registry());
+    const std::string Line =
+        formatResponseLine(Op.Name, *Response, Server.registry());
     EXPECT_NE(Line.find("kernel="), std::string::npos);
   }
   for (const RegisteredMatrix &Reg : Registered)
@@ -1153,12 +1154,12 @@ TEST(RequestTraceTest, ParsesV2HeaderAndHandleCommands) {
   const auto Script = parseTrace("seer-trace v2\n" + Body);
   ASSERT_TRUE(Script) << Script.status().toString();
   ASSERT_EQ(Script->Ops.size(), 6u);
-  EXPECT_EQ(Script->Ops[1].Command, TraceScript::Op::Kind::Close);
-  EXPECT_EQ(Script->Ops[3].Command, TraceScript::Op::Kind::Open);
+  EXPECT_EQ(Script->Ops[1].Command, TraceCommand::Kind::Close);
+  EXPECT_EQ(Script->Ops[3].Command, TraceCommand::Kind::Open);
 
   // The header is a no-op: without it the trace parses to the same
-  // script, matrix for matrix and op for op — and a replay is a function
-  // of the script alone, so both replay to the same lines...
+  // script, matrix for matrix and op for op, and both replay to the same
+  // lines...
   const auto Headerless = parseTrace(Body);
   ASSERT_TRUE(Headerless) << Headerless.status().toString();
   ASSERT_EQ(Headerless->Matrices.size(), Script->Matrices.size());
@@ -1169,14 +1170,32 @@ TEST(RequestTraceTest, ParsesV2HeaderAndHandleCommands) {
   }
   ASSERT_EQ(Headerless->Ops.size(), Script->Ops.size());
   for (size_t I = 0; I < Script->Ops.size(); ++I) {
-    const TraceScript::Op &A = Headerless->Ops[I];
-    const TraceScript::Op &B = Script->Ops[I];
+    const TraceCommand &A = Headerless->Ops[I];
+    const TraceCommand &B = Script->Ops[I];
     EXPECT_EQ(A.Command, B.Command) << "op " << I;
-    EXPECT_EQ(A.MatrixIndex, B.MatrixIndex) << "op " << I;
+    EXPECT_EQ(A.Name, B.Name) << "op " << I;
     EXPECT_EQ(A.Iterations, B.Iterations) << "op " << I;
     EXPECT_EQ(A.Verify, B.Verify) << "op " << I;
     EXPECT_EQ(A.BatchCount, B.BatchCount) << "op " << I;
   }
+  const auto Replay = [](const TraceScript &S) {
+    SeerService Service(tinyModels());
+    SpanSink Spans;
+    ServiceTraceBackend Backend(Service, Spans);
+    std::string Out;
+    // The one error: the select on the closed name.
+    EXPECT_EQ(replayTrace(S, Backend, 1,
+                          [&Out](const std::string &Lines) { Out += Lines; }),
+              1u);
+    return Out;
+  };
+  const std::string Lines = Replay(*Script);
+  EXPECT_EQ(Replay(*Headerless), Lines);
+  EXPECT_NE(Lines.find("\nerror FAILED_PRECONDITION matrix 'web' is closed "
+                       "(open it first)\n"),
+            std::string::npos)
+      << Lines;
+  EXPECT_NE(Lines.find("\nweb kernel="), std::string::npos) << Lines;
   // ...but when present it must come first.
   EXPECT_FALSE(parseTrace("gen a banded 256 4 0.9 1\nseer-trace v2\n"));
   // Unknown versions are rejected.
@@ -1296,12 +1315,13 @@ TEST(RequestTraceTest, GenArgumentsAreRangeChecked) {
                 Command.Command == TraceCommand::Kind::Blank)
         << Line; // "nan" fails at parse time; the rest parse fine
     if (Command.Command == TraceCommand::Kind::Gen) {
-      EXPECT_FALSE(buildTraceMatrix(Command)) << Line;
+      EXPECT_FALSE(materializeMatrixInput(traceMatrixSource(Command)))
+          << Line;
     }
   }
   // Half-band 0 stays legal (a pure diagonal band).
   ASSERT_TRUE(parseTraceLine("gen a banded 64 0 0.9 7", Command).ok());
-  const auto Built = buildTraceMatrix(Command);
+  const auto Built = materializeMatrixInput(traceMatrixSource(Command));
   EXPECT_TRUE(Built) << Built.status().toString();
 }
 

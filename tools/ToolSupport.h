@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tiny flag parser, diagnostics and stats-snapshot readers shared by the
-/// seer-* command line tools. Flags are `--name value` or `--name=value`;
-/// anything else is a positional argument.
+/// Tiny flag parser, diagnostics, stats-snapshot readers and the close of
+/// a trace replay, shared by the seer-* command line tools. Flags are
+/// `--name value` or `--name=value`; anything else is a positional
+/// argument.
 ///
 /// Each tool declares its flag vocabulary up front (string-, integer- and
 /// boolean-valued), and the parser validates against it: unknown flags,
@@ -22,9 +23,11 @@
 #define SEER_TOOLS_TOOLSUPPORT_H
 
 #include "api/Status.h"
+#include "serve/RequestTrace.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
@@ -212,6 +215,55 @@ inline uint64_t missingShardSections(std::string_view StatsText) {
 /// Prints a Status diagnostic (`error: CODE: message`) and exits 1.
 [[noreturn]] inline void fatal(const Status &Error) {
   fatal(Error.toString());
+}
+
+/// Writes a session's answer to stdout as it comes.
+inline void printToStdout(const std::string &Lines) {
+  std::fwrite(Lines.data(), 1, Lines.size(), stdout);
+}
+
+/// The close of a trace replay that began at \p Start, shared by
+/// `seer-serve --trace` and seer-netclient: prints the backend's stat
+/// lines and the `replayed` summary. With \p Strict (the chaos gate) the replay fails when it
+/// printed an error line, or its stats, summed over every shard section
+/// behind seer-lb, show an exhausted retry budget, an opened circuit
+/// breaker or a shard that gave no stats; the diagnosis and the metrics
+/// exposition then go to stderr. \returns the exit code.
+inline int finishReplay(const char *Tool, TraceBackend &Backend, size_t Ops,
+                        unsigned Clients, unsigned Repeat,
+                        std::chrono::steady_clock::time_point Start,
+                        uint64_t Errors, bool Strict) {
+  const double WallSeconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - Start)
+                                 .count();
+  const auto Stats = Backend.stats();
+  if (!Stats)
+    fatal(Stats.status());
+  const auto Sum = [&Stats](const char *Name) {
+    return static_cast<unsigned long long>(statSum(*Stats, Name));
+  };
+  std::printf("%s", Stats->c_str());
+  std::printf("replayed %zu ops x %u clients x %u in %.3fs "
+              "(%.0f req/s, %llu errors)\n",
+              Ops, Clients, Repeat, WallSeconds,
+              WallSeconds > 0 ? Sum("requests") / WallSeconds : 0.0,
+              static_cast<unsigned long long>(Errors));
+  std::fflush(stdout);
+  const unsigned long long Exhausted = Sum("retries_exhausted");
+  const unsigned long long Opens = Sum("breaker_opens");
+  const unsigned long long Missing = missingShardSections(*Stats);
+  if (!Strict ||
+      (Errors == 0 && Exhausted == 0 && Opens == 0 && Missing == 0))
+    return 0;
+  std::fprintf(stderr,
+               "%s: --strict: %llu error line(s), %llu retry budget(s) "
+               "exhausted, %llu breaker open(s), %llu shard(s) without "
+               "stats\n",
+               Tool, static_cast<unsigned long long>(Errors), Exhausted,
+               Opens, Missing);
+  if (const auto Metrics = Backend.metrics())
+    std::fprintf(stderr, "%s", Metrics->c_str());
+  return 1;
 }
 
 } // namespace seer::tools

@@ -27,8 +27,10 @@
 // readable demo. The `seer-trace v2` header is optional: traces with and
 // without it replay identically.
 //
-// The protocol grammar is documented in serve/RequestTrace.h and the
-// README's "Serving" section.
+// Both modes run the library's one protocol interpreter (TraceSession)
+// over the in-process backend; this file keeps the flags, the client
+// threads and the listener. The grammar is documented in
+// serve/RequestTrace.h and the README's "Serving" section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +44,11 @@
 #include "support/FaultInjector.h"
 #include "support/Tracing.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <thread>
 
 using namespace seer;
@@ -108,391 +108,33 @@ constexpr const char *Usage =
     "armed-only per-stage histograms (seer_stage_*_us, seer_cost_model_*)\n"
     "and the 'metrics' / 'spans N' protocol commands.\n";
 
-/// Accumulates drained spans across the session so the `spans` command
-/// (which empties the recorder's rings) and the exit-time --trace-out
-/// export see one coherent timeline. Mutex-guarded: trace replays drain
-/// from client threads.
-struct SpanSink {
-  std::mutex M;
-  std::vector<TraceSpan> Spans;
-
-  /// Moves everything currently in the recorder into the sink, keeping
-  /// the global (StartNs, Seq) order.
-  void drain() {
-    std::vector<TraceSpan> Fresh = SpanRecorder::instance().drain();
-    std::lock_guard<std::mutex> Lock(M);
-    Spans.insert(Spans.end(), Fresh.begin(), Fresh.end());
-    std::sort(Spans.begin(), Spans.end(),
-              [](const TraceSpan &A, const TraceSpan &B) {
-                return A.StartNs != B.StartNs ? A.StartNs < B.StartNs
-                                              : A.Seq < B.Seq;
-              });
-  }
-
-  /// The `spans N` response: the newest \p Count spans seen so far.
-  std::string spanLines(uint32_t Count) {
-    drain();
-    std::lock_guard<std::mutex> Lock(M);
-    return formatSpanLines(Spans, Count);
-  }
-
-  /// The --trace-out payload.
-  std::string chromeJson() {
-    drain();
-    std::lock_guard<std::mutex> Lock(M);
-    return SpanRecorder::chromeTraceJson(Spans);
-  }
-};
-
+/// Every span the process records, for the `spans` command and the
+/// exit-time --trace-out export (a listening server records them too).
 SpanSink Sink;
 
-/// One client's replay of a trace: registers its own handles for the
-/// trace's matrices and walks the operation sequence. Response/error
-/// lines are printed only when \p Print (single-client mode). \returns
-/// the number of operations answered with an error line — counted even
-/// when nothing is printed, so --strict works at any client count.
-uint64_t replay(SeerService &Service, const TraceScript &Script,
-                unsigned Repeat, bool Print) {
-  uint64_t Errors = 0;
-  // Zero-copy registration: the parsed script outlives the service (and
-  // every registration is released before this function returns), so
-  // each client shares the parser's matrix instead of copying it.
-  const auto Register = [&](size_t MatrixIndex) {
-    return Service.registerMatrix(std::shared_ptr<const CsrMatrix>(
-        std::shared_ptr<void>(), &Script.Matrices[MatrixIndex].second));
-  };
-
-  // Matrices auto-open at definition; open/close ops toggle from there.
-  std::vector<MatrixHandle> Handles(Script.Matrices.size());
-  for (size_t I = 0; I < Script.Matrices.size(); ++I) {
-    auto Handle = Register(I);
-    if (!Handle) { // cannot happen for a parsed trace; surface anyway
-      ++Errors;
-      if (Print)
-        std::printf("%s\n", formatErrorLine(Handle.status()).c_str());
-      continue;
-    }
-    Handles[I] = *Handle;
-  }
-
-  const auto Fail = [&](const Status &S) {
-    ++Errors;
-    if (Print)
-      std::printf("%s\n", formatErrorLine(S).c_str());
-  };
-
-  for (unsigned K = 0; K < Repeat; ++K)
-    for (const TraceScript::Op &Op : Script.Ops) {
-      if (Op.Command == TraceScript::Op::Kind::Fault) {
-        // Fault directives mutate process-wide state; a chaos trace is
-        // expected to run with one client so they land deterministically
-        // between requests.
-        if (const Status S = applyFaultSpec(Op.FaultSpec); !S.ok())
-          Fail(S);
-        else if (Print)
-          std::printf("ok fault %s\n", Op.FaultSpec.c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Metrics) {
-        // The exposition is a point-in-time observation, not a response:
-        // only the printing client emits it.
-        if (Print)
-          std::printf("%s", Service.metricsPrometheus().c_str());
-        continue;
-      }
-      if (Op.Command == TraceScript::Op::Kind::Spans) {
-        if (Print)
-          std::printf("%s", Sink.spanLines(Op.SpanCount).c_str());
-        else
-          Sink.drain(); // keep the rings from overwriting under load
-        continue;
-      }
-      const std::string &Name = Script.Matrices[Op.MatrixIndex].first;
-      switch (Op.Command) {
-      case TraceScript::Op::Kind::Fault:
-      case TraceScript::Op::Kind::Metrics:
-      case TraceScript::Op::Kind::Spans:
-        break; // handled above
-      case TraceScript::Op::Kind::Open: {
-        if (Handles[Op.MatrixIndex].valid())
-          break; // already open; idempotent in replay
-        auto Handle = Register(Op.MatrixIndex);
-        if (Handle)
-          Handles[Op.MatrixIndex] = *Handle;
-        else
-          Fail(Handle.status());
-        break;
-      }
-      case TraceScript::Op::Kind::Close: {
-        const Status S = Service.release(Handles[Op.MatrixIndex]);
-        Handles[Op.MatrixIndex] = MatrixHandle();
-        if (!S.ok())
-          Fail(S);
-        break;
-      }
-      case TraceScript::Op::Kind::Batch: {
-        if (!Handles[Op.MatrixIndex].valid()) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        const auto Operands = buildBatchOperands(
-            Op.BatchCount,
-            Script.Matrices[Op.MatrixIndex].second.numCols());
-        const auto Response = Service.executeBatch(Handles[Op.MatrixIndex],
-                                                   Operands, Op.Iterations);
-        if (!Response)
-          Fail(Response.status());
-        else if (Print)
-          std::printf("%s\n",
-                      formatBatchResponseLine(Name, *Response,
-                                              Service.registry())
-                          .c_str());
-        break;
-      }
-      case TraceScript::Op::Kind::Select:
-      case TraceScript::Op::Kind::Execute: {
-        if (!Handles[Op.MatrixIndex].valid()) {
-          Fail(Status::failedPrecondition("matrix '" + Name +
-                                          "' is closed (open it first)"));
-          break;
-        }
-        Request R;
-        R.Handle = Handles[Op.MatrixIndex];
-        R.Iterations = Op.Iterations;
-        R.Execute = Op.Command == TraceScript::Op::Kind::Execute;
-        R.VerifyOracle = Op.Verify;
-        const auto Response = Service.serve(R);
-        if (!Response)
-          Fail(Response.status());
-        else if (Print)
-          std::printf("%s\n",
-                      formatResponseLine(Name, *Response,
-                                         Service.registry())
-                          .c_str());
-        break;
-      }
-      }
-    }
-
-  for (MatrixHandle Handle : Handles)
-    if (Handle.valid())
-      Service.release(Handle);
-  return Errors;
-}
-
-/// Replays the trace with \p Clients concurrent clients and prints the
-/// telemetry snapshot plus a throughput summary. \returns the total
-/// number of error-line outcomes across all clients (the --strict gate).
-uint64_t runTrace(SeerService &Service, const TraceScript &Script,
-                  unsigned Clients, unsigned Repeat) {
+/// Replays the trace with \p Clients concurrent client sessions over one
+/// in-process backend, then prints the shared replay epilogue. Only a
+/// single client prints its response lines; every client counts errors,
+/// so --strict works at any client count. \returns the exit code.
+int runTrace(SeerService &Service, const TraceScript &Script,
+             unsigned Clients, unsigned Repeat, bool Strict) {
+  ServiceTraceBackend Backend(Service, Sink);
   const auto Start = std::chrono::steady_clock::now();
   std::atomic<uint64_t> Errors{0};
-  const auto RunClient = [&](bool Print) {
-    Errors.fetch_add(replay(Service, Script, Repeat, Print),
+  const auto RunClient = [&](const TracePrinter &Out) {
+    Errors.fetch_add(replayTrace(Script, Backend, Repeat, Out),
                      std::memory_order_relaxed);
   };
-  if (Clients <= 1) {
-    RunClient(/*Print=*/true);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Clients);
-    for (unsigned C = 0; C < Clients; ++C)
-      Threads.emplace_back([&] { RunClient(/*Print=*/false); });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-  const double WallSeconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - Start)
-                                 .count();
-
-  std::printf("%s", Service.metricsStatLines().c_str());
-  const uint64_t Requests = Service.stats().Requests;
-  std::printf("replayed %zu ops x %u clients x %u in %.3fs "
-              "(%.0f req/s, %llu errors)\n",
-              Script.Ops.size(), Clients, Repeat, WallSeconds,
-              WallSeconds > 0 ? static_cast<double>(Requests) / WallSeconds
-                              : 0.0,
-              static_cast<unsigned long long>(Errors.load()));
-  return Errors.load();
+  // The calling thread is one of the clients.
+  std::vector<std::thread> Threads;
+  for (unsigned C = 1; C < Clients; ++C)
+    Threads.emplace_back([&] { RunClient(TracePrinter()); });
+  RunClient(Clients == 1 ? TracePrinter(printToStdout) : TracePrinter());
+  for (std::thread &T : Threads)
+    T.join();
+  return finishReplay("seer-serve", Backend, Script.Ops.size(), Clients,
+                      Repeat, Start, Errors.load(), Strict);
 }
-
-int runStdin(SeerService &Service) {
-  /// Session state per name: how to rebuild the matrix (so `open` after
-  /// `close` can re-register without keeping a second CSR copy) and the
-  /// current handle (invalid while closed).
-  struct NamedMatrix {
-    std::string Name;
-    MatrixInput Source;
-    MatrixHandle Handle;
-  };
-  std::vector<NamedMatrix> Matrices;
-  const auto Find = [&](const std::string &Name) -> NamedMatrix * {
-    for (NamedMatrix &M : Matrices)
-      if (M.Name == Name)
-        return &M;
-    return nullptr;
-  };
-  const auto PrintError = [](const Status &S) {
-    std::printf("%s\n", formatErrorLine(S).c_str());
-  };
-  const auto OpenAndAck = [&](NamedMatrix &M) {
-    auto Handle = Service.registerMatrix(M.Source);
-    if (!Handle) {
-      PrintError(Handle.status());
-      return;
-    }
-    M.Handle = *Handle;
-    const auto Info = Service.describe(M.Handle);
-    std::printf("ok %s %ux%u %llu nnz handle=%llu\n", M.Name.c_str(),
-                Info->NumRows, Info->NumCols,
-                static_cast<unsigned long long>(Info->Nnz),
-                static_cast<unsigned long long>(M.Handle.Id));
-  };
-
-  std::string Line;
-  while (std::getline(std::cin, Line)) {
-    TraceCommand Command;
-    if (const Status S = parseTraceLine(Line, Command); !S.ok()) {
-      PrintError(S);
-      std::fflush(stdout);
-      continue;
-    }
-    switch (Command.Command) {
-    case TraceCommand::Kind::Blank:
-      break;
-    case TraceCommand::Kind::Version:
-      std::printf("ok seer-trace v2\n"); // the session API is always v2
-      break;
-    case TraceCommand::Kind::Quit:
-      return 0;
-    case TraceCommand::Kind::Stats:
-      std::printf("%s", Service.metricsStatLines().c_str());
-      break;
-    case TraceCommand::Kind::Metrics:
-      std::printf("%s", Service.metricsPrometheus().c_str());
-      break;
-    case TraceCommand::Kind::Spans:
-      std::printf("%s", Sink.spanLines(Command.SpanCount).c_str());
-      break;
-    case TraceCommand::Kind::Fault: {
-      if (const Status S = applyFaultSpec(Command.FaultSpec); !S.ok())
-        PrintError(S);
-      else
-        std::printf("ok fault %s\n", Command.FaultSpec.c_str());
-      break;
-    }
-    case TraceCommand::Kind::Load:
-    case TraceCommand::Kind::Gen: {
-      if (Find(Command.Name)) {
-        PrintError(Status::alreadyExists("duplicate matrix name '" +
-                                         Command.Name + "'"));
-        break;
-      }
-      MatrixInput Source =
-          Command.Command == TraceCommand::Kind::Load
-              ? MatrixInput(MatrixMarketSource{Command.Path})
-              : MatrixInput(GeneratorSpec{Command.GenFamily, Command.GenArgs});
-      Matrices.push_back(
-          NamedMatrix{Command.Name, std::move(Source), MatrixHandle()});
-      OpenAndAck(Matrices.back());
-      if (!Matrices.back().Handle.valid())
-        Matrices.pop_back(); // registration failed; forget the name
-      break;
-    }
-    case TraceCommand::Kind::Open: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (M->Handle.valid()) {
-        PrintError(Status::alreadyExists("matrix '" + Command.Name +
-                                         "' is already open"));
-        break;
-      }
-      OpenAndAck(*M);
-      break;
-    }
-    case TraceCommand::Kind::Close: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      const Status S = Service.release(M->Handle);
-      M->Handle = MatrixHandle();
-      if (!S.ok()) {
-        PrintError(S);
-        break;
-      }
-      std::printf("ok closed %s\n", Command.Name.c_str());
-      break;
-    }
-    case TraceCommand::Kind::Batch: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (!M->Handle.valid()) {
-        PrintError(Status::failedPrecondition(
-            "matrix '" + Command.Name + "' is closed (open it first)"));
-        break;
-      }
-      const auto Info = Service.describe(M->Handle);
-      if (!Info) {
-        PrintError(Info.status());
-        break;
-      }
-      const auto Response = Service.executeBatch(
-          M->Handle, buildBatchOperands(Command.BatchCount, Info->NumCols),
-          Command.Iterations);
-      if (!Response) {
-        PrintError(Response.status());
-        break;
-      }
-      std::printf("%s\n", formatBatchResponseLine(Command.Name, *Response,
-                                                  Service.registry())
-                              .c_str());
-      break;
-    }
-    case TraceCommand::Kind::Select:
-    case TraceCommand::Kind::Execute: {
-      NamedMatrix *M = Find(Command.Name);
-      if (!M) {
-        PrintError(Status::notFound("unknown matrix '" + Command.Name + "'"));
-        break;
-      }
-      if (!M->Handle.valid()) {
-        PrintError(Status::failedPrecondition(
-            "matrix '" + Command.Name + "' is closed (open it first)"));
-        break;
-      }
-      Request R;
-      R.Handle = M->Handle;
-      R.Iterations = Command.Iterations;
-      R.Execute = Command.Command == TraceCommand::Kind::Execute;
-      R.VerifyOracle = Command.Verify;
-      const auto Response = Service.serve(R);
-      if (!Response) {
-        PrintError(Response.status());
-        break;
-      }
-      std::printf("%s\n", formatResponseLine(Command.Name, *Response,
-                                             Service.registry())
-                              .c_str());
-      break;
-    }
-    }
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-} // namespace
-
-namespace {
 
 /// Writes \p Content to \p Path, dying on I/O failure: a missing
 /// metrics/trace file after a green exit would be a silent lie.
@@ -608,13 +250,16 @@ int main(int Argc, char **Argv) {
   const std::string TracePath = Cmd.flag("trace");
   const std::string ListenSpec = Cmd.flag("listen");
   int ExitCode = 0;
-  uint64_t Errors = 0;
   if (!ListenSpec.empty()) {
     if (!TracePath.empty())
       fatal("--listen and --trace are mutually exclusive");
     ExitCode = runListen(Service, ListenSpec, Cmd.flag("port-file"));
   } else if (TracePath.empty()) {
-    ExitCode = runStdin(Service);
+    ServiceTraceBackend Backend(Service, Sink);
+    runInteractive(std::cin, Backend, [](const std::string &Lines) {
+      printToStdout(Lines);
+      std::fflush(stdout);
+    });
     // EOF/quit ends the session, but work admitted through the async
     // queue may still be in flight; finish it before the exit-time
     // metrics snapshot below (and before the service is destroyed) so
@@ -629,9 +274,9 @@ int main(int Argc, char **Argv) {
     if (ClientsArg < 1 || ClientsArg > 4096 || RepeatArg < 1 ||
         RepeatArg > 1000000)
       fatal("--clients must be in [1, 4096] and --repeat in [1, 1000000]");
-    const unsigned Clients = static_cast<unsigned>(ClientsArg);
-    const unsigned Repeat = static_cast<unsigned>(RepeatArg);
-    Errors = runTrace(Service, *Script, Clients, Repeat);
+    ExitCode = runTrace(Service, *Script, static_cast<unsigned>(ClientsArg),
+                        static_cast<unsigned>(RepeatArg),
+                        Cmd.boolFlag("strict"));
   }
 
   if (!MetricsOut.empty())
@@ -640,23 +285,5 @@ int main(int Argc, char **Argv) {
                                    : Service.metricsPrometheus());
   if (!TraceOut.empty())
     writeFileOrDie(TraceOut, Sink.chromeJson());
-
-  if (!TracePath.empty() && Cmd.boolFlag("strict")) {
-    // Chaos-gate mode: error lines are failures, and so are the quieter
-    // bad signs — a retry budget that ran dry or a breaker that opened
-    // mean the fault plan overwhelmed the resilience layer even if every
-    // request eventually produced a line.
-    const ServerStats Stats = Service.stats();
-    if (Errors > 0 || Stats.RetriesExhausted > 0 || Stats.BreakerOpens > 0) {
-      std::fprintf(stderr,
-                   "seer-serve: --strict: %llu error line(s), %llu retry "
-                   "budget(s) exhausted, %llu breaker open(s)\n",
-                   static_cast<unsigned long long>(Errors),
-                   static_cast<unsigned long long>(Stats.RetriesExhausted),
-                   static_cast<unsigned long long>(Stats.BreakerOpens));
-      std::fprintf(stderr, "%s", Service.metricsPrometheus().c_str());
-      return 1;
-    }
-  }
   return ExitCode;
 }
