@@ -16,6 +16,11 @@
 
 using namespace seer;
 
+Status seer::unknownHandle(MatrixHandle Handle) {
+  return Status::notFound("unknown or released matrix handle " +
+                          std::to_string(Handle.Id));
+}
+
 SeerService::SeerService(SeerModels Models, ServiceConfig Config)
     : Server(std::move(Models), Config.Server),
       AsyncCapacity(Config.AsyncQueueCapacity), Retry(Config.Retry) {}
@@ -130,8 +135,7 @@ Status SeerService::release(MatrixHandle Handle) {
     MutexLock Lock(HandlesMutex);
     const auto It = Handles.find(Handle.Id);
     if (It == Handles.end())
-      return Status::notFound("unknown or already released matrix handle " +
-                              std::to_string(Handle.Id));
+      return unknownHandle(Handle);
     // Move the registration out so its destructor (and the cache unpin)
     // runs outside the session lock — possibly later, if async requests
     // still share it.
@@ -150,8 +154,7 @@ SeerService::resolve(MatrixHandle Handle, const Request &R) const {
     MutexLock Lock(HandlesMutex);
     const auto It = Handles.find(Handle.Id);
     if (It == Handles.end())
-      return Status::notFound("unknown or released matrix handle " +
-                              std::to_string(Handle.Id));
+      return unknownHandle(Handle);
     Reg = It->second;
   }
   if (R.Iterations == 0)

@@ -62,6 +62,12 @@ struct MatrixHandle {
   bool valid() const { return Id != 0; }
 };
 
+/// The NOT_FOUND for a request on \p Handle when no live registration
+/// has it (never issued, or already released). The service and the shard
+/// balancer (net/ShardRouter.h) both answer with it, so a wire client sees
+/// one error line for one mistake, behind `seer-lb` or not.
+Status unknownHandle(MatrixHandle Handle);
+
 /// Deterministic bounded retry for transient failures. Applied by the
 /// serve()/submit() wrappers to *retryable* Status codes only
 /// (Status::isRetryable(): RESOURCE_EXHAUSTED, UNAVAILABLE) — terminal

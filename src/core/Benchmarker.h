@@ -69,9 +69,6 @@ struct MatrixBenchmark {
 struct BenchmarkConfig {
   /// Timed samples averaged per measurement (paper: 10).
   uint32_t TimedRuns = 10;
-  /// Warm-up runs (kept for protocol fidelity; no effect on the
-  /// deterministic simulator).
-  uint32_t WarmupRuns = 10;
   /// Log-normal measurement-noise sigma applied to each timed sample.
   double NoiseSigma = 0.02;
   /// Seed of the noise stream (per-matrix streams derive from it).

@@ -13,34 +13,42 @@ using namespace seer::net;
 
 namespace {
 
-/// Interprets a reply frame that should carry a T (RResponse / RBatch /
-/// ROpen / RText): an RStatus answer resolves to the typed Status it
-/// carries instead.
-template <typename T, typename DecodeFn>
-Expected<T> interpret(const std::string &Reply, DecodeFn Decode) {
-  auto OpOr = frameOp(Reply);
-  if (!OpOr.ok())
-    return OpOr.status();
-  if (*OpOr == Op::RStatus) {
-    Status Carried = Status::okStatus();
-    if (Status S = decodeStatusReply(Reply, Carried); !S.ok())
-      return S;
-    if (Carried.ok())
-      return Status::internal(
-          "server acknowledged where a typed reply was expected");
-    return Carried;
-  }
-  return Decode(Reply);
+/// Round-trips \p Request and decodes a reply that should carry a T
+/// (ROpen / RResponse / RBatch / RText / RHello) with \p Decode: an RStatus
+/// answer resolves to the typed Status it carries instead.
+template <typename T>
+Expected<T> roundTrip(NetClient &Client, const std::string &Request,
+                      Expected<T> (*Decode)(const std::string &)) {
+  auto Reply = Client.call(Request);
+  if (!Reply.ok())
+    return Reply.status();
+  auto Code = frameOp(*Reply);
+  if (!Code.ok())
+    return Code.status();
+  if (*Code != Op::RStatus)
+    return Decode(*Reply);
+  Status Carried = Status::okStatus();
+  if (Status S = decodeStatusReply(*Reply, Carried); !S.ok())
+    return S;
+  if (Carried.ok())
+    return Status::internal(
+        "server acknowledged where a typed reply was expected");
+  return Carried;
 }
 
-} // namespace
-
-Status NetClient::ackOf(const std::string &Reply) {
+/// Round-trips \p Request, whose reply should be an ack: RStatus carrying
+/// OK, or the typed failure it carries.
+Status ack(NetClient &Client, const std::string &Request) {
+  auto Reply = Client.call(Request);
+  if (!Reply.ok())
+    return Reply.status();
   Status Carried = Status::okStatus();
-  if (Status S = decodeStatusReply(Reply, Carried); !S.ok())
+  if (Status S = decodeStatusReply(*Reply, Carried); !S.ok())
     return S;
   return Carried;
 }
+
+} // namespace
 
 Expected<NetClient> NetClient::connect(const std::string &Host,
                                        uint16_t Port, size_t MaxFrameBytes) {
@@ -48,10 +56,7 @@ Expected<NetClient> NetClient::connect(const std::string &Host,
   if (!SockOr.ok())
     return SockOr.status();
   NetClient Client(std::move(*SockOr), MaxFrameBytes);
-  auto ReplyOr = Client.call(encodeHello());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  auto VersionOr = interpret<uint32_t>(*ReplyOr, decodeHelloReply);
+  auto VersionOr = roundTrip(Client, encodeHello(), decodeHelloReply);
   if (!VersionOr.ok())
     return VersionOr.status();
   if (*VersionOr != WireVersion)
@@ -77,71 +82,45 @@ Expected<std::string> NetClient::call(const std::string &RequestPayload) {
 
 Expected<OpenReply> NetClient::open(const std::string &Name,
                                     const CsrMatrix &Matrix) {
-  auto ReplyOr = call(encodeOpen(Name, Matrix));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<OpenReply>(*ReplyOr, decodeOpenReply);
+  return roundTrip(*this, encodeOpen(Name, Matrix), decodeOpenReply);
 }
 
 Status NetClient::close(uint64_t Handle) {
-  auto ReplyOr = call(encodeClose(Handle));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
+  return ack(*this, encodeClose(Handle));
 }
 
 Expected<ServeResponse> NetClient::select(uint64_t Handle,
                                           uint32_t Iterations) {
-  auto ReplyOr = call(encodeSelect(Handle, Iterations));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<ServeResponse>(*ReplyOr, decodeResponseReply);
+  return roundTrip(*this, encodeSelect(Handle, Iterations),
+                   decodeResponseReply);
 }
 
 Expected<ServeResponse> NetClient::execute(uint64_t Handle,
                                            uint32_t Iterations, bool Verify,
                                            const std::vector<double> &Operand) {
-  auto ReplyOr = call(encodeExecute(Handle, Iterations, Verify, Operand));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<ServeResponse>(*ReplyOr, decodeResponseReply);
+  return roundTrip(*this, encodeExecute(Handle, Iterations, Verify, Operand),
+                   decodeResponseReply);
 }
 
 Expected<BatchResponse> NetClient::batch(uint64_t Handle, uint32_t Count,
                                          uint32_t Iterations) {
-  auto ReplyOr = call(encodeBatch(Handle, Count, Iterations));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<BatchResponse>(*ReplyOr, decodeBatchReply);
+  return roundTrip(*this, encodeBatch(Handle, Count, Iterations),
+                   decodeBatchReply);
 }
 
 Status NetClient::fault(const std::string &Spec) {
-  auto ReplyOr = call(encodeFault(Spec));
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
+  return ack(*this, encodeFault(Spec));
 }
 
 Expected<std::string> NetClient::statsText() {
-  auto ReplyOr = call(encodeStats());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<std::string>(*ReplyOr, decodeTextReply);
+  return roundTrip(*this, encodeStats(), decodeTextReply);
 }
 
 Expected<std::string> NetClient::metricsText() {
-  auto ReplyOr = call(encodeMetrics());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return interpret<std::string>(*ReplyOr, decodeTextReply);
+  return roundTrip(*this, encodeMetrics(), decodeTextReply);
 }
 
-Status NetClient::shutdownServer() {
-  auto ReplyOr = call(encodeShutdown());
-  if (!ReplyOr.ok())
-    return ReplyOr.status();
-  return ackOf(*ReplyOr);
-}
+Status NetClient::shutdownServer() { return ack(*this, encodeShutdown()); }
 
 Expected<TraceHandle> NetTraceBackend::open(const std::string &Name,
                                             MatrixInput Source) {

@@ -84,10 +84,6 @@ private:
   explicit NetClient(Socket Sock, size_t MaxFrameBytes)
       : Sock(std::move(Sock)), MaxFrameBytes(MaxFrameBytes) {}
 
-  /// Decodes a reply that should be an ack: RStatus carrying OK (or the
-  /// typed failure it carries).
-  static Status ackOf(const std::string &Reply);
-
   Socket Sock;
   size_t MaxFrameBytes;
 };

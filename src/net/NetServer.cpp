@@ -132,24 +132,22 @@ std::string NetServer::dispatch(const std::shared_ptr<void> &State,
     ScopedSpan Span(spanname::NetRequest);
     auto OpOr = frameOp(Payload);
     if (!OpOr.ok()) {
-      ProtocolErrors.add();
-      Reply = encodeStatusReply(OpOr.status());
+      Reply = protocolError(ProtocolErrors, OpOr.status());
     } else {
       switch (*OpOr) {
       case Op::Hello: {
         auto Version = decodeHello(Payload);
-        if (!Version.ok()) {
-          ProtocolErrors.add();
-          Reply = encodeStatusReply(Version.status());
-        } else if (*Version != WireVersion) {
-          ProtocolErrors.add();
-          Reply = encodeStatusReply(Status::failedPrecondition(
-              "wire version mismatch: peer speaks v" +
-              std::to_string(*Version) + ", server speaks v" +
-              std::to_string(WireVersion)));
-        } else {
+        if (!Version.ok())
+          Reply = protocolError(ProtocolErrors, Version.status());
+        else if (*Version != WireVersion)
+          Reply = protocolError(
+              ProtocolErrors,
+              Status::failedPrecondition(
+                  "wire version mismatch: peer speaks v" +
+                  std::to_string(*Version) + ", server speaks v" +
+                  std::to_string(WireVersion)));
+        else
           Reply = encodeHelloReply();
-        }
         break;
       }
       case Op::Shutdown:
@@ -159,7 +157,7 @@ std::string NetServer::dispatch(const std::shared_ptr<void> &State,
         Reply = encodeStatusReply(Status::okStatus());
         break;
       default:
-        Reply = Handler.handleFrame(State, Payload);
+        Reply = Handler.handleFrame(State, *OpOr, Payload);
         break;
       }
     }
@@ -347,32 +345,27 @@ bool NetServer::epollReadable(EpollConn &Conn) {
 
 void NetServer::parseFrames(EpollConn &Conn) {
   while (!Conn.Busy && !Conn.CloseAfterFlush && !Conn.Dead) {
-    if (Conn.In.size() < 4)
+    if (Conn.In.size() < FrameHeaderBytes)
       return;
-    uint32_t Length = 0;
-    for (int I = 0; I < 4; ++I)
-      Length |= static_cast<uint32_t>(
-                    static_cast<unsigned char>(Conn.In[size_t(I)]))
-                << (8 * I);
-    if (Status S = validateFrameLength(Length, Config.MaxFrameBytes);
-        !S.ok()) {
+    const auto Length = frameLength(Conn.In.data(), Config.MaxFrameBytes);
+    if (!Length.ok()) {
       // Framing is gone; tell the client why, then close after flush.
-      ProtocolErrors.add();
-      const std::string Reply = encodeStatusReply(S);
-      BytesWrittenTotal.add(4 + Reply.size());
+      const std::string Reply = protocolError(ProtocolErrors, Length.status());
+      BytesWrittenTotal.add(FrameHeaderBytes + Reply.size());
       appendFrame(Conn.Out, Reply);
       Conn.CloseAfterFlush = true;
       Conn.In.clear();
       return;
     }
-    if (Conn.In.size() < size_t(4) + Length)
+    const size_t FrameBytes = FrameHeaderBytes + *Length;
+    if (Conn.In.size() < FrameBytes)
       return; // frame incomplete
     WorkItem Item;
     Item.Fd = Conn.Sock.fd();
     Item.State = Conn.State;
-    Item.Payload = Conn.In.substr(4, Length);
-    Conn.In.erase(0, size_t(4) + Length);
-    BytesReadTotal.add(4 + size_t(Length));
+    Item.Payload = Conn.In.substr(FrameHeaderBytes, *Length);
+    Conn.In.erase(0, FrameBytes);
+    BytesReadTotal.add(FrameBytes);
     Conn.Busy = true;
     {
       MutexLock L(WorkMutex);
@@ -481,7 +474,7 @@ void NetServer::processCompletions(int Ep) {
       destroyConn(Ep, Done.Fd);
       continue;
     }
-    BytesWrittenTotal.add(4 + Done.Reply.size());
+    BytesWrittenTotal.add(FrameHeaderBytes + Done.Reply.size());
     appendFrame(Conn.Out, Done.Reply);
     if (!flushOut(Conn)) {
       destroyConn(Ep, Done.Fd);
@@ -489,6 +482,12 @@ void NetServer::processCompletions(int Ep) {
     }
     settle(Ep, Done.Fd);
   }
+}
+
+std::string seer::net::protocolError(Counter &ProtocolErrors,
+                                     const Status &Why) {
+  ProtocolErrors.add();
+  return encodeStatusReply(Why);
 }
 
 // -- ServiceFrameHandler ---------------------------------------------------
@@ -518,21 +517,14 @@ void ServiceFrameHandler::connectionClosed(
 }
 
 std::string
-ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
+ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State, Op Code,
                                  const std::string &Payload) {
   auto Sess = std::static_pointer_cast<Session>(State);
-  auto OpOr = frameOp(Payload);
-  if (!OpOr.ok()) {
-    ProtocolErrors.add();
-    return encodeStatusReply(OpOr.status());
-  }
-  switch (*OpOr) {
+  switch (Code) {
   case Op::Open: {
     auto Req = decodeOpen(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
+    if (!Req.ok())
+      return protocolError(ProtocolErrors, Req.status());
     auto HandleOr = Service.registerMatrix(std::move(Req->Matrix));
     if (!HandleOr.ok())
       return encodeStatusReply(HandleOr.status());
@@ -546,10 +538,8 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
   }
   case Op::Close: {
     auto HandleOr = decodeClose(Payload);
-    if (!HandleOr.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(HandleOr.status());
-    }
+    if (!HandleOr.ok())
+      return protocolError(ProtocolErrors, HandleOr.status());
     const Status S = Service.release(MatrixHandle{*HandleOr});
     if (S.ok())
       Sess->Handles.erase(std::remove(Sess->Handles.begin(),
@@ -559,16 +549,14 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
   }
   case Op::Select:
   case Op::Execute: {
-    auto Req = *OpOr == Op::Select ? decodeSelect(Payload)
-                                   : decodeExecute(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
+    auto Req = Code == Op::Select ? decodeSelect(Payload)
+                                  : decodeExecute(Payload);
+    if (!Req.ok())
+      return protocolError(ProtocolErrors, Req.status());
     Request R;
     R.Handle = MatrixHandle{Req->Handle};
     R.Iterations = Req->Iterations;
-    R.Execute = *OpOr == Op::Execute;
+    R.Execute = Code == Op::Execute;
     R.VerifyOracle = Req->Verify;
     R.Operand = std::move(Req->Operand);
     // Through submit(), not serve(): the wire path inherits the bounded
@@ -584,17 +572,16 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
   }
   case Op::Batch: {
     auto Req = decodeBatch(Payload);
-    if (!Req.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Req.status());
-    }
+    if (!Req.ok())
+      return protocolError(ProtocolErrors, Req.status());
+    // The handle first, as select and execute and the balancer check it.
+    auto InfoOr = Service.describe(MatrixHandle{Req->Handle});
+    if (!InfoOr.ok())
+      return encodeStatusReply(InfoOr.status());
     if (Req->Count < 1 || Req->Count > MaxBatchOperands)
       return encodeStatusReply(Status::invalidArgument(
           "batch operand count " + std::to_string(Req->Count) +
           " out of range [1, " + std::to_string(MaxBatchOperands) + "]"));
-    auto InfoOr = Service.describe(MatrixHandle{Req->Handle});
-    if (!InfoOr.ok())
-      return encodeStatusReply(InfoOr.status());
     const std::vector<std::vector<double>> Operands =
         buildBatchOperands(Req->Count, InfoOr->NumCols);
     auto ResponseOr = Service.executeBatch(MatrixHandle{Req->Handle},
@@ -605,10 +592,8 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
   }
   case Op::Fault: {
     auto Spec = decodeFault(Payload);
-    if (!Spec.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Spec.status());
-    }
+    if (!Spec.ok())
+      return protocolError(ProtocolErrors, Spec.status());
     return encodeStatusReply(applyFaultSpec(*Spec));
   }
   case Op::Stats:
@@ -616,9 +601,9 @@ ServiceFrameHandler::handleFrame(const std::shared_ptr<void> &State,
   case Op::Metrics:
     return encodeTextReply(Op::RText, Service.metricsPrometheus());
   default:
-    ProtocolErrors.add();
-    return encodeStatusReply(Status::invalidArgument(
-        std::string("unexpected opcode in request: ") +
-        std::to_string(unsigned(*OpOr))));
+    return protocolError(ProtocolErrors,
+                         Status::invalidArgument(
+                             std::string("unexpected opcode in request: ") +
+                             std::to_string(unsigned(Code))));
   }
 }

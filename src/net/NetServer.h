@@ -15,11 +15,13 @@
 /// cannot queue unbounded work. Workers return replies through a
 /// completion queue and a self-pipe wakeup.
 ///
-/// `dispatch()` answers Hello (version handshake) and Shutdown in the
-/// transport itself; every other opcode goes to the handler. `requestStop()` is async-signal-safe (an atomic store plus a
-/// self-pipe write), so a SIGTERM handler can stop the server directly;
-/// `join()` then waits for the drain: in-flight frames finish, replies
-/// flush, connections close, workers exit.
+/// `dispatch()` parses each frame's opcode once, answers Hello (version
+/// handshake) and Shutdown in the transport itself, and hands every other
+/// frame to the handler with its opcode. `requestStop()` is
+/// async-signal-safe (an atomic store plus a self-pipe write), so a
+/// SIGTERM handler can stop the server directly; `join()` then waits for
+/// the drain: in-flight frames finish, replies flush, connections close,
+/// workers exit.
 ///
 /// `ServiceFrameHandler` is the production handler: it binds the frame
 /// vocabulary to a `SeerService`, routing select/execute through
@@ -73,10 +75,11 @@ public:
   /// with every frame of that connection. May be null.
   virtual std::shared_ptr<void> connectionOpened() { return nullptr; }
 
-  /// Handles one decoded-frame payload (opcode byte included) and
-  /// returns the reply payload to send back. Must always return a reply
-  /// — errors travel as RStatus frames, never as silence.
-  virtual std::string handleFrame(const std::shared_ptr<void> &State,
+  /// Handles one frame payload (opcode byte included), whose opcode the
+  /// server has already parsed into \p Code, and returns the reply
+  /// payload to send back. Must always return a reply — errors travel as
+  /// RStatus frames, never as silence.
+  virtual std::string handleFrame(const std::shared_ptr<void> &State, Op Code,
                                   const std::string &Payload) = 0;
 
   /// Called exactly once when the connection ends (clean close, torn
@@ -86,6 +89,11 @@ public:
     (void)State;
   }
 };
+
+/// The reply to a frame the protocol refuses (it does not decode, or its
+/// opcode or version is wrong): \p Why as an RStatus frame, counted in
+/// \p ProtocolErrors (`seer_net_protocol_errors_total`).
+std::string protocolError(Counter &ProtocolErrors, const Status &Why);
 
 struct NetServerConfig {
   /// Numeric IPv4 listen address.
@@ -215,7 +223,7 @@ public:
   explicit ServiceFrameHandler(SeerService &Service);
 
   std::shared_ptr<void> connectionOpened() override;
-  std::string handleFrame(const std::shared_ptr<void> &State,
+  std::string handleFrame(const std::shared_ptr<void> &State, Op Code,
                           const std::string &Payload) override;
   void connectionClosed(const std::shared_ptr<void> &State) override;
 

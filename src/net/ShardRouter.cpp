@@ -150,14 +150,9 @@ void LbHandler::connectionClosed(const std::shared_ptr<void> &State) {
 }
 
 std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
-                                   const std::string &Payload) {
+                                   Op Code, const std::string &Payload) {
   auto Sess = std::static_pointer_cast<Session>(State);
-  auto OpOr = frameOp(Payload);
-  if (!OpOr.ok()) {
-    ProtocolErrors.add();
-    return encodeStatusReply(OpOr.status());
-  }
-  switch (*OpOr) {
+  switch (Code) {
   case Op::Open: {
     // Routing needs only the content fingerprint, hashed over the
     // frame's arrays where they lie with the function behind the shards'
@@ -165,10 +160,8 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
     // frame whose CSR content is invalid reaches its shard, which answers
     // the typed error forwarded below.
     auto Fingerprint = openFrameFingerprint(Payload);
-    if (!Fingerprint.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(Fingerprint.status());
-    }
+    if (!Fingerprint.ok())
+      return protocolError(ProtocolErrors, Fingerprint.status());
     const size_t Shard = Router.route(*Fingerprint);
     auto ReplyOr = callShard(Shard, Payload);
     if (!ReplyOr.ok())
@@ -177,10 +170,8 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
         ReplyOp.ok() && *ReplyOp == Op::RStatus)
       return *ReplyOr; // typed shard failure, forwarded verbatim
     auto OpenOr = decodeOpenReply(*ReplyOr);
-    if (!OpenOr.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(OpenOr.status());
-    }
+    if (!OpenOr.ok())
+      return protocolError(ProtocolErrors, OpenOr.status());
     const uint64_t LbHandle = Sess->NextHandle++;
     Sess->Map[LbHandle] = Session::Remote{Shard, OpenOr->Handle};
     return encodeOpenReply(LbHandle, OpenOr->Info);
@@ -190,14 +181,11 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
   case Op::Execute:
   case Op::Batch: {
     auto HandleOr = requestHandle(Payload);
-    if (!HandleOr.ok()) {
-      ProtocolErrors.add();
-      return encodeStatusReply(HandleOr.status());
-    }
+    if (!HandleOr.ok())
+      return protocolError(ProtocolErrors, HandleOr.status());
     auto It = Sess->Map.find(*HandleOr);
     if (It == Sess->Map.end())
-      return encodeStatusReply(Status::notFound(
-          "unknown handle " + std::to_string(*HandleOr)));
+      return encodeStatusReply(unknownHandle(MatrixHandle{*HandleOr}));
     // The hot path: rewrite the handle at its fixed offset and forward
     // the frame bytes untouched — no operand decode, no re-encode.
     std::string Forward = Payload;
@@ -206,7 +194,7 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
     auto ReplyOr = callShard(It->second.Shard, Forward);
     if (!ReplyOr.ok())
       return encodeStatusReply(ReplyOr.status());
-    if (*OpOr == Op::Close && carriedAck(*ReplyOr).ok())
+    if (Code == Op::Close && carriedAck(*ReplyOr).ok())
       Sess->Map.erase(It);
     return *ReplyOr; // replies carry no handles; forward verbatim
   }
@@ -246,9 +234,9 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
     return encodeTextReply(Op::RText, Text);
   }
   default:
-    ProtocolErrors.add();
-    return encodeStatusReply(Status::invalidArgument(
-        "unexpected opcode at the balancer: " +
-        std::to_string(unsigned(*OpOr))));
+    return protocolError(ProtocolErrors,
+                         Status::invalidArgument(
+                             "unexpected opcode at the balancer: " +
+                             std::to_string(unsigned(Code))));
   }
 }

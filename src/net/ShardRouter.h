@@ -32,7 +32,9 @@
 ///     the shard, whose typed INVALID_ARGUMENT comes back verbatim.
 ///   - Close/Select/Execute/Batch rewrite the handle in place
 ///     (net/Wire.h fixed offset) and forward — no re-encode, no decode
-///     of operands or replies on the hot path.
+///     of operands or replies on the hot path. A handle the session does
+///     not hold is answered here with the shards' own unknownHandle
+///     (api/SeerService.h) NOT_FOUND.
 ///   - Fault broadcasts to every shard; Stats/Metrics concatenate every
 ///     shard's text, sectioned by `# shard N HOST:PORT` headers.
 ///   - Shutdown never reaches this handler: the transport answers it,
@@ -103,7 +105,7 @@ public:
   ~LbHandler() override;
 
   std::shared_ptr<void> connectionOpened() override;
-  std::string handleFrame(const std::shared_ptr<void> &State,
+  std::string handleFrame(const std::shared_ptr<void> &State, Op Code,
                           const std::string &Payload) override;
   void connectionClosed(const std::shared_ptr<void> &State) override;
 

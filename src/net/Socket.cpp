@@ -217,26 +217,22 @@ Status seer::net::parseHostPort(const std::string &Spec, std::string &Host,
 
 Status seer::net::readFrame(Socket &S, size_t MaxBytes, std::string &Payload,
                             bool *CleanClose) {
-  uint8_t Header[4];
+  char Header[FrameHeaderBytes] = {};
   if (Status St = S.recvAll(Header, sizeof(Header), CleanClose); !St.ok())
     return St;
   if (CleanClose && *CleanClose) {
     Payload.clear();
     return Status::okStatus();
   }
-  uint32_t Length = 0;
-  for (int I = 0; I < 4; ++I)
-    Length |= static_cast<uint32_t>(Header[I]) << (8 * I);
-  if (Status St = validateFrameLength(Length, MaxBytes); !St.ok())
-    return St;
-  Payload.resize(Length);
-  return S.recvAll(&Payload[0], Length);
+  const auto Length = frameLength(Header, MaxBytes);
+  if (!Length)
+    return Length.status();
+  Payload.resize(*Length);
+  return S.recvAll(&Payload[0], *Length);
 }
 
 Status seer::net::writeFrame(Socket &S, const std::string &Payload) {
-  const auto Length = static_cast<uint32_t>(Payload.size());
-  const uint8_t Header[4] = {
-      static_cast<uint8_t>(Length), static_cast<uint8_t>(Length >> 8),
-      static_cast<uint8_t>(Length >> 16), static_cast<uint8_t>(Length >> 24)};
-  return S.sendAll(Header, sizeof(Header), Payload.data(), Payload.size());
+  const std::string Header = frameHeader(Payload.size());
+  return S.sendAll(Header.data(), Header.size(), Payload.data(),
+                   Payload.size());
 }

@@ -24,58 +24,14 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
 
 namespace {
 
-// -- Writers ---------------------------------------------------------------
-
-/// Reply fields other than Y never exceed this many bytes (108 for a
-/// response, 88 for a batch), so reserving it plus the arrays sizes the
-/// frame once.
-constexpr size_t ReplyScalarBytes = 128;
-
-/// A payload holding opcode \p Code, with room for \p BodyBytes more: the
-/// encoders of frames that carry arrays pass their size, so the frame is
-/// allocated once.
-std::string startFrame(Op Code, size_t BodyBytes = 0) {
-  std::string Out;
-  Out.reserve(1 + BodyBytes);
-  Out.push_back(static_cast<char>(Code));
-  return Out;
-}
-
-template <typename T> void putScalar(std::string &Out, T V) {
-  Out.append(reinterpret_cast<const char *>(&V), sizeof(V));
-}
-
-void putU8(std::string &Out, uint8_t V) { putScalar(Out, V); }
-void putU32(std::string &Out, uint32_t V) { putScalar(Out, V); }
-void putU64(std::string &Out, uint64_t V) { putScalar(Out, V); }
-void putF64(std::string &Out, double V) { putScalar(Out, V); }
-
-void putString(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.append(S);
-}
-
 /// The byte image of \p V, which is its wire image on this host.
 template <typename T> std::string_view imageOf(const std::vector<T> &V) {
   return std::string_view(reinterpret_cast<const char *>(V.data()),
                           V.size() * sizeof(T));
 }
 
-/// The one array writer: appends \p V's image in a single copy. Every
-/// array on the wire goes through it, uncounted (Open's CSR arrays, sized
-/// by the dimensions before them) or counted (putCounted).
-template <typename T> void putArray(std::string &Out, const std::vector<T> &V) {
-  Out.append(imageOf(V));
-}
-
-/// A u64 element count, then the array (execute operands, Y vectors).
-void putCounted(std::string &Out, const std::vector<double> &V) {
-  putU64(Out, V.size());
-  putArray(Out, V);
-}
-
-/// The one array reader's copy step: \p Image (already bounds-checked by
-/// Reader::arrayImage) into \p Out in a single memcpy.
+/// \p Image, already bounds-checked by the Reader, copied into \p Out
+/// in a single memcpy.
 template <typename T>
 void copyArray(std::string_view Image, std::vector<T> &Out) {
   Out.resize(Image.size() / sizeof(T));
@@ -83,100 +39,270 @@ void copyArray(std::string_view Image, std::vector<T> &Out) {
     std::memcpy(Out.data(), Image.data(), Image.size());
 }
 
-/// Bounds-checked reader over one frame payload. Every read fails with
-/// INVALID_ARGUMENT once the payload runs short, which is how truncated
-/// frames become typed errors.
+/// Runs a field list to encode: appends each field's wire image to *Out,
+/// or, with no Out, only adds its size to Size, so an encoder can size the
+/// payload before writing it.
+class Writer {
+public:
+  explicit Writer(std::string *Out = nullptr) : Out(Out) {}
+
+  size_t Size = 0;
+
+  template <typename T> void u8(const T &V) { scalar<uint8_t>(V); }
+  template <typename T> void u32(const T &V) { scalar<uint32_t>(V); }
+  template <typename T> void u64(const T &V) { scalar<uint64_t>(V); }
+  void f64(double V) { scalar<double>(V); }
+  /// A u32 length, then the bytes.
+  void str(std::string_view S) {
+    u32(S.size());
+    put(S);
+  }
+  /// An array whose element count the fields before it imply.
+  void image(std::string_view Image, uint64_t, size_t) { put(Image); }
+  /// A u64 element count, then the array (operands, Y vectors).
+  void doubles(const std::vector<double> &V) {
+    u64(V.size());
+    put(imageOf(V));
+  }
+  /// A u64 count of counted arrays, then each of them.
+  void vectors(const std::vector<std::vector<double>> &Vs) {
+    u64(Vs.size());
+    for (const std::vector<double> &V : Vs)
+      doubles(V);
+  }
+
+private:
+  template <typename Wire, typename T> void scalar(const T &V) {
+    const auto W = static_cast<Wire>(V);
+    put(std::string_view(reinterpret_cast<const char *>(&W), sizeof(W)));
+  }
+  void put(std::string_view Bytes) {
+    if (Out)
+      Out->append(Bytes);
+    else
+      Size += Bytes.size();
+  }
+
+  std::string *Out;
+};
+
+/// Runs a field list to decode one frame payload. The first short read or
+/// forged count sets a sticky INVALID_ARGUMENT and turns every later read
+/// into a no-op, so a field list needs no check per field and a truncated
+/// frame is a typed error, never a misparse.
 class Reader {
 public:
   explicit Reader(const std::string &Payload)
       : Data(Payload.data()), Size(Payload.size()) {}
 
-  Status need(size_t Bytes) const {
-    if (Size - Pos < Bytes)
-      return Status::invalidArgument("truncated frame body");
-    return Status::okStatus();
+  /// The opcode byte, which must be \p Code.
+  void opcode(Op Code) {
+    uint8_t Got = 0;
+    u8(Got);
+    if (Error.ok() && Got != static_cast<uint8_t>(Code))
+      Error = Status::invalidArgument("unexpected frame opcode");
   }
-
-  template <typename T> Status scalar(T &Out) {
-    if (Status S = need(sizeof(T)); !S.ok())
-      return S;
-    std::memcpy(&Out, Data + Pos, sizeof(T));
-    Pos += sizeof(T);
-    return Status::okStatus();
-  }
-
-  Status u8(uint8_t &Out) { return scalar(Out); }
-  Status u32(uint32_t &Out) { return scalar(Out); }
-  Status u64(uint64_t &Out) { return scalar(Out); }
-  Status f64(double &Out) { return scalar(Out); }
-
-  Status str(std::string &Out) {
+  template <typename T> void u8(T &V) { scalar<uint8_t>(V); }
+  template <typename T> void u32(T &V) { scalar<uint32_t>(V); }
+  template <typename T> void u64(T &V) { scalar<uint64_t>(V); }
+  void f64(double &V) { scalar<double>(V); }
+  /// A u32 length, then the bytes, viewed in place or copied into \p V.
+  template <typename S> void str(S &V) {
+    uint32_t Length = 0;
     std::string_view View;
-    if (Status S = strView(View); !S.ok())
-      return S;
-    Out.assign(View);
-    return Status::okStatus();
+    u32(Length);
+    image(View, Length, 1);
+    V = S(View);
   }
-
-  Status strView(std::string_view &Out) {
-    uint32_t Len = 0;
-    if (Status S = u32(Len); !S.ok())
-      return S;
-    return arrayImage(Out, Len, 1);
+  /// Views the next \p Count elements of \p Width bytes in place.
+  void image(std::string_view &V, uint64_t Count, size_t Width) {
+    if (!fits(Count, Width))
+      return;
+    V = std::string_view(Data + Pos, static_cast<size_t>(Count) * Width);
+    Pos += V.size();
   }
-
-  /// Views the next \p Count elements of \p Width bytes in place. The
-  /// count is checked against the remaining bytes before it is multiplied
-  /// or anything is allocated, so a forged count can neither overflow nor
-  /// request memory the frame does not contain.
-  Status arrayImage(std::string_view &Out, uint64_t Count, size_t Width) {
-    if (Count > (Size - Pos) / Width)
-      return Status::invalidArgument("vector count exceeds frame size");
-    const size_t Bytes = static_cast<size_t>(Count) * Width;
-    Out = std::string_view(Data + Pos, Bytes);
-    Pos += Bytes;
-    return Status::okStatus();
-  }
-
-  /// Reads a u64-counted array: the count check, then one copy.
-  Status counted(std::vector<double> &Out) {
+  /// A u64-counted array: the count check, then one copy.
+  void doubles(std::vector<double> &V) {
     uint64_t Count = 0;
     std::string_view Image;
-    if (Status S = u64(Count); !S.ok())
-      return S;
-    if (Status S = arrayImage(Image, Count, sizeof(double)); !S.ok())
-      return S;
-    copyArray(Image, Out);
-    return Status::okStatus();
+    u64(Count);
+    image(Image, Count, sizeof(double));
+    copyArray(Image, V);
+  }
+  /// A u64 count of counted arrays, then each of them.
+  void vectors(std::vector<std::vector<double>> &Vs) {
+    uint64_t Count = 0;
+    u64(Count);
+    // Each array carries at least its own u64 count.
+    if (!fits(Count, sizeof(uint64_t)))
+      return;
+    Vs.clear();
+    Vs.reserve(std::min<uint64_t>(Count, MaxBatchOperands));
+    for (uint64_t I = 0; I < Count && Error.ok(); ++I)
+      doubles(Vs.emplace_back());
   }
 
-  /// Rejects unconsumed bytes: a frame that decodes but carries a tail is
-  /// a framing bug, not a request.
+  /// The decode verdict: the sticky error, or INVALID_ARGUMENT if bytes
+  /// trail the last field (a framing bug, not a request).
   Status finish() const {
-    if (Pos != Size)
+    if (Error.ok() && Pos != Size)
       return Status::invalidArgument("trailing bytes in frame");
-    return Status::okStatus();
+    return Error;
   }
 
 private:
+  /// Whether \p Count elements of \p Width bytes remain. The count is
+  /// checked before it is multiplied or anything is allocated, so a forged
+  /// count can neither overflow nor ask for memory the frame lacks.
+  bool fits(uint64_t Count, size_t Width) {
+    if (Error.ok() && Count > (Size - Pos) / Width)
+      Error = Status::invalidArgument("vector count exceeds frame size");
+    return Error.ok();
+  }
+  template <typename Wire, typename T> void scalar(T &V) {
+    if (Error.ok() && Size - Pos < sizeof(Wire))
+      Error = Status::invalidArgument("truncated frame body");
+    if (!Error.ok())
+      return;
+    Wire W{};
+    std::memcpy(&W, Data + Pos, sizeof(W));
+    Pos += sizeof(W);
+    V = static_cast<T>(W);
+  }
+
   const char *Data;
   size_t Size;
   size_t Pos = 0;
+  Status Error;
 };
 
-/// Checks the payload's opcode byte and positions a Reader past it.
-Status expectOp(Reader &R, Op Want) {
+// -- Frame bodies ----------------------------------------------------------
+// Each body's fields in wire order, written once. An encoder runs the list
+// over a Writer and a decoder over a Reader, so the two cannot disagree.
+// Close, Select, Execute and Batch open with the u64 handle, which puts it
+// at payload bytes [1, 9) (requestHandle).
+
+/// Stats, Metrics, Shutdown.
+constexpr auto NoBody = [](auto &, auto &) {};
+/// Hello, RHello.
+constexpr auto VersionBody = [](auto &F, auto &Version) { F.u32(Version); };
+/// Close.
+constexpr auto HandleBody = [](auto &F, auto &Handle) { F.u64(Handle); };
+/// Fault, RText.
+constexpr auto TextBody = [](auto &F, auto &Text) { F.str(Text); };
+
+/// Open: the name, then the CSR arrays, sized by the dimensions.
+constexpr auto OpenBody = [](auto &F, auto &V) {
+  F.str(V.Name);
+  F.u32(V.Rows);
+  F.u32(V.Cols);
+  F.u64(V.Nnz);
+  F.image(V.OffsetBytes, uint64_t(V.Rows) + 1, sizeof(uint64_t));
+  F.image(V.ColumnBytes, V.Nnz, sizeof(uint32_t));
+  F.image(V.ValueBytes, V.Nnz, sizeof(double));
+};
+
+constexpr auto SelectBody = [](auto &F, auto &R) {
+  F.u64(R.Handle);
+  F.u32(R.Iterations);
+};
+
+constexpr auto ExecuteBody = [](auto &F, auto &R) {
+  SelectBody(F, R);
+  F.u8(R.Verify);
+  F.doubles(R.Operand);
+};
+
+constexpr auto BatchBody = [](auto &F, auto &R) {
+  F.u64(R.Handle);
+  F.u32(R.Count);
+  F.u32(R.Iterations);
+};
+
+constexpr auto OpenReplyBody = [](auto &F, auto &R) {
+  F.u64(R.Handle);
+  F.u64(R.Info.Fingerprint);
+  F.u32(R.Info.NumRows);
+  F.u32(R.Info.NumCols);
+  F.u64(R.Info.Nnz);
+  F.u8(R.Info.AnalysisReused);
+};
+
+/// RStatus; code 0 acknowledges success.
+struct StatusFields {
   uint8_t Code = 0;
-  if (Status S = R.u8(Code); !S.ok())
-    return S;
-  if (Code != static_cast<uint8_t>(Want))
-    return Status::invalidArgument("unexpected frame opcode");
-  return Status::okStatus();
+  std::string_view Message;
+};
+constexpr auto StatusBody = [](auto &F, auto &S) {
+  F.u8(S.Code);
+  F.str(S.Message);
+};
+
+// ResponseBase's three runs of fields, shared by RResponse and RBatch.
+constexpr auto SelectionRun = [](auto &F, auto &R) {
+  F.u64(R.Selection.KernelIndex);
+  F.u8(R.Selection.UsedGatheredModel);
+  F.f64(R.Selection.FeatureCollectionMs);
+  F.f64(R.Selection.InferenceMs);
+  F.f64(R.ModeledCollectionMs);
+  F.u64(R.Fingerprint);
+  F.u8(R.CacheHit);
+  F.u32(R.Iterations);
+};
+constexpr auto ChargeRun = [](auto &F, auto &R) {
+  F.u8(R.PreprocessAmortized);
+  F.f64(R.PreprocessMs);
+  F.f64(R.ModeledPreprocessMs);
+  F.f64(R.IterationMs);
+};
+constexpr auto ServiceRun = [](auto &F, auto &R) {
+  F.f64(R.ServiceMicros);
+  F.u8(R.Degraded);
+};
+
+constexpr auto ResponseBody = [](auto &F, auto &R) {
+  SelectionRun(F, R);
+  F.u8(R.Executed);
+  ChargeRun(F, R);
+  F.doubles(R.Y);
+  F.u8(R.OracleChecked);
+  F.u64(R.OracleKernelIndex);
+  F.u8(R.Mispredicted);
+  F.f64(R.RegretMs);
+  ServiceRun(F, R);
+};
+
+constexpr auto BatchReplyBody = [](auto &F, auto &R) {
+  SelectionRun(F, R);
+  ChargeRun(F, R);
+  F.vectors(R.Y);
+  ServiceRun(F, R);
+};
+
+/// A payload of opcode \p Code carrying \p B through its field list
+/// \p List, sized by a measuring pass so it is allocated once.
+template <typename Fields, typename Body>
+std::string encodeFrame(Op Code, Fields List, const Body &B) {
+  Writer Sizer;
+  List(Sizer, B);
+  std::string Out;
+  Out.reserve(1 + Sizer.Size);
+  Writer W(&Out);
+  W.u8(static_cast<uint8_t>(Code));
+  List(W, B);
+  return Out;
 }
 
-std::string requestHeader(Op Code, uint64_t Handle, size_t BodyBytes = 0) {
-  std::string Out = startFrame(Code, 8 + BodyBytes);
-  putU64(Out, Handle);
+/// The Body that the field list \p List reads from \p Payload, which must
+/// carry opcode \p Code and end where the body does.
+template <typename Body, typename Fields>
+Expected<Body> decodeFrame(const std::string &Payload, Op Code, Fields List) {
+  Reader R(Payload);
+  Body Out{};
+  R.opcode(Code);
+  List(R, Out);
+  if (Status S = R.finish(); !S.ok())
+    return S;
   return Out;
 }
 
@@ -222,199 +348,124 @@ Status seer::net::validateFrameLength(uint64_t Length, size_t MaxBytes) {
   return Status::okStatus();
 }
 
+std::string seer::net::frameHeader(size_t PayloadBytes) {
+  std::string Out;
+  Writer(&Out).u32(PayloadBytes);
+  return Out;
+}
+
+Expected<uint32_t> seer::net::frameLength(const char *Header,
+                                          size_t MaxBytes) {
+  uint32_t Length = 0;
+  std::memcpy(&Length, Header, FrameHeaderBytes);
+  if (Status S = validateFrameLength(Length, MaxBytes); !S.ok())
+    return S;
+  return Length;
+}
+
 void seer::net::appendFrame(std::string &Out, const std::string &Payload) {
-  putU32(Out, static_cast<uint32_t>(Payload.size()));
-  Out.append(Payload);
+  Out += frameHeader(Payload.size());
+  Out += Payload;
 }
 
 // -- Request encoders ------------------------------------------------------
 
 std::string seer::net::encodeHello(uint32_t Version) {
-  std::string Out = startFrame(Op::Hello);
-  putU32(Out, Version);
-  return Out;
+  return encodeFrame(Op::Hello, VersionBody, Version);
 }
 
 std::string seer::net::encodeOpen(const std::string &Name,
                                   const CsrMatrix &Matrix) {
-  const size_t ArrayBytes = imageOf(Matrix.rowOffsets()).size() +
-                            imageOf(Matrix.columnIndices()).size() +
-                            imageOf(Matrix.values()).size();
-  std::string Out = startFrame(Op::Open, 4 + Name.size() + 16 + ArrayBytes);
-  putString(Out, Name);
-  putU32(Out, Matrix.numRows());
-  putU32(Out, Matrix.numCols());
-  putU64(Out, Matrix.nnz());
-  putArray(Out, Matrix.rowOffsets());
-  putArray(Out, Matrix.columnIndices());
-  putArray(Out, Matrix.values());
-  return Out;
+  const OpenFrameView View{Name,
+                           Matrix.numRows(),
+                           Matrix.numCols(),
+                           Matrix.nnz(),
+                           imageOf(Matrix.rowOffsets()),
+                           imageOf(Matrix.columnIndices()),
+                           imageOf(Matrix.values())};
+  return encodeFrame(Op::Open, OpenBody, View);
 }
 
 std::string seer::net::encodeClose(uint64_t Handle) {
-  return requestHeader(Op::Close, Handle);
+  return encodeFrame(Op::Close, HandleBody, Handle);
 }
 
 std::string seer::net::encodeSelect(uint64_t Handle, uint32_t Iterations) {
-  std::string Out = requestHeader(Op::Select, Handle);
-  putU32(Out, Iterations);
-  return Out;
+  return encodeFrame(Op::Select, SelectBody,
+                     ExecuteRequest{Handle, Iterations, false, {}});
 }
 
 std::string seer::net::encodeExecute(uint64_t Handle, uint32_t Iterations,
                                      bool Verify,
                                      const std::vector<double> &Operand) {
-  std::string Out =
-      requestHeader(Op::Execute, Handle, 4 + 1 + 8 + 8 * Operand.size());
-  putU32(Out, Iterations);
-  putU8(Out, Verify ? 1 : 0);
-  putCounted(Out, Operand);
-  return Out;
+  // ExecuteRequest's fields, with the operand referenced, not copied.
+  const struct {
+    uint64_t Handle;
+    uint32_t Iterations;
+    bool Verify;
+    const std::vector<double> &Operand;
+  } Request{Handle, Iterations, Verify, Operand};
+  return encodeFrame(Op::Execute, ExecuteBody, Request);
 }
 
 std::string seer::net::encodeBatch(uint64_t Handle, uint32_t Count,
                                    uint32_t Iterations) {
-  std::string Out = requestHeader(Op::Batch, Handle);
-  putU32(Out, Count);
-  putU32(Out, Iterations);
-  return Out;
+  return encodeFrame(Op::Batch, BatchBody,
+                     BatchRequest{Handle, Count, Iterations});
 }
 
 std::string seer::net::encodeFault(const std::string &Spec) {
-  std::string Out = startFrame(Op::Fault);
-  putString(Out, Spec);
-  return Out;
+  return encodeFrame(Op::Fault, TextBody, Spec);
 }
 
-std::string seer::net::encodeStats() { return startFrame(Op::Stats); }
+std::string seer::net::encodeStats() {
+  return encodeFrame(Op::Stats, NoBody, 0);
+}
 
-std::string seer::net::encodeMetrics() { return startFrame(Op::Metrics); }
+std::string seer::net::encodeMetrics() {
+  return encodeFrame(Op::Metrics, NoBody, 0);
+}
 
-std::string seer::net::encodeShutdown() { return startFrame(Op::Shutdown); }
+std::string seer::net::encodeShutdown() {
+  return encodeFrame(Op::Shutdown, NoBody, 0);
+}
 
 // -- Reply encoders --------------------------------------------------------
 
 std::string seer::net::encodeHelloReply(uint32_t Version) {
-  std::string Out = startFrame(Op::RHello);
-  putU32(Out, Version);
-  return Out;
+  return encodeFrame(Op::RHello, VersionBody, Version);
 }
 
 std::string seer::net::encodeOpenReply(uint64_t Handle,
                                        const HandleInfo &Info) {
-  std::string Out = startFrame(Op::ROpen);
-  putU64(Out, Handle);
-  putU64(Out, Info.Fingerprint);
-  putU32(Out, Info.NumRows);
-  putU32(Out, Info.NumCols);
-  putU64(Out, Info.Nnz);
-  putU8(Out, Info.AnalysisReused ? 1 : 0);
-  return Out;
+  return encodeFrame(Op::ROpen, OpenReplyBody, OpenReply{Handle, Info});
 }
 
 std::string seer::net::encodeStatusReply(const Status &S) {
-  std::string Out = startFrame(Op::RStatus);
-  putU8(Out, static_cast<uint8_t>(S.code()));
-  putString(Out, S.message());
-  return Out;
+  return encodeFrame(Op::RStatus, StatusBody,
+                     StatusFields{static_cast<uint8_t>(S.code()), S.message()});
 }
 
 std::string seer::net::encodeResponseReply(const ServeResponse &R) {
-  std::string Out =
-      startFrame(Op::RResponse, ReplyScalarBytes + 8 * R.Y.size());
-  putU64(Out, R.Selection.KernelIndex);
-  putU8(Out, R.Selection.UsedGatheredModel ? 1 : 0);
-  putF64(Out, R.Selection.FeatureCollectionMs);
-  putF64(Out, R.Selection.InferenceMs);
-  putF64(Out, R.ModeledCollectionMs);
-  putU64(Out, R.Fingerprint);
-  putU8(Out, R.CacheHit ? 1 : 0);
-  putU32(Out, R.Iterations);
-  putU8(Out, R.Executed ? 1 : 0);
-  putU8(Out, R.PreprocessAmortized ? 1 : 0);
-  putF64(Out, R.PreprocessMs);
-  putF64(Out, R.ModeledPreprocessMs);
-  putF64(Out, R.IterationMs);
-  putCounted(Out, R.Y);
-  putU8(Out, R.OracleChecked ? 1 : 0);
-  putU64(Out, R.OracleKernelIndex);
-  putU8(Out, R.Mispredicted ? 1 : 0);
-  putF64(Out, R.RegretMs);
-  putF64(Out, R.ServiceMicros);
-  putU8(Out, R.Degraded ? 1 : 0);
-  return Out;
+  return encodeFrame(Op::RResponse, ResponseBody, R);
 }
 
 std::string seer::net::encodeBatchReply(const BatchResponse &R) {
-  size_t YBytes = 0;
-  for (const std::vector<double> &Y : R.Y)
-    YBytes += 8 + 8 * Y.size();
-  std::string Out = startFrame(Op::RBatch, ReplyScalarBytes + YBytes);
-  putU64(Out, R.Selection.KernelIndex);
-  putU8(Out, R.Selection.UsedGatheredModel ? 1 : 0);
-  putF64(Out, R.Selection.FeatureCollectionMs);
-  putF64(Out, R.Selection.InferenceMs);
-  putF64(Out, R.ModeledCollectionMs);
-  putU64(Out, R.Fingerprint);
-  putU8(Out, R.CacheHit ? 1 : 0);
-  putU32(Out, R.Iterations);
-  putU8(Out, R.PreprocessAmortized ? 1 : 0);
-  putF64(Out, R.PreprocessMs);
-  putF64(Out, R.ModeledPreprocessMs);
-  putF64(Out, R.IterationMs);
-  putU64(Out, R.Y.size());
-  for (const std::vector<double> &Y : R.Y)
-    putCounted(Out, Y);
-  putF64(Out, R.ServiceMicros);
-  putU8(Out, R.Degraded ? 1 : 0);
-  return Out;
+  return encodeFrame(Op::RBatch, BatchReplyBody, R);
 }
 
 std::string seer::net::encodeTextReply(Op Kind, const std::string &Text) {
-  std::string Out = startFrame(Kind);
-  putString(Out, Text);
-  return Out;
+  return encodeFrame(Kind, TextBody, Text);
 }
 
 // -- Decoders --------------------------------------------------------------
 
 Expected<uint32_t> seer::net::decodeHello(const std::string &Payload) {
-  Reader R(Payload);
-  uint32_t Version = 0;
-  if (Status S = expectOp(R, Op::Hello); !S.ok())
-    return S;
-  if (Status S = R.u32(Version); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Version;
+  return decodeFrame<uint32_t>(Payload, Op::Hello, VersionBody);
 }
 
 Expected<OpenFrameView> seer::net::viewOpen(const std::string &Payload) {
-  Reader R(Payload);
-  OpenFrameView V;
-  if (Status S = expectOp(R, Op::Open); !S.ok())
-    return S;
-  if (Status S = R.strView(V.Name); !S.ok())
-    return S;
-  if (Status S = R.u32(V.Rows); !S.ok())
-    return S;
-  if (Status S = R.u32(V.Cols); !S.ok())
-    return S;
-  if (Status S = R.u64(V.Nnz); !S.ok())
-    return S;
-  if (Status S = R.arrayImage(V.OffsetBytes, uint64_t(V.Rows) + 1,
-                              sizeof(uint64_t));
-      !S.ok())
-    return S;
-  if (Status S = R.arrayImage(V.ColumnBytes, V.Nnz, sizeof(uint32_t));
-      !S.ok())
-    return S;
-  if (Status S = R.arrayImage(V.ValueBytes, V.Nnz, sizeof(double)); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return V;
+  return decodeFrame<OpenFrameView>(Payload, Op::Open, OpenBody);
 }
 
 Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
@@ -452,270 +503,58 @@ Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
 }
 
 Expected<uint64_t> seer::net::decodeClose(const std::string &Payload) {
-  Reader R(Payload);
-  uint64_t Handle = 0;
-  if (Status S = expectOp(R, Op::Close); !S.ok())
-    return S;
-  if (Status S = R.u64(Handle); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Handle;
+  return decodeFrame<uint64_t>(Payload, Op::Close, HandleBody);
 }
 
 Expected<ExecuteRequest> seer::net::decodeSelect(const std::string &Payload) {
-  Reader R(Payload);
-  ExecuteRequest Out;
-  if (Status S = expectOp(R, Op::Select); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Handle); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Iterations); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Out;
+  return decodeFrame<ExecuteRequest>(Payload, Op::Select, SelectBody);
 }
 
 Expected<ExecuteRequest> seer::net::decodeExecute(const std::string &Payload) {
-  Reader R(Payload);
-  ExecuteRequest Out;
-  uint8_t Verify = 0;
-  if (Status S = expectOp(R, Op::Execute); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Handle); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Iterations); !S.ok())
-    return S;
-  if (Status S = R.u8(Verify); !S.ok())
-    return S;
-  if (Status S = R.counted(Out.Operand); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  Out.Verify = Verify != 0;
-  return Out;
+  return decodeFrame<ExecuteRequest>(Payload, Op::Execute, ExecuteBody);
 }
 
 Expected<BatchRequest> seer::net::decodeBatch(const std::string &Payload) {
-  Reader R(Payload);
-  BatchRequest Out;
-  if (Status S = expectOp(R, Op::Batch); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Handle); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Count); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Iterations); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Out;
+  return decodeFrame<BatchRequest>(Payload, Op::Batch, BatchBody);
 }
 
 Expected<std::string> seer::net::decodeFault(const std::string &Payload) {
-  Reader R(Payload);
-  std::string Spec;
-  if (Status S = expectOp(R, Op::Fault); !S.ok())
-    return S;
-  if (Status S = R.str(Spec); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Spec;
+  return decodeFrame<std::string>(Payload, Op::Fault, TextBody);
 }
 
 Expected<uint32_t> seer::net::decodeHelloReply(const std::string &Payload) {
-  Reader R(Payload);
-  uint32_t Version = 0;
-  if (Status S = expectOp(R, Op::RHello); !S.ok())
-    return S;
-  if (Status S = R.u32(Version); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Version;
+  return decodeFrame<uint32_t>(Payload, Op::RHello, VersionBody);
 }
 
 Expected<OpenReply> seer::net::decodeOpenReply(const std::string &Payload) {
-  Reader R(Payload);
-  OpenReply Out;
-  uint8_t Reused = 0;
-  if (Status S = expectOp(R, Op::ROpen); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Handle); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Info.Fingerprint); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Info.NumRows); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Info.NumCols); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Info.Nnz); !S.ok())
-    return S;
-  if (Status S = R.u8(Reused); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  Out.Info.AnalysisReused = Reused != 0;
-  return Out;
+  return decodeFrame<OpenReply>(Payload, Op::ROpen, OpenReplyBody);
 }
 
 Status seer::net::decodeStatusReply(const std::string &Payload,
                                     Status &Decoded) {
-  Reader R(Payload);
-  uint8_t Code = 0;
-  std::string Message;
-  if (Status S = expectOp(R, Op::RStatus); !S.ok())
-    return S;
-  if (Status S = R.u8(Code); !S.ok())
-    return S;
-  if (Status S = R.str(Message); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  if (Code > static_cast<uint8_t>(StatusCode::DeadlineExceeded))
+  const auto Body = decodeFrame<StatusFields>(Payload, Op::RStatus, StatusBody);
+  if (!Body.ok())
+    return Body.status();
+  if (Body->Code > static_cast<uint8_t>(StatusCode::DeadlineExceeded))
     return Status::invalidArgument("unknown status code on the wire");
-  if (static_cast<StatusCode>(Code) == StatusCode::Ok)
-    Decoded = Status::okStatus();
-  else
-    Decoded = Status(static_cast<StatusCode>(Code), std::move(Message));
+  const auto Code = static_cast<StatusCode>(Body->Code);
+  Decoded = Code == StatusCode::Ok ? Status::okStatus()
+                                   : Status(Code, std::string(Body->Message));
   return Status::okStatus();
 }
 
 Expected<ServeResponse>
 seer::net::decodeResponseReply(const std::string &Payload) {
-  Reader R(Payload);
-  ServeResponse Out;
-  uint64_t Kernel = 0, OracleKernel = 0;
-  uint8_t Gathered = 0, CacheHit = 0, Executed = 0, Amortized = 0;
-  uint8_t OracleChecked = 0, Mispredicted = 0, Degraded = 0;
-  if (Status S = expectOp(R, Op::RResponse); !S.ok())
-    return S;
-  if (Status S = R.u64(Kernel); !S.ok())
-    return S;
-  if (Status S = R.u8(Gathered); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.Selection.FeatureCollectionMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.Selection.InferenceMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.ModeledCollectionMs); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Fingerprint); !S.ok())
-    return S;
-  if (Status S = R.u8(CacheHit); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Iterations); !S.ok())
-    return S;
-  if (Status S = R.u8(Executed); !S.ok())
-    return S;
-  if (Status S = R.u8(Amortized); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.PreprocessMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.ModeledPreprocessMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.IterationMs); !S.ok())
-    return S;
-  if (Status S = R.counted(Out.Y); !S.ok())
-    return S;
-  if (Status S = R.u8(OracleChecked); !S.ok())
-    return S;
-  if (Status S = R.u64(OracleKernel); !S.ok())
-    return S;
-  if (Status S = R.u8(Mispredicted); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.RegretMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.ServiceMicros); !S.ok())
-    return S;
-  if (Status S = R.u8(Degraded); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  Out.Selection.KernelIndex = static_cast<size_t>(Kernel);
-  Out.Selection.UsedGatheredModel = Gathered != 0;
-  Out.CacheHit = CacheHit != 0;
-  Out.Executed = Executed != 0;
-  Out.PreprocessAmortized = Amortized != 0;
-  Out.OracleChecked = OracleChecked != 0;
-  Out.OracleKernelIndex = static_cast<size_t>(OracleKernel);
-  Out.Mispredicted = Mispredicted != 0;
-  Out.Degraded = Degraded != 0;
-  return Out;
+  return decodeFrame<ServeResponse>(Payload, Op::RResponse, ResponseBody);
 }
 
 Expected<BatchResponse>
 seer::net::decodeBatchReply(const std::string &Payload) {
-  Reader R(Payload);
-  BatchResponse Out;
-  uint64_t Kernel = 0, Operands = 0;
-  uint8_t Gathered = 0, CacheHit = 0, Amortized = 0, Degraded = 0;
-  if (Status S = expectOp(R, Op::RBatch); !S.ok())
-    return S;
-  if (Status S = R.u64(Kernel); !S.ok())
-    return S;
-  if (Status S = R.u8(Gathered); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.Selection.FeatureCollectionMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.Selection.InferenceMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.ModeledCollectionMs); !S.ok())
-    return S;
-  if (Status S = R.u64(Out.Fingerprint); !S.ok())
-    return S;
-  if (Status S = R.u8(CacheHit); !S.ok())
-    return S;
-  if (Status S = R.u32(Out.Iterations); !S.ok())
-    return S;
-  if (Status S = R.u8(Amortized); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.PreprocessMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.ModeledPreprocessMs); !S.ok())
-    return S;
-  if (Status S = R.f64(Out.IterationMs); !S.ok())
-    return S;
-  if (Status S = R.u64(Operands); !S.ok())
-    return S;
-  Out.Y.resize(0);
-  Out.Y.reserve(
-      static_cast<size_t>(std::min<uint64_t>(Operands, MaxBatchOperands)));
-  for (uint64_t I = 0; I < Operands; ++I) {
-    std::vector<double> Y;
-    if (Status S = R.counted(Y); !S.ok())
-      return S;
-    Out.Y.push_back(std::move(Y));
-  }
-  if (Status S = R.f64(Out.ServiceMicros); !S.ok())
-    return S;
-  if (Status S = R.u8(Degraded); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  Out.Selection.KernelIndex = static_cast<size_t>(Kernel);
-  Out.Selection.UsedGatheredModel = Gathered != 0;
-  Out.CacheHit = CacheHit != 0;
-  Out.PreprocessAmortized = Amortized != 0;
-  Out.Degraded = Degraded != 0;
-  return Out;
+  return decodeFrame<BatchResponse>(Payload, Op::RBatch, BatchReplyBody);
 }
 
 Expected<std::string> seer::net::decodeTextReply(const std::string &Payload) {
-  Reader R(Payload);
-  uint8_t Code = 0;
-  std::string Text;
-  if (Status S = R.u8(Code); !S.ok())
-    return S;
-  if (Code != static_cast<uint8_t>(Op::RText))
-    return Status::invalidArgument("expected a text reply frame");
-  if (Status S = R.str(Text); !S.ok())
-    return S;
-  if (Status S = R.finish(); !S.ok())
-    return S;
-  return Text;
+  return decodeFrame<std::string>(Payload, Op::RText, TextBody);
 }
 
 Expected<uint64_t> seer::net::requestHandle(const std::string &Payload) {

@@ -22,6 +22,11 @@
 /// bounds-checked against the frame before any allocation, so a hostile
 /// count cannot request memory the frame does not contain.
 ///
+/// Each frame body below is one field list in Wire.cpp. Its encoder runs
+/// the list over a writer and its decoder over a reader whose first short
+/// read or forged count sticks as the frame's INVALID_ARGUMENT, so the
+/// two directions cannot drift and adding a field is one line.
+///
 /// ## Request opcodes (client -> server)
 ///
 ///   Hello     u32 version               version handshake, first frame
@@ -112,7 +117,19 @@ Expected<Op> frameOp(const std::string &Payload);
 /// fault site first, so chaos plans can inject short-frame failures here.
 Status validateFrameLength(uint64_t Length, size_t MaxBytes);
 
-/// Appends \p Payload's u32 length prefix + bytes to \p Out (the frame as
+/// Bytes in a frame's u32 little-endian length prefix.
+inline constexpr size_t FrameHeaderBytes = sizeof(uint32_t);
+
+/// The length prefix of a \p PayloadBytes-byte payload: the one writer of
+/// the frame header.
+std::string frameHeader(size_t PayloadBytes);
+
+/// The payload length declared by the FrameHeaderBytes at \p Header,
+/// checked by validateFrameLength against \p MaxBytes: the one reader of
+/// the frame header.
+Expected<uint32_t> frameLength(const char *Header, size_t MaxBytes);
+
+/// Appends \p Payload's length prefix + bytes to \p Out (the frame as
 /// sent on the wire).
 void appendFrame(std::string &Out, const std::string &Payload);
 

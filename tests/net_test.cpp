@@ -110,6 +110,32 @@ bool bitsEqual(const std::vector<double> &A, const std::vector<double> &B) {
          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
 }
 
+/// A response with every field set away from its default.
+ServeResponse sampleResponse() {
+  ServeResponse R;
+  R.Selection.KernelIndex = 3;
+  R.Selection.UsedGatheredModel = true;
+  R.Selection.FeatureCollectionMs = 0.25;
+  R.Selection.InferenceMs = 1.0 / 3.0;
+  R.ModeledCollectionMs = 0.5;
+  R.Fingerprint = 0x123456789abcdef0ull;
+  R.CacheHit = true;
+  R.Iterations = 19;
+  R.Executed = true;
+  R.PreprocessAmortized = true;
+  R.PreprocessMs = 0.0625;
+  R.ModeledPreprocessMs = 0.125;
+  R.IterationMs = 0.0078125;
+  R.Y = trickyDoubles();
+  R.OracleChecked = true;
+  R.OracleKernelIndex = 5;
+  R.Mispredicted = true;
+  R.RegretMs = 0.03125;
+  R.ServiceMicros = 42.5;
+  R.Degraded = true;
+  return R;
+}
+
 //===----------------------------------------------------------------------===//
 // Codec round-trips
 //===----------------------------------------------------------------------===//
@@ -201,27 +227,7 @@ TEST(WireCodec, RepliesRoundTrip) {
   EXPECT_EQ(Carried.code(), StatusCode::NotFound);
   EXPECT_EQ(Carried.message(), "no handle 9");
 
-  ServeResponse R;
-  R.Selection.KernelIndex = 3;
-  R.Selection.UsedGatheredModel = true;
-  R.Selection.FeatureCollectionMs = 0.25;
-  R.Selection.InferenceMs = 1.0 / 3.0;
-  R.ModeledCollectionMs = 0.5;
-  R.Fingerprint = 0x123456789abcdef0ull;
-  R.CacheHit = true;
-  R.Iterations = 19;
-  R.Executed = true;
-  R.PreprocessAmortized = true;
-  R.PreprocessMs = 0.0625;
-  R.ModeledPreprocessMs = 0.125;
-  R.IterationMs = 0.0078125;
-  R.Y = trickyDoubles();
-  R.OracleChecked = true;
-  R.OracleKernelIndex = 5;
-  R.Mispredicted = true;
-  R.RegretMs = 0.03125;
-  R.ServiceMicros = 42.5;
-  R.Degraded = true;
+  const ServeResponse R = sampleResponse();
   const auto Decoded = decodeResponseReply(encodeResponseReply(R));
   ASSERT_TRUE(Decoded) << Decoded.status().toString();
   EXPECT_EQ(Decoded->Selection.KernelIndex, R.Selection.KernelIndex);
@@ -266,6 +272,86 @@ TEST(WireCodec, RepliesRoundTrip) {
   EXPECT_EQ(*Text, "stat requests 5\nstat hits 2\n");
 }
 
+// The frame layout, pinned byte for byte: every request and reply frame,
+// encoded from fixed inputs, hashes to the value recorded for wire v1. A
+// codec change that moves a byte fails here; a deliberate layout change
+// bumps WireVersion and records these again.
+TEST(WireCodec, EveryFrameKeepsItsV1Bytes) {
+  const CsrMatrix M = CsrMatrix::fromArrays(
+      4, 6, {0, 2, 2, 4, 5}, {0, 3, 1, 5, 2}, {1.5, -2.0, 0.25, 3.0, -0.5});
+  const CsrMatrix Empty = CsrMatrix::fromArrays(0, 0, {0}, {}, {});
+  HandleInfo Info;
+  Info.Fingerprint = 0xdeadbeefcafe1234ull;
+  Info.NumRows = 512;
+  Info.NumCols = 384;
+  Info.Nnz = 4097;
+  Info.AnalysisReused = true;
+  const ServeResponse R = sampleResponse();
+  BatchResponse B;
+  B.Selection.KernelIndex = 2;
+  B.Selection.UsedGatheredModel = true;
+  B.Selection.FeatureCollectionMs = 0.75;
+  B.Selection.InferenceMs = 2.0 / 3.0;
+  B.ModeledCollectionMs = 1.25;
+  B.Fingerprint = 99;
+  B.CacheHit = true;
+  B.Iterations = 4;
+  B.PreprocessAmortized = true;
+  B.PreprocessMs = 0.5;
+  B.ModeledPreprocessMs = 0.5;
+  B.IterationMs = 2.0 / 7.0;
+  B.Y = {trickyDoubles(), {1.5, -2.5}, {}};
+  B.ServiceMicros = 7.25;
+  B.Degraded = true;
+  std::string Framed;
+  appendFrame(Framed, encodeSelect(7, 19));
+
+  struct Probe {
+    const char *Name;
+    std::string Payload;
+    uint64_t Hash;
+  };
+  const Probe Probes[] = {
+      {"hello", encodeHello(), 0x9e8a3c441b92e3f4ull},
+      {"hello v7", encodeHello(7), 0x9c10b54f1b64c2ccull},
+      {"open", encodeOpen("m", M), 0xb5b5432f466a4267ull},
+      {"open empty", encodeOpen("", Empty), 0x7581119e03ee09bdull},
+      {"close", encodeClose(0x0123456789abcdefull), 0x458368ab97fbe6eull},
+      {"select", encodeSelect(7, 19), 0x2a62bd0876cfd7c1ull},
+      {"execute", encodeExecute(9, 3, true, trickyDoubles()),
+       0x5e82d9d73929291dull},
+      {"execute ones", encodeExecute(9, 1, false, {}), 0x936ac59449b1dfd0ull},
+      {"batch", encodeBatch(5, 64, 2), 0x106aeba099f920e9ull},
+      {"fault", encodeFault("net.read nth=1 status=INTERNAL"),
+       0xc2ddf227974979dull},
+      {"stats", encodeStats(), 0x431f0f810a7002a7ull},
+      {"metrics", encodeMetrics(), 0x669e741f161d1d56ull},
+      {"shutdown", encodeShutdown(), 0xcafc7706cee4572bull},
+      {"rhello", encodeHelloReply(), 0xc809c083f670bfdbull},
+      {"ropen", encodeOpenReply(77, Info), 0x539ba2aa22f8b99ull},
+      {"rstatus ok", encodeStatusReply(Status::okStatus()),
+       0x90b7c16c4ae08c75ull},
+      {"rstatus not found", encodeStatusReply(Status::notFound("no handle 9")),
+       0x2a553563ba7d8f2dull},
+      {"rstatus deadline",
+       encodeStatusReply(Status::deadlineExceeded("too late")),
+       0xb16606075df2219aull},
+      {"rresponse", encodeResponseReply(R), 0x601f7860c70b2febull},
+      {"rresponse default", encodeResponseReply(ServeResponse()),
+       0x917f3491e9bc8af3ull},
+      {"rbatch", encodeBatchReply(B), 0x88284d54a5abba5cull},
+      {"rbatch default", encodeBatchReply(BatchResponse()),
+       0xa228fb5bbf3c6e4bull},
+      {"rtext", encodeTextReply(Op::RText, "stat requests 5\n"),
+       0xe629a7342d25de37ull},
+      {"framed select", Framed, 0xa99dbbdecb2b6f32ull},
+  };
+  EXPECT_EQ(WireVersion, 1u);
+  for (const Probe &P : Probes)
+    EXPECT_EQ(xxHash64(P.Payload), P.Hash)
+        << P.Name << ": 0x" << std::hex << xxHash64(P.Payload) << "ull";
+}
+
 //===----------------------------------------------------------------------===//
 // Malformed frames: typed errors, never misparses
 //===----------------------------------------------------------------------===//
@@ -285,6 +371,42 @@ void forgeField(std::string &Payload, size_t At, uint64_t Value, size_t Bytes) {
     Payload[At + I] = static_cast<char>((Value >> (8 * I)) & 0xff);
 }
 
+/// The verdict of \p Kind's decoder on \p Payload (OK when it decodes).
+Status decodeAs(Op Kind, const std::string &Payload) {
+  Status Carried = Status::okStatus();
+  switch (Kind) {
+  case Op::Hello:
+    return decodeHello(Payload).status();
+  case Op::Open:
+    return decodeOpen(Payload).status();
+  case Op::Close:
+    return decodeClose(Payload).status();
+  case Op::Select:
+    return decodeSelect(Payload).status();
+  case Op::Execute:
+    return decodeExecute(Payload).status();
+  case Op::Batch:
+    return decodeBatch(Payload).status();
+  case Op::Fault:
+    return decodeFault(Payload).status();
+  case Op::RHello:
+    return decodeHelloReply(Payload).status();
+  case Op::ROpen:
+    return decodeOpenReply(Payload).status();
+  case Op::RStatus:
+    return decodeStatusReply(Payload, Carried);
+  case Op::RResponse:
+    return decodeResponseReply(Payload).status();
+  case Op::RBatch:
+    return decodeBatchReply(Payload).status();
+  case Op::RText:
+    return decodeTextReply(Payload).status();
+  default:
+    return Status::internal("no decoder for opcode " +
+                            std::to_string(unsigned(Kind)));
+  }
+}
+
 // The bulk array copies trust the count checks alone, so every truncation
 // and every forged count must be a typed error before any copy.
 TEST(WireCodec, MalformedFramesAreTypedErrors) {
@@ -293,61 +415,52 @@ TEST(WireCodec, MalformedFramesAreTypedErrors) {
   EXPECT_EQ(frameOp(std::string(1, '\x7f')).status().code(),
             StatusCode::InvalidArgument);
 
-  // Truncated body: every proper prefix of each well-formed frame. The
-  // matrix has an odd nnz, so its column array ends mid-word.
+  // Truncated body: every proper prefix of each well-formed frame, one of
+  // every opcode that has a body. The matrix has an odd nnz, so its
+  // column array ends mid-word.
   const CsrMatrix M = CsrMatrix::fromArrays(
       4, 6, {0, 2, 2, 4, 5}, {0, 3, 1, 5, 2}, {1.5, -2.0, 0.25, 3.0, -0.5});
   ServeResponse Response;
   Response.Y = trickyDoubles();
+  BatchResponse Batch;
+  Batch.Y = {trickyDoubles(), {}, {1.5}};
+  HandleInfo Info;
+  Info.NumRows = 4;
   const std::string Open = encodeOpen("m", M);
   const std::string Reply = encodeResponseReply(Response);
   const std::string Frames[] = {
-      Open, encodeClose(1), encodeSelect(1, 5),
+      encodeHello(), Open, encodeClose(1), encodeSelect(1, 5),
       encodeExecute(1, 5, true, {1.0, 2.0}), encodeBatch(1, 8, 2),
-      encodeFault("clear"), Reply};
+      encodeFault("clear"), encodeHelloReply(), encodeOpenReply(3, Info),
+      encodeStatusReply(Status::notFound("gone")), Reply,
+      encodeBatchReply(Batch), encodeTextReply(Op::RText, "stat x 1\n")};
   for (const std::string &Payload : Frames) {
     const Op Kind = *frameOp(Payload);
+    ASSERT_TRUE(decodeAs(Kind, Payload).ok()) << "opcode " << unsigned(Kind);
     for (size_t Len = 0; Len < Payload.size(); ++Len) {
       const std::string Short = Payload.substr(0, Len);
-      Status Worst = Status::okStatus();
-      switch (Kind) {
-      case Op::Open:
+      if (Kind == Op::Open) {
         expectOpenRejected(Short, "open prefix " + std::to_string(Len));
         continue;
-      case Op::Close:
-        Worst = decodeClose(Short).status();
-        break;
-      case Op::Select:
-        Worst = decodeSelect(Short).status();
-        break;
-      case Op::Execute:
-        Worst = decodeExecute(Short).status();
-        break;
-      case Op::Batch:
-        Worst = decodeBatch(Short).status();
-        break;
-      case Op::Fault:
-        Worst = decodeFault(Short).status();
-        break;
-      case Op::RResponse:
-        Worst = decodeResponseReply(Short).status();
-        break;
-      default:
-        FAIL() << "unexpected opcode";
       }
+      const Status Worst = decodeAs(Kind, Short);
       EXPECT_EQ(Worst.code(), StatusCode::InvalidArgument)
           << "opcode " << unsigned(Kind) << " prefix " << Len << ": "
           << Worst.toString();
     }
-  }
 
-  // Trailing bytes are rejected, not ignored.
-  EXPECT_EQ(decodeClose(encodeClose(1) + "x").status().code(),
-            StatusCode::InvalidArgument);
-  EXPECT_EQ(decodeSelect(encodeSelect(1, 5) + std::string(2, '\0'))
-                .status()
-                .code(),
-            StatusCode::InvalidArgument);
+    // Trailing bytes are rejected, not ignored.
+    for (const std::string &Tail : {std::string("x"), std::string(2, '\0')}) {
+      if (Kind == Op::Open) {
+        expectOpenRejected(Payload + Tail, "open with a tail");
+        continue;
+      }
+      const Status Padded = decodeAs(Kind, Payload + Tail);
+      EXPECT_EQ(Padded.code(), StatusCode::InvalidArgument)
+          << "opcode " << unsigned(Kind) << " tail " << Tail.size() << ": "
+          << Padded.toString();
+    }
+  }
 
   // A hostile operand count cannot request memory the frame lacks.
   std::string Exec = encodeExecute(1, 5, false, {});
@@ -1104,6 +1217,46 @@ TEST(LbHandlerTest, ShardValidatesOpenContent) {
   EXPECT_EQ(ShardA.stats().Registrations, RegisteredA);
   EXPECT_EQ(ShardB.stats().Registrations, RegisteredB);
   EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 2u);
+
+  LbServer->requestStop();
+  LbServer->join();
+  ServerA->requestStop();
+  ServerA->join();
+  ServerB->requestStop();
+  ServerB->join();
+}
+
+// One mistake, one error: every handle op on a handle that was never
+// issued answers the same Status from a shard as through the balancer,
+// which answers it from its own session without asking a shard.
+TEST(LbHandlerTest, UnknownHandleIsOneErrorDirectAndThroughTheBalancer) {
+  SeerService ShardA(tinyModels()), ShardB(tinyModels());
+  ServiceFrameHandler HandlerA(ShardA), HandlerB(ShardB);
+  auto ServerA = startLoopback(HandlerA);
+  auto ServerB = startLoopback(HandlerB);
+  LbHandler Lb({ShardEndpoint{"127.0.0.1", ServerA->port()},
+                ShardEndpoint{"127.0.0.1", ServerB->port()}});
+  auto LbServer = startLoopback(Lb);
+  auto Direct = NetClient::connect("127.0.0.1", ServerA->port());
+  ASSERT_TRUE(Direct.ok()) << Direct.status().toString();
+  auto Balanced = NetClient::connect("127.0.0.1", LbServer->port());
+  ASSERT_TRUE(Balanced.ok()) << Balanced.status().toString();
+
+  const uint64_t Never = 0xdead;
+  const Status Want = unknownHandle(MatrixHandle{Never});
+  EXPECT_EQ(Want.code(), StatusCode::NotFound);
+  for (NetClient *Client : {&*Direct, &*Balanced}) {
+    const bool ViaLb = Client == &*Balanced;
+    const Status Got[] = {
+        Client->close(Never), Client->select(Never, 5).status(),
+        Client->execute(Never, 5, false, {}).status(),
+        Client->batch(Never, 4, 5).status(),
+        Client->batch(Never, MaxBatchOperands + 1, 5).status()};
+    for (const Status &S : Got) {
+      EXPECT_EQ(S.code(), Want.code()) << ViaLb << " " << S.toString();
+      EXPECT_EQ(S.message(), Want.message()) << ViaLb;
+    }
+  }
 
   LbServer->requestStop();
   LbServer->join();
