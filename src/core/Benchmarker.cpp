@@ -10,6 +10,7 @@
 #include "kernels/FeatureKernels.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
+#include "support/Tracing.h"
 
 #include <algorithm>
 #include <cassert>
@@ -91,8 +92,10 @@ MatrixBenchmark Benchmarker::benchmarkMatrix(const std::string &Name,
   for (double &V : X)
     V = XRng.uniform(-1.0, 1.0);
   std::vector<double> Reference;
-  if (Config.VerifyResults)
+  if (Config.VerifyResults) {
+    ScopedSpan Span(spanname::PlanVerify);
     Reference = M.multiply(X);
+  }
 
   Bench.PerKernel.resize(Registry.size());
   parallelFor(Config.Parallelism, Registry.size(), [&](size_t K) {
@@ -102,6 +105,7 @@ MatrixBenchmark Benchmarker::benchmarkMatrix(const std::string &Name,
     const SpmvRun Run = Pipeline.run(Plan, Analyzed, X);
 
     if (Config.VerifyResults) {
+      ScopedSpan Span(spanname::PlanVerify);
       assert(Run.Y.size() == Reference.size() && "result length mismatch");
       for (uint32_t Row = 0; Row < M.numRows(); ++Row) {
         const double Got = Run.Y[Row];

@@ -48,7 +48,7 @@ LaunchTiming AdaptiveKernelBase::timing(const CsrMatrix &M,
   assert(State != nullptr && "adaptive kernels require preprocessing");
   const auto *Bins = static_cast<const RowBinsState *>(State);
 
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   const double BaseHitRate = estimateGatherHitRate(
       Sim.device(), M.numCols(), Stats.MeanColumnGap);
   // LDS gather staging eliminates a fraction of the misses.

@@ -18,7 +18,7 @@ namespace {
 /// Shared setup for schedules over a CSR matrix.
 LaunchBuilder makeBuilder(const CsrMatrix &M, const MatrixStats &Stats,
                           const GpuSimulator &Sim) {
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   Builder.setGatherHitRate(estimateGatherHitRate(
       Sim.device(), M.numCols(), Stats.MeanColumnGap));
   return Builder;

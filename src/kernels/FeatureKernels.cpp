@@ -31,7 +31,7 @@ namespace {
 /// fixed overhead (the simulator charges the first launch itself).
 LaunchTiming simulateFullCollection(const CsrMatrix &M,
                                     const GpuSimulator &Sim) {
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   Builder.setGatherHitRate(1.0); // offsets/densities are streamed
   const double OpsPerLanePerPass = 12.0;
   for (int Pass = 0; Pass < 2; ++Pass)
@@ -49,7 +49,7 @@ LaunchTiming simulateFullCollection(const CsrMatrix &M,
 /// the full collection.
 LaunchTiming simulateCheapCollection(const CsrMatrix &M,
                                      const GpuSimulator &Sim) {
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   Builder.setGatherHitRate(1.0);
   Builder.addUniformLanes(M.numRows(), /*OpsPerLane=*/8.0,
                           /*CoalescedPerLane=*/8.0,

@@ -41,27 +41,24 @@ std::vector<double> EllThreadMapped::compute(const CsrMatrix &M,
 
 LaunchTiming EllThreadMapped::timing(const CsrMatrix &M,
                                      const MatrixStats &Stats,
-                                     const KernelState *State,
+                                     const KernelState *,
                                      const GpuSimulator &Sim) const {
-  assert(State != nullptr && "ELL,TM requires the converted matrix");
-  const EllMatrix &Ell = static_cast<const EllState *>(State)->Ell;
-  assert(Ell.numRows() == M.numRows() && "state/matrix mismatch");
-
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   // ELL slabs are stored column-major on the device: lane L of a wavefront
   // reads slot K of row Base+L at a fixed stride — perfectly coalesced, so
   // the launch keeps the default StreamEfficiencyFactor of 1.
   Builder.setGatherHitRate(estimateGatherHitRate(
       Sim.device(), M.numCols(), Stats.MeanColumnGap));
 
-  const double Width = Ell.width();
+  // The padded width is the longest row.
+  const double Width = Stats.MaxRowLength;
   const double MeanLength = Stats.MeanRowLength;
   // All lanes iterate the full padded width in lockstep (a padded slot
   // still issues the bounds check + masked ops).
   const double PaddedOps = Width * OpsPerNnz;
   // Padding streams index+value but gathers nothing (masked lanes).
   Builder.addUniformLanes(
-      Ell.numRows(),
+      M.numRows(),
       /*OpsPerLane=*/PaddedOps + 2.0,
       /*CoalescedPerLane=*/Width * StreamBytesPerNnz + 8.0 /*y write*/,
       /*RandomPerLane=*/MeanLength * GatherBytesPerNnz);
@@ -115,13 +112,9 @@ std::vector<double> CooWarpMapped::compute(const CsrMatrix &M,
 
 LaunchTiming CooWarpMapped::timing(const CsrMatrix &M,
                                    const MatrixStats &Stats,
-                                   const KernelState *State,
+                                   const KernelState *,
                                    const GpuSimulator &Sim) const {
-  assert(State != nullptr && "COO,WM requires the converted matrix");
-  const CooMatrix &Coo = static_cast<const CooState *>(State)->Coo;
-  assert(Coo.numRows() == M.numRows() && "state/matrix mismatch");
-
-  LaunchBuilder Builder(Sim.device().WavefrontSize);
+  LaunchBuilder Builder = Sim.launch();
   Builder.setGatherHitRate(estimateGatherHitRate(
       Sim.device(), M.numCols(), Stats.MeanColumnGap));
   // Triples stream contiguously, but the segmented scan's shuffle traffic
@@ -129,18 +122,26 @@ LaunchTiming CooWarpMapped::timing(const CsrMatrix &M,
   // stream this is the most traffic-hungry schedule in the zoo.
   Builder.setStreamEfficiency(0.60);
   const uint32_t WaveSize = Builder.wavefrontSize();
-  const uint64_t Nnz = Coo.nnz();
-  const uint32_t *Rows = Coo.rowIndices().data();
+  const uint64_t Nnz = M.nnz();
+  const uint32_t NumRows = M.numRows();
+  const uint64_t *Offsets = M.rowOffsets().data();
 
   // COO bytes per nonzero: row index (4) + column index (4) + value (8).
   constexpr double CooStreamBytesPerNnz = 16.0;
 
+  // Row is the first row starting after the slice's first nonzero; it only
+  // moves forward, so the walk is O(rows + slices).
+  uint32_t Row = 0;
   for (uint64_t Base = 0; Base < Nnz; Base += WaveSize) {
     const uint64_t End = std::min<uint64_t>(Base + WaveSize, Nnz);
-    // One atomic per run of equal row index in the slice (see compute()).
+    // One atomic per run of equal row index in the slice (see compute()):
+    // a run starts at the slice's first nonzero and at every distinct
+    // row start inside the slice.
+    while (Row < NumRows && Offsets[Row] <= Base)
+      ++Row;
     uint32_t Boundaries = 1;
-    for (uint64_t K = Base + 1; K < End; ++K)
-      Boundaries += Rows[K] != Rows[K - 1];
+    for (; Row < NumRows && Offsets[Row] < End; ++Row)
+      Boundaries += Offsets[Row] != Offsets[Row - 1];
 
     const double Lanes = static_cast<double>(End - Base);
     WavefrontWork Wave;

@@ -21,7 +21,10 @@
 ///
 /// Both kernels build their format from CSR at preprocess time; per the
 /// paper's benchmarking setup the conversion is dataset preparation and is
-/// charged zero time (see SpmvKernel.h).
+/// charged zero time (see SpmvKernel.h). Only compute() reads the converted
+/// format: timing() reads no state, taking ELL's padded width from
+/// MatrixStats::MaxRowLength and COO's per-slice row boundaries from the
+/// CSR row offsets.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,6 +30,10 @@ struct NetServer::EpollConn {
   Socket Sock;
   std::shared_ptr<void> State;
   std::string In;   ///< raw bytes buffered off the socket
+  /// Header+payload bytes of the frame at the front of In once its header
+  /// has been validated (0 before); kept until the frame completes, so
+  /// each frame is checked once however its bytes arrive.
+  size_t FrameBytes = 0;
   std::string Out;  ///< encoded frames waiting to flush
   size_t OutPos = 0;
   bool Busy = false;           ///< one frame is with a worker
@@ -345,25 +349,31 @@ bool NetServer::epollReadable(EpollConn &Conn) {
 
 void NetServer::parseFrames(EpollConn &Conn) {
   while (!Conn.Busy && !Conn.CloseAfterFlush && !Conn.Dead) {
-    if (Conn.In.size() < FrameHeaderBytes)
-      return;
-    const auto Length = frameLength(Conn.In.data(), Config.MaxFrameBytes);
-    if (!Length.ok()) {
-      // Framing is gone; tell the client why, then close after flush.
-      const std::string Reply = protocolError(ProtocolErrors, Length.status());
-      BytesWrittenTotal.add(FrameHeaderBytes + Reply.size());
-      appendFrame(Conn.Out, Reply);
-      Conn.CloseAfterFlush = true;
-      Conn.In.clear();
-      return;
+    if (Conn.FrameBytes == 0) {
+      if (Conn.In.size() < FrameHeaderBytes)
+        return;
+      const auto Length = frameLength(Conn.In.data(), Config.MaxFrameBytes);
+      if (!Length.ok()) {
+        // Framing is gone; tell the client why, then close after flush.
+        const std::string Reply =
+            protocolError(ProtocolErrors, Length.status());
+        BytesWrittenTotal.add(FrameHeaderBytes + Reply.size());
+        appendFrame(Conn.Out, Reply);
+        Conn.CloseAfterFlush = true;
+        Conn.In.clear();
+        return;
+      }
+      Conn.FrameBytes = FrameHeaderBytes + *Length;
     }
-    const size_t FrameBytes = FrameHeaderBytes + *Length;
+    const size_t FrameBytes = Conn.FrameBytes;
     if (Conn.In.size() < FrameBytes)
       return; // frame incomplete
+    Conn.FrameBytes = 0;
     WorkItem Item;
     Item.Fd = Conn.Sock.fd();
     Item.State = Conn.State;
-    Item.Payload = Conn.In.substr(FrameHeaderBytes, *Length);
+    Item.Payload = Conn.In.substr(FrameHeaderBytes,
+                                  FrameBytes - FrameHeaderBytes);
     Conn.In.erase(0, FrameBytes);
     BytesReadTotal.add(FrameBytes);
     Conn.Busy = true;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 using namespace seer;
 using namespace seer::net;
@@ -168,7 +169,7 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
       return encodeStatusReply(ReplyOr.status());
     if (auto ReplyOp = frameOp(*ReplyOr);
         ReplyOp.ok() && *ReplyOp == Op::RStatus)
-      return *ReplyOr; // typed shard failure, forwarded verbatim
+      return std::move(*ReplyOr); // typed shard failure, forwarded verbatim
     auto OpenOr = decodeOpenReply(*ReplyOr);
     if (!OpenOr.ok())
       return protocolError(ProtocolErrors, OpenOr.status());
@@ -196,7 +197,7 @@ std::string LbHandler::handleFrame(const std::shared_ptr<void> &State,
       return encodeStatusReply(ReplyOr.status());
     if (Code == Op::Close && carriedAck(*ReplyOr).ok())
       Sess->Map.erase(It);
-    return *ReplyOr; // replies carry no handles; forward verbatim
+    return std::move(*ReplyOr); // replies carry no handles; forward verbatim
   }
   case Op::Fault: {
     // Chaos directives apply fleet-wide: broadcast, first failure wins.

@@ -472,33 +472,22 @@ Expected<OpenRequest> seer::net::decodeOpen(const std::string &Payload) {
   auto View = viewOpen(Payload);
   if (!View.ok())
     return View.status();
-  const uint64_t Nnz = View->Nnz;
   std::vector<uint64_t> Offsets;
   std::vector<uint32_t> Columns;
   std::vector<double> Values;
   copyArray(View->OffsetBytes, Offsets);
   copyArray(View->ColumnBytes, Columns);
   copyArray(View->ValueBytes, Values);
-  // Validate the invariants fromArrays asserts, so a hostile frame gets a
-  // typed error instead of tripping a debug assert (or building a matrix
-  // that violates kernel preconditions in release builds). The view
-  // already matched the array lengths to the dimensions.
-  if (Offsets.front() != 0 || Offsets.back() != Nnz)
-    return Status::invalidArgument("CSR row offsets malformed");
-  for (size_t I = 0; I + 1 < Offsets.size(); ++I)
-    if (Offsets[I] > Offsets[I + 1])
-      return Status::invalidArgument("CSR row offsets not monotone");
-  for (uint32_t Col : Columns)
-    if (Col >= View->Cols)
-      return Status::invalidArgument("CSR column index out of range");
+  // The view matched the array lengths to the dimensions; the content is
+  // validated once, so a hostile frame gets a typed error.
+  auto Matrix =
+      CsrMatrix::fromUntrustedArrays(View->Rows, View->Cols, std::move(Offsets),
+                                     std::move(Columns), std::move(Values));
+  if (!Matrix.ok())
+    return Matrix.status();
   OpenRequest Out;
   Out.Name.assign(View->Name);
-  Out.Matrix =
-      CsrMatrix::fromArrays(View->Rows, View->Cols, std::move(Offsets),
-                            std::move(Columns), std::move(Values));
-  std::string Why;
-  if (!Out.Matrix.verify(&Why))
-    return Status::invalidArgument("invalid CSR payload: " + Why);
+  Out.Matrix = std::move(*Matrix);
   return Out;
 }
 

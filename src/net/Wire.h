@@ -202,9 +202,9 @@ Expected<uint32_t> decodeHello(const std::string &Payload);
 /// trails — not the CSR content: the balancer routes on this view
 /// (net/ShardRouter.h) and leaves content validation to the shard.
 Expected<OpenFrameView> viewOpen(const std::string &Payload);
-/// viewOpen, a copy of the arrays, then full CSR validation: monotone row
-/// offsets from 0 to nnz, columns below the column count, and
-/// CsrMatrix::verify().
+/// viewOpen, a copy of the arrays, then one full CSR validation
+/// (CsrMatrix::fromUntrustedArrays): monotone row offsets from 0 to nnz,
+/// then columns below the column count and strictly increasing per row.
 Expected<OpenRequest> decodeOpen(const std::string &Payload);
 Expected<uint64_t> decodeClose(const std::string &Payload);
 /// Select decodes to an ExecuteRequest with Verify/Operand defaulted.

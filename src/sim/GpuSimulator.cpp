@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
+#include <functional>
 #include <vector>
 
 using namespace seer;
@@ -18,89 +18,92 @@ void LaunchBuilder::addUniformLanes(uint64_t Lanes, double OpsPerLane,
                                     double CoalescedPerLane,
                                     double RandomPerLane,
                                     double AtomicPerLane) {
-  uint64_t Remaining = Lanes;
-  while (Remaining > 0) {
+  assert(!InWavefront && "addUniformLanes inside begin/end pair");
+  for (uint64_t Remaining = Lanes; Remaining > 0;) {
     const uint32_t InThisWave = static_cast<uint32_t>(
-        std::min<uint64_t>(Remaining, WavefrontSize));
-    beginWavefront();
+        std::min<uint64_t>(Remaining, Device.WavefrontSize));
     // All lanes are identical, so one aggregate update suffices.
-    Current.MaxLaneOps = OpsPerLane;
-    Current.CoalescedBytes = CoalescedPerLane * InThisWave;
-    Current.RandomBytes = RandomPerLane * InThisWave;
-    Current.AtomicOps = AtomicPerLane * InThisWave;
-    Current.ActiveLanes = InThisWave;
-    endWavefront();
+    WavefrontWork Wave;
+    Wave.MaxLaneOps = OpsPerLane;
+    Wave.CoalescedBytes = CoalescedPerLane * InThisWave;
+    Wave.RandomBytes = RandomPerLane * InThisWave;
+    Wave.AtomicOps = AtomicPerLane * InThisWave;
+    Wave.ActiveLanes = InThisWave;
+    fold(Wave);
     Remaining -= InThisWave;
   }
 }
 
+namespace {
+
+/// Makespan of greedy list scheduling: \p Cycles (more than \p NumSlots
+/// wavefronts) dispatched in order, each to the least loaded slot. Each
+/// of the first NumSlots wavefronts lands on an empty slot, so the
+/// min-heap of slot loads starts as their busy cycles; every later
+/// wavefront adds to the root's load and sifts it down once.
+double greedyMakespan(const std::vector<double> &Cycles, uint32_t NumSlots) {
+  assert(Cycles.size() > NumSlots && "every wavefront has its own slot");
+  std::vector<double> Loads(Cycles.begin(), Cycles.begin() + NumSlots);
+  double Makespan = *std::max_element(Loads.begin(), Loads.end());
+  std::make_heap(Loads.begin(), Loads.end(), std::greater<double>());
+  for (size_t I = NumSlots; I < Cycles.size(); ++I) {
+    const double Load = Loads[0] + Cycles[I];
+    Makespan = std::max(Makespan, Load);
+    size_t Hole = 0;
+    for (size_t Child = 1; Child < NumSlots; Child = 2 * Hole + 1) {
+      if (Child + 1 < NumSlots && Loads[Child + 1] < Loads[Child])
+        ++Child;
+      if (!(Loads[Child] < Load))
+        break;
+      Loads[Hole] = Loads[Child];
+      Hole = Child;
+    }
+    Loads[Hole] = Load;
+  }
+  return Makespan;
+}
+
+} // namespace
+
 LaunchTiming GpuSimulator::simulate(const KernelLaunch &Launch) const {
+  assert((Launch.Device == nullptr || Launch.Device == &Model) &&
+         "launch built for another device");
   LaunchTiming Timing;
-  Timing.NumWavefronts = Launch.Wavefronts.size();
+  Timing.NumWavefronts = Launch.NumWavefronts;
   Timing.OverheadMs =
       (Model.LaunchOverheadUs + Launch.FixedOverheadUs) * 1e-3;
 
-  if (Launch.Wavefronts.empty()) {
+  if (Launch.NumWavefronts == 0) {
     Timing.TotalMs = Timing.OverheadMs;
     return Timing;
   }
 
   // --- Compute makespan: greedy list scheduling onto CU x SIMD slots. ---
   const uint32_t NumSlots = Model.numSlots();
-  double TotalBusyCycles = 0.0;
-  double MaxWaveCycles = 0.0;
-  std::vector<double> WaveCycles;
-  WaveCycles.reserve(Launch.Wavefronts.size());
-  for (const WavefrontWork &Wave : Launch.Wavefronts) {
-    const double Busy = Wave.MaxLaneOps * Model.CyclesPerOp +
-                        Wave.AtomicOps * Model.CyclesPerAtomic +
-                        Model.WavefrontOverheadCycles;
-    WaveCycles.push_back(Busy);
-    TotalBusyCycles += Busy;
-    MaxWaveCycles = std::max(MaxWaveCycles, Busy);
-  }
-
   double MakespanCycles;
-  if (Launch.Wavefronts.size() <= NumSlots) {
+  if (Launch.NumWavefronts <= NumSlots) {
     // Fewer wavefronts than slots: the longest wavefront is the makespan.
-    MakespanCycles = MaxWaveCycles;
-  } else if (Launch.Wavefronts.size() > 16 * NumSlots) {
+    MakespanCycles = Launch.MaxBusyCycles;
+  } else if (Launch.NumWavefronts > exactScheduleLimit(Model)) {
     // Deep oversubscription: greedy scheduling converges to the balanced
     // bound; skip the heap to keep huge launches cheap to simulate. The
     // classic Graham bound caps the error we ignore at the longest single
     // wavefront, which we add back conservatively.
-    MakespanCycles =
-        TotalBusyCycles / NumSlots + MaxWaveCycles;
+    MakespanCycles = Launch.BusyCycles / NumSlots + Launch.MaxBusyCycles;
   } else {
-    // Exact greedy: dispatch in submission order to the least loaded slot.
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        Slots;
-    for (uint32_t I = 0; I < NumSlots; ++I)
-      Slots.push(0.0);
-    double Makespan = 0.0;
-    for (double Busy : WaveCycles) {
-      const double Load = Slots.top() + Busy;
-      Slots.pop();
-      Slots.push(Load);
-      Makespan = std::max(Makespan, Load);
-    }
-    MakespanCycles = Makespan;
+    assert(Launch.ScheduleCycles.size() == Launch.NumWavefronts &&
+           "exact schedule needs every wavefront's busy cycles");
+    MakespanCycles = greedyMakespan(Launch.ScheduleCycles, NumSlots);
   }
   Timing.ComputeMs = Model.cyclesToMs(MakespanCycles);
 
   // --- Memory roofline. ---
-  double CoalescedBytes = 0.0;
-  double RandomBytes = 0.0;
-  for (const WavefrontWork &Wave : Launch.Wavefronts) {
-    CoalescedBytes += Wave.CoalescedBytes;
-    RandomBytes += Wave.RandomBytes;
-  }
   // A gather miss drags CacheLineBytes of traffic for 8 useful bytes.
   const double MissInflation = Model.CacheLineBytes / 8.0;
   const double HitRate = Launch.GatherHitRate;
   const double EffectiveRandomBytes =
-      RandomBytes * (HitRate + (1.0 - HitRate) * MissInflation);
-  Timing.DramBytes = CoalescedBytes + EffectiveRandomBytes;
+      Launch.RandomBytes * (HitRate + (1.0 - HitRate) * MissInflation);
+  Timing.DramBytes = Launch.CoalescedBytes + EffectiveRandomBytes;
   const double BytesPerMs = Model.MemoryBandwidthGBs *
                             Model.StreamEfficiency *
                             Launch.StreamEfficiencyFactor * 1e6;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Deterministic timing simulator for SpMV-class kernels. Given a
-/// KernelLaunch (wavefront work aggregates), it produces a wall-clock
-/// estimate as the max of:
+/// KernelLaunch (wavefront work folded into aggregates), it produces a
+/// wall-clock estimate as the max of:
 ///
 ///  1. *Compute makespan*: each wavefront's busy time is its lockstep issue
 ///     length (max lane ops) plus per-wavefront overhead plus serialized
@@ -15,7 +15,9 @@
 ///     loaded of NumComputeUnits x SimdsPerCu slots (greedy list
 ///     scheduling), and the makespan is the largest slot load. Load
 ///     imbalance, SIMD divergence and low-parallelism underutilization all
-///     emerge from this step.
+///     emerge from this step. A launch of at most exactScheduleLimit()
+///     wavefronts is scheduled exactly; a larger one takes the balanced
+///     bound plus its longest wavefront.
 ///
 ///  2. *Memory roofline*: coalesced traffic moves at StreamEfficiency x
 ///     peak; gathers that miss in L2 drag a whole cache line per useful
@@ -23,7 +25,9 @@
 ///     kernels estimate from the matrix's column locality (helper below).
 ///
 /// plus fixed launch/readback overheads. The simulator is a pure function;
-/// all measurement noise is added (seeded) by the benchmarking layer.
+/// all measurement noise is added (seeded) by the benchmarking layer. A
+/// launch is built by the LaunchBuilder that launch() hands out, so one
+/// simulation takes O(1) memory plus the bounded exact-schedule buffer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +65,10 @@ public:
 
   const DeviceModel &device() const { return Model; }
 
-  /// Simulates one kernel launch.
+  /// A builder for one launch on this simulator's device.
+  LaunchBuilder launch() const { return LaunchBuilder(Model); }
+
+  /// Simulates one kernel launch built by launch() (or default-constructed).
   LaunchTiming simulate(const KernelLaunch &Launch) const;
 
 private:

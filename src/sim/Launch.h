@@ -14,20 +14,31 @@
 ///  - total coalesced and random (gather) memory traffic;
 ///  - total atomic updates (serialized within the wavefront).
 ///
-/// LaunchBuilder accumulates those aggregates as the kernel walks its
-/// schedule, so memory stays O(#wavefronts) even for multi-million-nonzero
-/// matrices.
+/// LaunchBuilder folds each wavefront, as the kernel walks its schedule,
+/// into launch-wide aggregates: the count, the sum and the max of the
+/// wavefronts' busy cycles on the device, and the coalesced and random
+/// byte sums. A launch therefore takes O(1) memory plus a bounded
+/// exact-schedule buffer: the per-wavefront busy cycles, kept only while
+/// the launch is small enough (exactScheduleLimit()) for the simulator to
+/// schedule its wavefronts one by one. Larger launches are priced by a
+/// closed-form bound that needs only the aggregates.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEER_SIM_LAUNCH_H
 #define SEER_SIM_LAUNCH_H
 
+#include "sim/DeviceModel.h"
+
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace seer {
+
+class GpuSimulator;
 
 /// Aggregated description of one wavefront's work.
 struct WavefrontWork {
@@ -43,9 +54,28 @@ struct WavefrontWork {
   uint32_t ActiveLanes = 0;
 };
 
-/// A whole kernel launch: wavefronts plus launch-wide memory locality.
+/// The most wavefronts the simulator schedules one by one on \p Device;
+/// a larger launch takes the closed-form bound (see GpuSimulator.h).
+inline uint64_t exactScheduleLimit(const DeviceModel &Device) {
+  return 16ull * Device.numSlots();
+}
+
+/// A whole kernel launch: its wavefronts folded into aggregates (in
+/// submission order) plus launch-wide memory locality. A LaunchBuilder
+/// fills the aggregates for one device; a default-constructed launch has
+/// no wavefronts.
 struct KernelLaunch {
-  std::vector<WavefrontWork> Wavefronts;
+  /// Non-empty wavefronts folded in.
+  uint64_t NumWavefronts = 0;
+  /// Sum and maximum of the wavefronts' busy cycles.
+  double BusyCycles = 0.0;
+  double MaxBusyCycles = 0.0;
+  /// Coalesced and random bytes summed over the wavefronts.
+  double CoalescedBytes = 0.0;
+  double RandomBytes = 0.0;
+  /// Each wavefront's busy cycles in submission order while NumWavefronts
+  /// is at most exactScheduleLimit(); empty beyond it.
+  std::vector<double> ScheduleCycles;
   /// Estimated probability that a gather hits in L2 (see
   /// estimateGatherHitRate); 1.0 means gathers are as cheap as streams.
   double GatherHitRate = 1.0;
@@ -57,14 +87,16 @@ struct KernelLaunch {
   double StreamEfficiencyFactor = 1.0;
   /// Extra fixed host-visible time (e.g. a device->host readback).
   double FixedOverheadUs = 0.0;
+  /// The device whose cycle costs priced the wavefronts; nullptr for a
+  /// default-constructed launch.
+  const DeviceModel *Device = nullptr;
 };
 
-/// Incrementally builds a KernelLaunch.
+/// Incrementally builds a KernelLaunch for one device. Only
+/// GpuSimulator::launch() makes one, so a launch is simulated on the
+/// device that priced its wavefronts.
 class LaunchBuilder {
 public:
-  explicit LaunchBuilder(uint32_t WavefrontSize)
-      : WavefrontSize(WavefrontSize) {}
-
   /// Opens a new wavefront; lanes are then added with addLane().
   void beginWavefront() {
     assert(!InWavefront && "nested wavefront");
@@ -76,7 +108,8 @@ public:
   void addLane(double Ops, double CoalescedBytes, double RandomBytes,
                double AtomicOps = 0.0) {
     assert(InWavefront && "addLane outside wavefront");
-    assert(Current.ActiveLanes < WavefrontSize && "wavefront overfilled");
+    assert(Current.ActiveLanes < Device.WavefrontSize &&
+           "wavefront overfilled");
     Current.MaxLaneOps = Current.MaxLaneOps < Ops ? Ops : Current.MaxLaneOps;
     Current.CoalescedBytes += CoalescedBytes;
     Current.RandomBytes += RandomBytes;
@@ -89,16 +122,16 @@ public:
     assert(InWavefront && "endWavefront without begin");
     InWavefront = false;
     if (Current.ActiveLanes > 0)
-      Launch.Wavefronts.push_back(Current);
+      fold(Current);
   }
 
   /// Adds a wavefront whose aggregates the kernel computed analytically
   /// (e.g. one-wavefront-per-row schedules know max lane ops in O(1)).
   void addWavefront(const WavefrontWork &Work) {
     assert(!InWavefront && "addWavefront inside begin/end pair");
-    assert(Work.ActiveLanes <= WavefrontSize && "wavefront overfilled");
+    assert(Work.ActiveLanes <= Device.WavefrontSize && "wavefront overfilled");
     if (Work.ActiveLanes > 0)
-      Launch.Wavefronts.push_back(Work);
+      fold(Work);
   }
 
   /// Convenience: emits ceil(Lanes / WavefrontSize) wavefronts of identical
@@ -123,7 +156,7 @@ public:
   void addFixedOverheadUs(double Us) { Launch.FixedOverheadUs += Us; }
 
   /// Lanes per wavefront for this device.
-  uint32_t wavefrontSize() const { return WavefrontSize; }
+  uint32_t wavefrontSize() const { return Device.WavefrontSize; }
 
   /// Finalizes and returns the launch.
   KernelLaunch take() {
@@ -132,7 +165,32 @@ public:
   }
 
 private:
-  uint32_t WavefrontSize;
+  friend class GpuSimulator;
+
+  explicit LaunchBuilder(const DeviceModel &Device)
+      : Device(Device), ScheduleLimit(exactScheduleLimit(Device)) {
+    Launch.Device = &Device;
+  }
+
+  /// Folds one non-empty wavefront into the aggregates. Every sum adds in
+  /// submission order.
+  void fold(const WavefrontWork &Wave) {
+    const double Busy = Wave.MaxLaneOps * Device.CyclesPerOp +
+                        Wave.AtomicOps * Device.CyclesPerAtomic +
+                        Device.WavefrontOverheadCycles;
+    ++Launch.NumWavefronts;
+    Launch.BusyCycles += Busy;
+    Launch.MaxBusyCycles = std::max(Launch.MaxBusyCycles, Busy);
+    Launch.CoalescedBytes += Wave.CoalescedBytes;
+    Launch.RandomBytes += Wave.RandomBytes;
+    if (Launch.NumWavefronts <= ScheduleLimit)
+      Launch.ScheduleCycles.push_back(Busy);
+    else if (Launch.NumWavefronts == ScheduleLimit + 1)
+      Launch.ScheduleCycles = std::vector<double>(); // past the exact path
+  }
+
+  const DeviceModel &Device;
+  uint64_t ScheduleLimit;
   bool InWavefront = false;
   WavefrontWork Current;
   KernelLaunch Launch;

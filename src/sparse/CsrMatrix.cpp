@@ -7,6 +7,7 @@
 #include "sparse/CsrMatrix.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace seer;
 
@@ -50,20 +51,34 @@ CsrMatrix CsrMatrix::fromTriplets(uint32_t NumRows, uint32_t NumCols,
   return M;
 }
 
+CsrMatrix::CsrMatrix(uint32_t NumRows, uint32_t NumCols,
+                     std::vector<uint64_t> RowOffsets,
+                     std::vector<uint32_t> ColumnIndices,
+                     std::vector<double> Values)
+    : NumRows(NumRows), NumCols(NumCols), RowOffsets(std::move(RowOffsets)),
+      ColumnIndices(std::move(ColumnIndices)), Values(std::move(Values)) {}
+
 CsrMatrix CsrMatrix::fromArrays(uint32_t NumRows, uint32_t NumCols,
                                 std::vector<uint64_t> RowOffsets,
                                 std::vector<uint32_t> ColumnIndices,
                                 std::vector<double> Values) {
-  CsrMatrix M;
-  M.NumRows = NumRows;
-  M.NumCols = NumCols;
-  M.RowOffsets = std::move(RowOffsets);
-  M.ColumnIndices = std::move(ColumnIndices);
-  M.Values = std::move(Values);
+  CsrMatrix M(NumRows, NumCols, std::move(RowOffsets),
+              std::move(ColumnIndices), std::move(Values));
 #ifndef NDEBUG
   std::string Why;
   assert(M.verify(&Why) && "fromArrays: invalid CSR structure");
 #endif
+  return M;
+}
+
+Expected<CsrMatrix> CsrMatrix::fromUntrustedArrays(
+    uint32_t NumRows, uint32_t NumCols, std::vector<uint64_t> RowOffsets,
+    std::vector<uint32_t> ColumnIndices, std::vector<double> Values) {
+  CsrMatrix M(NumRows, NumCols, std::move(RowOffsets),
+              std::move(ColumnIndices), std::move(Values));
+  std::string Why;
+  if (!M.verify(&Why))
+    return Status::invalidArgument("invalid CSR structure: " + Why);
   return M;
 }
 
@@ -100,10 +115,12 @@ bool CsrMatrix::verify(std::string *Why) const {
     return Fail("last row offset must equal nnz");
   if (ColumnIndices.size() != Values.size())
     return Fail("column/value arrays differ in length");
-  for (uint32_t Row = 0; Row < NumRows; ++Row) {
+  // Every offset first: monotone offsets from 0 to nnz keep the column
+  // scan below inside the column array.
+  for (uint32_t Row = 0; Row < NumRows; ++Row)
     if (RowOffsets[Row] > RowOffsets[Row + 1])
-      return Fail("row offsets must be non-decreasing (row " +
-                  std::to_string(Row) + ")");
+      return Fail("row offsets not monotone at row " + std::to_string(Row));
+  for (uint32_t Row = 0; Row < NumRows; ++Row) {
     for (uint64_t K = RowOffsets[Row]; K < RowOffsets[Row + 1]; ++K) {
       if (ColumnIndices[K] >= NumCols)
         return Fail("column index out of range at entry " + std::to_string(K));

@@ -15,6 +15,8 @@
 #ifndef SEER_SPARSE_CSRMATRIX_H
 #define SEER_SPARSE_CSRMATRIX_H
 
+#include "api/Status.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -53,6 +55,13 @@ public:
                               std::vector<uint32_t> ColumnIndices,
                               std::vector<double> Values);
 
+  /// Adopts arrays from outside the program: validates them once with
+  /// verify(), in every build, and returns INVALID_ARGUMENT naming the
+  /// first violated invariant instead of a matrix.
+  static Expected<CsrMatrix> fromUntrustedArrays(
+      uint32_t NumRows, uint32_t NumCols, std::vector<uint64_t> RowOffsets,
+      std::vector<uint32_t> ColumnIndices, std::vector<double> Values);
+
   uint32_t numRows() const { return NumRows; }
   uint32_t numCols() const { return NumCols; }
   uint64_t nnz() const { return ColumnIndices.size(); }
@@ -83,6 +92,11 @@ public:
   bool empty() const { return ColumnIndices.empty(); }
 
 private:
+  /// Adopts the arrays as given; the factories above check them.
+  CsrMatrix(uint32_t NumRows, uint32_t NumCols,
+            std::vector<uint64_t> RowOffsets,
+            std::vector<uint32_t> ColumnIndices, std::vector<double> Values);
+
   uint32_t NumRows = 0;
   uint32_t NumCols = 0;
   std::vector<uint64_t> RowOffsets = {0};

@@ -52,6 +52,7 @@ inline constexpr const char *PlanCollect = "plan.collect";
 inline constexpr const char *PlanSelect = "plan.select";
 inline constexpr const char *PlanPrepare = "plan.prepare";
 inline constexpr const char *PlanRun = "plan.run";
+inline constexpr const char *PlanVerify = "plan.verify";
 inline constexpr const char *CacheProbe = "cache.probe";
 inline constexpr const char *CacheLedger = "cache.ledger";
 inline constexpr const char *CacheEvict = "cache.evict";

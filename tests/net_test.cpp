@@ -779,6 +779,55 @@ std::unique_ptr<NetServer> startLoopback(FrameHandler &Handler) {
   return std::move(*Server);
 }
 
+/// Answers every frame with its own payload.
+struct EchoHandler : FrameHandler {
+  std::string handleFrame(const std::shared_ptr<void> &, Op,
+                          const std::string &Payload) override {
+    return Payload;
+  }
+};
+
+/// Reads one frame without readFrame's `net.frame` check, so a test
+/// counts the server's checks alone.
+std::string readUncheckedFrame(Socket &Sock) {
+  uint32_t Length = 0;
+  EXPECT_TRUE(Sock.recvAll(&Length, FrameHeaderBytes).ok());
+  std::string Payload(Length, '\0');
+  EXPECT_TRUE(Sock.recvAll(Payload.data(), Payload.size()).ok());
+  return Payload;
+}
+
+TEST(NetFaults, ServerChecksTheFrameSiteOncePerFrame) {
+  DisarmGuard Guard;
+  EchoHandler Echo;
+  auto Server = startLoopback(Echo);
+  auto Sock = Socket::connectTo("127.0.0.1", Server->port());
+  ASSERT_TRUE(Sock.ok()) << Sock.status().toString();
+  const std::string Payload =
+      encodeExecute(1, 5, false, std::vector<double>(64, 1.5));
+  std::string Wire;
+  appendFrame(Wire, Payload);
+  ASSERT_GT(Wire.size(), 100u);
+  const auto CarriedStatus = [](const std::string &Reply) {
+    Status Carried = Status::okStatus();
+    EXPECT_TRUE(decodeStatusReply(Reply, Carried).ok());
+    return Carried;
+  };
+
+  // Every second check fails. The first frame arrives as 100 bytes, a
+  // pause, then the rest: checked once, it is echoed whole however its
+  // bytes arrive. The second frame, sent whole, takes the second check.
+  armPlan("net.frame every=2 status=UNAVAILABLE forged");
+  ASSERT_TRUE(Sock->sendAll(Wire.data(), 100).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(Sock->sendAll(Wire.data() + 100, Wire.size() - 100).ok());
+  const std::string Echoed = readUncheckedFrame(*Sock);
+  EXPECT_TRUE(Echoed == Payload) << CarriedStatus(Echoed).toString();
+  ASSERT_TRUE(Sock->sendAll(Wire.data(), Wire.size()).ok());
+  EXPECT_EQ(CarriedStatus(readUncheckedFrame(*Sock)).code(),
+            StatusCode::Unavailable);
+}
+
 TEST(NetServerTest, EpollLoopbackBitIdentity) {
   SeerService Remote(tinyModels());
   ServiceFrameHandler Handler(Remote);
@@ -1196,8 +1245,27 @@ TEST(LbHandlerTest, ShardValidatesOpenContent) {
   EXPECT_NE(Column.message().find("column index out of range"),
             std::string::npos)
       << Column.toString();
-  // Both reached a shard: the shards, not the balancer, counted them.
-  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 2u);
+
+  // A 1x3 matrix whose one row lists columns 2, 0, and one whose row
+  // lists column 1 twice: every column is in range, but not strictly
+  // increasing.
+  const std::string Row = encodeOpen(
+      "m", CsrMatrix::fromTriplets(1, 3, {{0, 0, 1.0}, {0, 2, 2.0}}));
+  const size_t RowColumnsAt = OffsetsAt + 8 * 2;
+  for (const auto &[First, Second] : {std::pair<uint32_t, uint32_t>{2, 0},
+                                      std::pair<uint32_t, uint32_t>{1, 1}}) {
+    std::string Forged = Row;
+    forgeField(Forged, RowColumnsAt, First, 4);
+    forgeField(Forged, RowColumnsAt + 4, Second, 4);
+    const Status Order = CallStatus(Forged);
+    EXPECT_EQ(Order.code(), StatusCode::InvalidArgument)
+        << "columns " << First << ", " << Second << ": " << Order.toString();
+    EXPECT_NE(Order.message().find("not strictly increasing"),
+              std::string::npos)
+        << Order.toString();
+  }
+  // All four reached a shard: the shards, not the balancer, counted them.
+  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 4u);
 
   // The connection survives; a valid open on it succeeds.
   const auto Open = Client->open("m", M);
@@ -1216,7 +1284,7 @@ TEST(LbHandlerTest, ShardValidatesOpenContent) {
             StatusCode::InvalidArgument);
   EXPECT_EQ(ShardA.stats().Registrations, RegisteredA);
   EXPECT_EQ(ShardB.stats().Registrations, RegisteredB);
-  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 2u);
+  EXPECT_EQ(protocolErrors(ShardA) + protocolErrors(ShardB), 4u);
 
   LbServer->requestStop();
   LbServer->join();

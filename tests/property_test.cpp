@@ -142,7 +142,7 @@ class SimulatorMonotonicityProperty
 TEST_P(SimulatorMonotonicityProperty, MoreWorkNeverFaster) {
   Rng R(GetParam());
   const GpuSimulator Sim(DeviceModel::mi100());
-  LaunchBuilder Small(64), Large(64);
+  LaunchBuilder Small = Sim.launch(), Large = Sim.launch();
   const size_t Waves = 1 + R.bounded(200);
   for (size_t I = 0; I < Waves; ++I) {
     WavefrontWork Work;
@@ -164,15 +164,16 @@ TEST_P(SimulatorMonotonicityProperty, MoreWorkNeverFaster) {
 TEST_P(SimulatorMonotonicityProperty, WorseLocalityNeverFaster) {
   Rng R(GetParam() ^ 0xabcd);
   const GpuSimulator Sim(DeviceModel::mi100());
-  KernelLaunch Launch;
+  LaunchBuilder Builder = Sim.launch();
   const size_t Waves = 1 + R.bounded(100);
   for (size_t I = 0; I < Waves; ++I) {
     WavefrontWork Work;
     Work.MaxLaneOps = R.uniform(1.0, 100.0);
     Work.RandomBytes = R.uniform(1e3, 1e5);
     Work.ActiveLanes = 64;
-    Launch.Wavefronts.push_back(Work);
+    Builder.addWavefront(Work);
   }
+  KernelLaunch Launch = Builder.take();
   double Previous = -1.0;
   for (double HitRate : {1.0, 0.75, 0.5, 0.25, 0.0}) {
     Launch.GatherHitRate = HitRate;
@@ -185,21 +186,22 @@ TEST_P(SimulatorMonotonicityProperty, WorseLocalityNeverFaster) {
 /// A device with more compute units is never slower on the same launch.
 TEST_P(SimulatorMonotonicityProperty, MoreComputeUnitsNeverSlower) {
   Rng R(GetParam() ^ 0x7777);
-  KernelLaunch Launch;
-  const size_t Waves = 1 + R.bounded(3000);
-  for (size_t I = 0; I < Waves; ++I) {
-    WavefrontWork Work;
+  std::vector<WavefrontWork> Waves(1 + R.bounded(3000));
+  for (WavefrontWork &Work : Waves) {
     Work.MaxLaneOps = R.uniform(1.0, 300.0);
     Work.ActiveLanes = 64;
-    Launch.Wavefronts.push_back(Work);
   }
-  DeviceModel Small = DeviceModel::mi100();
-  Small.NumComputeUnits = 30;
-  DeviceModel Big = DeviceModel::mi100();
-  Big.NumComputeUnits = 120;
-  const double SmallMs = GpuSimulator(Small).simulate(Launch).ComputeMs;
-  const double BigMs = GpuSimulator(Big).simulate(Launch).ComputeMs;
-  EXPECT_LE(BigMs, SmallMs + 1e-12);
+  // A launch is priced for one device, so each device builds its own.
+  const auto ComputeMs = [&](uint32_t NumComputeUnits) {
+    DeviceModel Device = DeviceModel::mi100();
+    Device.NumComputeUnits = NumComputeUnits;
+    const GpuSimulator Sim(Device);
+    LaunchBuilder Builder = Sim.launch();
+    for (const WavefrontWork &Work : Waves)
+      Builder.addWavefront(Work);
+    return Sim.simulate(Builder.take()).ComputeMs;
+  };
+  EXPECT_LE(ComputeMs(120), ComputeMs(30) + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorMonotonicityProperty,

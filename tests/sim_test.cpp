@@ -5,8 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/GpuSimulator.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <vector>
 
 using namespace seer;
 
@@ -14,10 +20,11 @@ namespace {
 
 GpuSimulator makeSim() { return GpuSimulator(DeviceModel::mi100()); }
 
-/// A launch of \p Waves identical wavefronts with \p Ops max lane ops.
-KernelLaunch uniformLaunch(uint64_t Waves, double Ops, double Coalesced = 0.0,
-                           double Random = 0.0) {
-  LaunchBuilder Builder(64);
+/// A launch on \p Sim of \p Waves identical wavefronts with \p Ops max
+/// lane ops.
+KernelLaunch uniformLaunch(const GpuSimulator &Sim, uint64_t Waves, double Ops,
+                           double Coalesced = 0.0, double Random = 0.0) {
+  LaunchBuilder Builder = Sim.launch();
   for (uint64_t I = 0; I < Waves; ++I) {
     WavefrontWork Work;
     Work.MaxLaneOps = Ops;
@@ -27,6 +34,35 @@ KernelLaunch uniformLaunch(uint64_t Waves, double Ops, double Coalesced = 0.0,
     Builder.addWavefront(Work);
   }
   return Builder.take();
+}
+
+/// Reference compute makespan over every wavefront's busy cycles: greedy
+/// list scheduling through a plain std::priority_queue of slot loads, and
+/// the closed-form bound past \p ExactLimit wavefronts.
+double referenceMakespan(const std::vector<double> &Busy, uint32_t NumSlots,
+                         uint64_t ExactLimit) {
+  double Sum = 0.0;
+  double Max = 0.0;
+  for (double B : Busy) {
+    Sum += B;
+    Max = std::max(Max, B);
+  }
+  if (Busy.size() <= NumSlots)
+    return Max;
+  if (Busy.size() > ExactLimit)
+    return Sum / NumSlots + Max;
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
+      Slots;
+  for (uint32_t I = 0; I < NumSlots; ++I)
+    Slots.push(0.0);
+  double Makespan = 0.0;
+  for (double B : Busy) {
+    const double Load = Slots.top() + B;
+    Slots.pop();
+    Slots.push(Load);
+    Makespan = std::max(Makespan, Load);
+  }
+  return Makespan;
 }
 
 } // namespace
@@ -66,7 +102,7 @@ TEST(GpuSimulatorTest, FixedOverheadAdds) {
 
 TEST(GpuSimulatorTest, SingleWavefrontComputeTime) {
   const GpuSimulator Sim = makeSim();
-  const LaunchTiming T = Sim.simulate(uniformLaunch(1, 1000.0));
+  const LaunchTiming T = Sim.simulate(uniformLaunch(Sim, 1, 1000.0));
   const double ExpectedCycles =
       1000.0 * Sim.device().CyclesPerOp + Sim.device().WavefrontOverheadCycles;
   EXPECT_NEAR(T.ComputeMs, Sim.device().cyclesToMs(ExpectedCycles), 1e-12);
@@ -75,16 +111,17 @@ TEST(GpuSimulatorTest, SingleWavefrontComputeTime) {
 TEST(GpuSimulatorTest, FewerWavesThanSlotsRunFullyParallel) {
   const GpuSimulator Sim = makeSim();
   // 480 slots; 10 identical waves must take the time of one.
-  const LaunchTiming One = Sim.simulate(uniformLaunch(1, 5000.0));
-  const LaunchTiming Ten = Sim.simulate(uniformLaunch(10, 5000.0));
+  const LaunchTiming One = Sim.simulate(uniformLaunch(Sim, 1, 5000.0));
+  const LaunchTiming Ten = Sim.simulate(uniformLaunch(Sim, 10, 5000.0));
   EXPECT_NEAR(One.ComputeMs, Ten.ComputeMs, 1e-12);
 }
 
 TEST(GpuSimulatorTest, OversubscriptionScalesLinearly) {
   const GpuSimulator Sim = makeSim();
   const uint32_t Slots = Sim.device().numSlots();
-  const LaunchTiming Single = Sim.simulate(uniformLaunch(Slots, 5000.0));
-  const LaunchTiming Double = Sim.simulate(uniformLaunch(2 * Slots, 5000.0));
+  const LaunchTiming Single = Sim.simulate(uniformLaunch(Sim, Slots, 5000.0));
+  const LaunchTiming Double =
+      Sim.simulate(uniformLaunch(Sim, 2 * Slots, 5000.0));
   EXPECT_NEAR(Double.ComputeMs / Single.ComputeMs, 2.0, 0.01);
 }
 
@@ -94,7 +131,7 @@ TEST(GpuSimulatorTest, DeepOversubscriptionMatchesBalancedBound) {
   // > 16x slots triggers the closed-form path; it must stay close to the
   // exact greedy result for uniform waves (within the one-wave slack).
   const uint64_t Waves = 20ull * Slots;
-  const LaunchTiming T = Sim.simulate(uniformLaunch(Waves, 1000.0));
+  const LaunchTiming T = Sim.simulate(uniformLaunch(Sim, Waves, 1000.0));
   const double PerWave =
       1000.0 * Sim.device().CyclesPerOp + Sim.device().WavefrontOverheadCycles;
   const double Balanced = PerWave * static_cast<double>(Waves) / Slots;
@@ -106,14 +143,14 @@ TEST(GpuSimulatorTest, DivergenceCostsMaxNotMean) {
   const GpuSimulator Sim = makeSim();
   // One wavefront with a single 6400-op lane among 64 idle lanes must cost
   // the same as one whose lanes all have 6400 ops: lockstep.
-  LaunchBuilder A(64);
+  LaunchBuilder A = Sim.launch();
   A.beginWavefront();
   A.addLane(6400.0, 0.0, 0.0);
   for (int I = 0; I < 63; ++I)
     A.addLane(0.0, 0.0, 0.0);
   A.endWavefront();
   const LaunchTiming Skewed = Sim.simulate(A.take());
-  const LaunchTiming Uniform = Sim.simulate(uniformLaunch(1, 6400.0));
+  const LaunchTiming Uniform = Sim.simulate(uniformLaunch(Sim, 1, 6400.0));
   EXPECT_NEAR(Skewed.ComputeMs, Uniform.ComputeMs, 1e-12);
 }
 
@@ -121,9 +158,9 @@ TEST(GpuSimulatorTest, BalancedBeatsImbalanced) {
   const GpuSimulator Sim = makeSim();
   // Same total work, split evenly across lanes vs. dumped on one lane per
   // wavefront: balanced must be dramatically faster.
-  LaunchBuilder Balanced(64);
+  LaunchBuilder Balanced = Sim.launch();
   Balanced.addUniformLanes(64 * 64, 100.0, 0.0, 0.0);
-  LaunchBuilder Imbalanced(64);
+  LaunchBuilder Imbalanced = Sim.launch();
   for (int Wave = 0; Wave < 64; ++Wave) {
     Imbalanced.beginWavefront();
     Imbalanced.addLane(6400.0, 0.0, 0.0);
@@ -140,7 +177,7 @@ TEST(GpuSimulatorTest, MemoryRooflineDominatesBigStreams) {
   const GpuSimulator Sim = makeSim();
   // 1 GB of coalesced traffic with trivial compute: the memory component
   // must set the total (~1 ms at ~1 TB/s effective).
-  const LaunchTiming T = Sim.simulate(uniformLaunch(480, 10.0, 2.1e6));
+  const LaunchTiming T = Sim.simulate(uniformLaunch(Sim, 480, 10.0, 2.1e6));
   EXPECT_GT(T.MemoryMs, T.ComputeMs);
   const double ExpectedMs = (480 * 2.1e6) / (Sim.device().MemoryBandwidthGBs *
                                              Sim.device().StreamEfficiency *
@@ -150,9 +187,9 @@ TEST(GpuSimulatorTest, MemoryRooflineDominatesBigStreams) {
 
 TEST(GpuSimulatorTest, GatherMissesInflateTraffic) {
   const GpuSimulator Sim = makeSim();
-  KernelLaunch Hits = uniformLaunch(480, 10.0, 0.0, 1e5);
+  KernelLaunch Hits = uniformLaunch(Sim, 480, 10.0, 0.0, 1e5);
   Hits.GatherHitRate = 1.0;
-  KernelLaunch Misses = uniformLaunch(480, 10.0, 0.0, 1e5);
+  KernelLaunch Misses = uniformLaunch(Sim, 480, 10.0, 0.0, 1e5);
   Misses.GatherHitRate = 0.0;
   const LaunchTiming THits = Sim.simulate(Hits);
   const LaunchTiming TMisses = Sim.simulate(Misses);
@@ -162,9 +199,9 @@ TEST(GpuSimulatorTest, GatherMissesInflateTraffic) {
 
 TEST(GpuSimulatorTest, AtomicsSerialize) {
   const GpuSimulator Sim = makeSim();
-  LaunchBuilder NoAtomics(64);
+  LaunchBuilder NoAtomics = Sim.launch();
   NoAtomics.addUniformLanes(64, 100.0, 0.0, 0.0, 0.0);
-  LaunchBuilder WithAtomics(64);
+  LaunchBuilder WithAtomics = Sim.launch();
   WithAtomics.addUniformLanes(64, 100.0, 0.0, 0.0, 1.0);
   const LaunchTiming A = Sim.simulate(NoAtomics.take());
   const LaunchTiming B = Sim.simulate(WithAtomics.take());
@@ -172,22 +209,64 @@ TEST(GpuSimulatorTest, AtomicsSerialize) {
 }
 
 TEST(GpuSimulatorTest, EmptyWavefrontsAreDropped) {
-  LaunchBuilder Builder(64);
+  const GpuSimulator Sim = makeSim();
+  LaunchBuilder Builder = Sim.launch();
   Builder.beginWavefront();
   Builder.endWavefront();
+  Builder.addWavefront(WavefrontWork());
   const KernelLaunch Launch = Builder.take();
-  EXPECT_TRUE(Launch.Wavefronts.empty());
+  EXPECT_EQ(Launch.NumWavefronts, 0u);
+  EXPECT_TRUE(Launch.ScheduleCycles.empty());
+  EXPECT_EQ(Sim.simulate(Launch).NumWavefronts, 0u);
 }
 
 TEST(GpuSimulatorTest, AddUniformLanesSplitsIntoWavefronts) {
-  LaunchBuilder Builder(64);
+  const GpuSimulator Sim = makeSim();
+  LaunchBuilder Builder = Sim.launch();
   Builder.addUniformLanes(130, 10.0, 4.0, 8.0);
   const KernelLaunch Launch = Builder.take();
-  ASSERT_EQ(Launch.Wavefronts.size(), 3u);
-  EXPECT_EQ(Launch.Wavefronts[0].ActiveLanes, 64u);
-  EXPECT_EQ(Launch.Wavefronts[2].ActiveLanes, 2u);
-  EXPECT_NEAR(Launch.Wavefronts[2].CoalescedBytes, 8.0, 1e-12);
-  EXPECT_NEAR(Launch.Wavefronts[2].RandomBytes, 16.0, 1e-12);
+  // 64 + 64 + 2 lanes: three wavefronts, each as long as one lane.
+  ASSERT_EQ(Launch.NumWavefronts, 3u);
+  const double Busy = 10.0 * Sim.device().CyclesPerOp +
+                      Sim.device().WavefrontOverheadCycles;
+  EXPECT_EQ(Launch.ScheduleCycles, std::vector<double>(3, Busy));
+  EXPECT_EQ(Launch.BusyCycles, 3.0 * Busy);
+  EXPECT_EQ(Launch.MaxBusyCycles, Busy);
+  EXPECT_EQ(Launch.CoalescedBytes, 4.0 * 130);
+  EXPECT_EQ(Launch.RandomBytes, 8.0 * 130);
+}
+
+TEST(GpuSimulatorTest, ExactScheduleMatchesPriorityQueueReference) {
+  const GpuSimulator Sim = makeSim();
+  const DeviceModel &Device = Sim.device();
+  const uint32_t Slots = Device.numSlots();
+  const uint64_t Limit = exactScheduleLimit(Device);
+  ASSERT_EQ(Limit, 16ull * Slots);
+  Rng R(2024);
+  for (uint64_t Waves : {uint64_t(Slots), uint64_t(Slots) + 1, Limit,
+                         Limit + 1}) {
+    LaunchBuilder Builder = Sim.launch();
+    std::vector<double> Busy;
+    for (uint64_t I = 0; I < Waves; ++I) {
+      WavefrontWork Work;
+      Work.MaxLaneOps = R.uniform(1.0, 5000.0);
+      Work.AtomicOps = R.uniform(0.0, 4.0);
+      Work.ActiveLanes = 64;
+      Builder.addWavefront(Work);
+      Busy.push_back(Work.MaxLaneOps * Device.CyclesPerOp +
+                     Work.AtomicOps * Device.CyclesPerAtomic +
+                     Device.WavefrontOverheadCycles);
+    }
+    const KernelLaunch Launch = Builder.take();
+    // The busy cycles are kept exactly as long as the schedule needs them.
+    EXPECT_EQ(Launch.ScheduleCycles.size(), Waves <= Limit ? Waves : 0u)
+        << Waves << " wavefronts";
+    const LaunchTiming T = Sim.simulate(Launch);
+    EXPECT_EQ(T.NumWavefronts, Waves);
+    EXPECT_EQ(T.ComputeMs,
+              Device.cyclesToMs(referenceMakespan(Busy, Slots, Limit)))
+        << Waves << " wavefronts";
+  }
 }
 
 TEST(GatherHitRateTest, SmallVectorFitsInCache) {

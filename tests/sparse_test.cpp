@@ -86,11 +86,41 @@ TEST(CsrMatrixTest, MultiplyReference) {
 }
 
 TEST(CsrMatrixTest, VerifyCatchesBadOffsets) {
-  // fromArrays asserts in debug; test verify() directly on a hand-rolled
-  // bad structure via the release-mode path.
   CsrMatrix Good = exampleMatrix();
   std::string Why;
   EXPECT_TRUE(Good.verify(&Why));
+  const auto Adopted = CsrMatrix::fromUntrustedArrays(
+      3, 4, Good.rowOffsets(), Good.columnIndices(), Good.values());
+  ASSERT_TRUE(Adopted.ok()) << Adopted.status().toString();
+  EXPECT_EQ(Adopted->rowOffsets(), Good.rowOffsets());
+
+  // Each structure violates one invariant; fromUntrustedArrays names it.
+  struct Bad {
+    uint32_t Rows, Cols;
+    std::vector<uint64_t> Offsets;
+    std::vector<uint32_t> Columns;
+    const char *Why;
+  };
+  const Bad Cases[] = {
+      {2, 4, {0, 1}, {0}, "wrong length"},
+      {1, 4, {1, 1}, {0}, "start at 0"},
+      {1, 4, {0, 2}, {0}, "equal nnz"},
+      // Offsets that rise past nnz and fall back: caught before any
+      // column is read, so the scan never leaves the column array.
+      {2, 4, {0, 100, 3}, {0, 1, 2}, "not monotone at row 1"},
+      {1, 4, {0, 2}, {0, 4}, "column index out of range at entry 1"},
+      {1, 4, {0, 2}, {2, 0}, "not strictly increasing in row 0"},
+      {1, 4, {0, 2}, {1, 1}, "not strictly increasing in row 0"},
+  };
+  for (const Bad &Case : Cases) {
+    const auto M = CsrMatrix::fromUntrustedArrays(
+        Case.Rows, Case.Cols, Case.Offsets, Case.Columns,
+        std::vector<double>(Case.Columns.size(), 1.0));
+    ASSERT_FALSE(M.ok()) << Case.Why;
+    EXPECT_EQ(M.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(M.status().message().find(Case.Why), std::string::npos)
+        << M.status().toString();
+  }
 }
 
 //===----------------------------------------------------------------------===//
